@@ -8,14 +8,12 @@ trained by maximizing an evidence lower bound on a small reverse-mode
 autodiff core.
 """
 
-from .backend import BACKEND
 from .tensor import Tape, Tensor, as_tensor
 from . import distributions, layers, tensor, training
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BACKEND",
     "Tape",
     "Tensor",
     "as_tensor",

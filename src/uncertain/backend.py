@@ -1,159 +1,52 @@
-"""Convolution inner loops: numba-jitted kernels with a pure-numpy fallback.
+"""Convolution kernels built on matrix products.
 
-The backend is selected once at import time from the environment variable
-``UNCERTAIN_BACKEND``:
-
-* ``auto`` (default): use numba when it imports, else numpy
-* ``numba``: require numba, raise if unavailable
-* ``numpy``: force the vectorized numpy path
-
-All kernels take a pre-padded input ``xp`` in NHWC layout and a kernel in
-``(kh, kw, c_in, c_out)`` layout, everything float64.  The forward kernels of
-both backends accumulate each output cell in the same (di, dj, c_in) order,
-so they agree bit-for-bit; the gradient kernels agree to rounding only.
+All kernels take float64 arrays: a pre-padded input ``xp`` in NHWC layout
+and a kernel in ``(kh, kw, c_in, c_out)`` layout.  The forward pass copies
+every ``kh x kw`` window of ``xp`` into one row of an im2col matrix whose
+columns run in the kernel's (di, dj, c_in) order (Chellapilla et al., 2006)
+and multiplies it by the kernel in one GEMM; the input gradient is the
+transposed GEMM followed by a scatter-add (col2im).  The kernel gradient is
+one small GEMM per kernel offset, which keeps no im2col matrix alive from
+the forward pass.  BLAS chooses the summation order, so results agree with
+a direct loop nest to rounding, not bit for bit.
 """
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-_CHOICES = ("auto", "numba", "numpy")
-_requested = os.environ.get("UNCERTAIN_BACKEND", "auto").lower()
-if _requested not in _CHOICES:
-    raise ValueError(
-        f"UNCERTAIN_BACKEND must be one of {_CHOICES}, got {_requested!r}"
-    )
-
-_HAVE_NUMBA = False
-if _requested in ("auto", "numba"):
-    try:
-        from numba import njit
-
-        _HAVE_NUMBA = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-
-BACKEND = "numba" if _HAVE_NUMBA else "numpy"
+from numpy.lib.stride_tricks import sliding_window_view
 
 
-def _out_extent(padded: int, k: int, stride: int) -> int:
-    return (padded - k) // stride + 1
+def conv2d_forward(xp, k, stride):
+    """Strided cross-correlation of ``xp`` with ``k``: im2col, then one GEMM."""
+    kh, kw, ci, co = k.shape
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    b, ho, wo = windows.shape[:3]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * ci)
+    return (cols @ k.reshape(-1, co)).reshape(b, ho, wo, co)
 
 
-# ---------------------------------------------------------------------------
-# numpy fallback
-# ---------------------------------------------------------------------------
-
-def _conv2d_forward_numpy(xp, k, stride):
-    b, hp, wp, ci = xp.shape
-    kh, kw, _, co = k.shape
-    ho = _out_extent(hp, kh, stride)
-    wo = _out_extent(wp, kw, stride)
-    out = np.zeros((b, ho, wo, co))
-    for di in range(kh):
-        for dj in range(kw):
-            xs = xp[:, di:di + stride * (ho - 1) + 1:stride,
-                    dj:dj + stride * (wo - 1) + 1:stride, :]
-            for c in range(ci):
-                out += xs[..., c, None] * k[di, dj, c]
-    return out
-
-
-def _conv2d_grad_input_numpy(adj, k, stride, hp, wp):
+def conv2d_grad_input(adj, k, stride, hp, wp):
+    """Adjoint of the padded input: one GEMM, then a scatter-add per offset."""
     b, ho, wo, co = adj.shape
     kh, kw, ci, _ = k.shape
+    dcols = (adj.reshape(-1, co) @ k.reshape(-1, co).T).reshape(b, ho, wo, kh, kw, ci)
     dxp = np.zeros((b, hp, wp, ci))
     for di in range(kh):
         for dj in range(kw):
             dxp[:, di:di + stride * (ho - 1) + 1:stride,
-                dj:dj + stride * (wo - 1) + 1:stride, :] += adj @ k[di, dj].T
+                dj:dj + stride * (wo - 1) + 1:stride] += dcols[:, :, :, di, dj]
     return dxp
 
 
-def _conv2d_grad_kernel_numpy(xp, adj, kh, kw, stride):
+def conv2d_grad_kernel(xp, adj, kh, kw, stride):
+    """Adjoint of the kernel: a (c_in, N) x (N, c_out) GEMM per offset."""
     b, ho, wo, co = adj.shape
     ci = xp.shape[3]
-    dk = np.zeros((kh, kw, ci, co))
+    adj2 = adj.reshape(-1, co)
+    dk = np.empty((kh, kw, ci, co))
     for di in range(kh):
         for dj in range(kw):
             xs = xp[:, di:di + stride * (ho - 1) + 1:stride,
-                    dj:dj + stride * (wo - 1) + 1:stride, :]
-            dk[di, dj] = np.tensordot(xs, adj, axes=([0, 1, 2], [0, 1, 2]))
+                    dj:dj + stride * (wo - 1) + 1:stride]
+            dk[di, dj] = xs.reshape(-1, ci).T @ adj2
     return dk
-
-
-# ---------------------------------------------------------------------------
-# numba kernels
-# ---------------------------------------------------------------------------
-
-def _conv2d_forward_loops(xp, k, stride):
-    b, hp, wp, ci = xp.shape
-    kh, kw, _, co = k.shape
-    ho = (hp - kh) // stride + 1
-    wo = (wp - kw) // stride + 1
-    out = np.zeros((b, ho, wo, co))
-    for n in range(b):
-        for oi in range(ho):
-            for oj in range(wo):
-                for di in range(kh):
-                    for dj in range(kw):
-                        xi = oi * stride + di
-                        xj = oj * stride + dj
-                        for c in range(ci):
-                            v = xp[n, xi, xj, c]
-                            for f in range(co):
-                                out[n, oi, oj, f] += v * k[di, dj, c, f]
-    return out
-
-
-def _conv2d_grad_input_loops(adj, k, stride, hp, wp):
-    b, ho, wo, co = adj.shape
-    kh, kw, ci, _ = k.shape
-    dxp = np.zeros((b, hp, wp, ci))
-    for n in range(b):
-        for oi in range(ho):
-            for oj in range(wo):
-                for di in range(kh):
-                    for dj in range(kw):
-                        xi = oi * stride + di
-                        xj = oj * stride + dj
-                        for c in range(ci):
-                            acc = 0.0
-                            for f in range(co):
-                                acc += adj[n, oi, oj, f] * k[di, dj, c, f]
-                            dxp[n, xi, xj, c] += acc
-    return dxp
-
-
-def _conv2d_grad_kernel_loops(xp, adj, kh, kw, stride):
-    b, ho, wo, co = adj.shape
-    ci = xp.shape[3]
-    dk = np.zeros((kh, kw, ci, co))
-    for n in range(b):
-        for oi in range(ho):
-            for oj in range(wo):
-                for di in range(kh):
-                    for dj in range(kw):
-                        xi = oi * stride + di
-                        xj = oj * stride + dj
-                        for c in range(ci):
-                            v = xp[n, xi, xj, c]
-                            for f in range(co):
-                                dk[di, dj, c, f] += v * adj[n, oi, oj, f]
-    return dk
-
-
-if _HAVE_NUMBA:
-    _conv2d_forward_numba = njit(cache=True)(_conv2d_forward_loops)
-    _conv2d_grad_input_numba = njit(cache=True)(_conv2d_grad_input_loops)
-    _conv2d_grad_kernel_numba = njit(cache=True)(_conv2d_grad_kernel_loops)
-
-    conv2d_forward = _conv2d_forward_numba
-    conv2d_grad_input = _conv2d_grad_input_numba
-    conv2d_grad_kernel = _conv2d_grad_kernel_numba
-else:
-    conv2d_forward = _conv2d_forward_numpy
-    conv2d_grad_input = _conv2d_grad_input_numpy
-    conv2d_grad_kernel = _conv2d_grad_kernel_numpy

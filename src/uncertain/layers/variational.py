@@ -177,6 +177,11 @@ class VariationalConv2D(Layer, _VariationalMixin):
         if isinstance(kernel_size, int):
             kernel_size = (kernel_size, kernel_size)
         self.kernel_size = tuple(kernel_size)
+        if min(self.kernel_size) < 1:
+            raise ValueError(
+                f"kernel_size entries must be >= 1, got {self.kernel_size}")
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride!r}")
         self.stride = int(stride)
         self.padding = padding
         self.activation = resolve_activation(activation)

@@ -384,20 +384,6 @@ ELEMENTWISE_UNARY = {
 ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
 
 
-def elementwise(op_kind, a, b=None):
-    """Dispatch an elementwise op by name; binary kinds require ``b``."""
-    if op_kind in ELEMENTWISE_BINARY:
-        if b is None:
-            raise ValueError(f"{op_kind!r} is a binary op and needs b")
-        return ELEMENTWISE_BINARY[op_kind](a, b)
-    if op_kind in ELEMENTWISE_UNARY:
-        if b is not None:
-            raise ValueError(f"{op_kind!r} is a unary op and takes no b")
-        return ELEMENTWISE_UNARY[op_kind](a)
-    known = sorted(ELEMENTWISE_UNARY) + sorted(ELEMENTWISE_BINARY)
-    raise ValueError(f"unknown elementwise op {op_kind!r}; known: {known}")
-
-
 def softplus_inverse(y: np.ndarray) -> np.ndarray:
     """Numpy helper: x with softplus(x) == y, stable for large y."""
     y = np.asarray(y, dtype=np.float64)
@@ -533,11 +519,6 @@ def take_last(a, indices):
         return (full,)
 
     return _apply("take_last", out, (a,), backward)
-
-
-def stop_gradient(a):
-    """Detached copy of a tensor's value."""
-    return Tensor(np.array(as_tensor(a).data, copy=True))
 
 
 # ---------------------------------------------------------------------------
@@ -716,6 +697,8 @@ def conv2d(x, kernel, stride=1, padding="same"):
         )
     if padding not in ("same", "valid"):
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
+    if stride < 1:
+        raise ValueError(f"conv2d stride must be >= 1, got {stride!r}")
     stride = int(stride)
     b, h, w, ci = x.shape
     kh, kw = kernel.shape[0], kernel.shape[1]
@@ -731,11 +714,15 @@ def conv2d(x, kernel, stride=1, padding="same"):
         )
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     out = conv2d_forward(xp, kernel.data, stride)
+    # an untracked x, such as the data batch of a model's first conv, needs no adjoint
+    tape = active_tape()
+    x_tracked = tape is not None and x.tape is tape and x.node_id is not None
 
     def backward(adj):
-        dxp = conv2d_grad_input(adj, kernel.data, stride, hp, wp)
-        dx = dxp[:, pt:pt + h, pl:pl + w, :]
-        dk = conv2d_grad_kernel(xp, adj, kh, kw, stride)
-        return (dx, dk)
+        dx = None
+        if x_tracked:
+            dxp = conv2d_grad_input(adj, kernel.data, stride, hp, wp)
+            dx = dxp[:, pt:pt + h, pl:pl + w, :]
+        return (dx, conv2d_grad_kernel(xp, adj, kh, kw, stride))
 
     return _apply("conv2d", out, (x, kernel), backward)

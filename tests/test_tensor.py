@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from uncertain import backend
 from uncertain.errors import DomainError, ShapeError, TapeError
 from uncertain.tensor import (
     ELEMENTWISE_BINARY,
@@ -118,33 +119,96 @@ class TestMatmul:
         assert max_rel_err(grads[b.node_id].data, fb) < 1e-6
 
 
-def conv_oracle(x, k, stride, padding):
-    """Direct loop-nest cross-correlation, independent of the backend."""
-    b, h, w, ci = x.shape
+def conv_pad(x, kh, kw, stride, padding):
+    """Zero-pad an NHWC input the way conv2d does (TF-style ``same``)."""
+    if padding == "valid":
+        return x
+    h, w = x.shape[1], x.shape[2]
+    total_h = max((-(-h // stride) - 1) * stride + kh - h, 0)
+    total_w = max((-(-w // stride) - 1) * stride + kw - w, 0)
+    pt, pl = total_h // 2, total_w // 2
+    return np.pad(x, ((0, 0), (pt, total_h - pt), (pl, total_w - pl), (0, 0)))
+
+
+# Loop-nest forms of the three backend kernels, on a pre-padded input ``xp``.
+
+def _conv2d_forward_loops(xp, k, stride):
+    b, hp, wp, ci = xp.shape
     kh, kw, _, co = k.shape
-    if padding == "same":
-        ho, wo = -(-h // stride), -(-w // stride)
-        pt = max((ho - 1) * stride + kh - h, 0) // 2
-        pl = max((wo - 1) * stride + kw - w, 0) // 2
-        total_h = max((ho - 1) * stride + kh - h, 0)
-        total_w = max((wo - 1) * stride + kw - w, 0)
-        xp = np.pad(x, ((0, 0), (pt, total_h - pt), (pl, total_w - pl), (0, 0)))
-    else:
-        xp = x
-        ho = (h - kh) // stride + 1
-        wo = (w - kw) // stride + 1
+    ho = (hp - kh) // stride + 1
+    wo = (wp - kw) // stride + 1
     out = np.zeros((b, ho, wo, co))
     for n in range(b):
         for oi in range(ho):
             for oj in range(wo):
-                for f in range(co):
-                    acc = 0.0
-                    for di in range(kh):
-                        for dj in range(kw):
-                            for c in range(ci):
-                                acc += xp[n, oi * stride + di, oj * stride + dj, c] * k[di, dj, c, f]
-                    out[n, oi, oj, f] = acc
+                for di in range(kh):
+                    for dj in range(kw):
+                        xi = oi * stride + di
+                        xj = oj * stride + dj
+                        for c in range(ci):
+                            v = xp[n, xi, xj, c]
+                            for f in range(co):
+                                out[n, oi, oj, f] += v * k[di, dj, c, f]
     return out
+
+
+def _conv2d_grad_input_loops(adj, k, stride, hp, wp):
+    b, ho, wo, co = adj.shape
+    kh, kw, ci, _ = k.shape
+    dxp = np.zeros((b, hp, wp, ci))
+    for n in range(b):
+        for oi in range(ho):
+            for oj in range(wo):
+                for di in range(kh):
+                    for dj in range(kw):
+                        xi = oi * stride + di
+                        xj = oj * stride + dj
+                        for c in range(ci):
+                            acc = 0.0
+                            for f in range(co):
+                                acc += adj[n, oi, oj, f] * k[di, dj, c, f]
+                            dxp[n, xi, xj, c] += acc
+    return dxp
+
+
+def _conv2d_grad_kernel_loops(xp, adj, kh, kw, stride):
+    b, ho, wo, co = adj.shape
+    ci = xp.shape[3]
+    dk = np.zeros((kh, kw, ci, co))
+    for n in range(b):
+        for oi in range(ho):
+            for oj in range(wo):
+                for di in range(kh):
+                    for dj in range(kw):
+                        xi = oi * stride + di
+                        xj = oj * stride + dj
+                        for c in range(ci):
+                            v = xp[n, xi, xj, c]
+                            for f in range(co):
+                                dk[di, dj, c, f] += v * adj[n, oi, oj, f]
+    return dk
+
+
+def conv_oracle(x, k, stride, padding):
+    """Direct loop-nest cross-correlation, independent of the backend."""
+    xp = conv_pad(x, k.shape[0], k.shape[1], stride, padding)
+    return _conv2d_forward_loops(xp, k, stride)
+
+
+def conv_fd_check(x0, k0, stride, padding):
+    """Tape gradients of sum(conv2d(x, k)**2) against central differences."""
+    def loss_np(x, k):
+        return float(np.sum(conv_oracle(x, k, stride, padding) ** 2))
+
+    with Tape() as tape:
+        x = tape.watch(Tensor(x0))
+        k = tape.watch(Tensor(k0))
+        grads = tape.backward(tensor_sum(square(
+            conv2d(x, k, stride=stride, padding=padding))))
+    fx = finite_diff_grad(lambda v: loss_np(v, k0), x0)
+    fk = finite_diff_grad(lambda v: loss_np(x0, v), k0)
+    assert max_rel_err(grads[x.node_id].data, fx) < 1e-5
+    assert max_rel_err(grads[k.node_id].data, fk) < 1e-5
 
 
 class TestConv2d:
@@ -166,7 +230,8 @@ class TestConv2d:
         got = conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data
         want = conv_oracle(x, k, stride, padding)
         assert got.shape == want.shape
-        # forward kernels accumulate in the oracle's (di, dj, c) order
+        # one GEMM sums each window in BLAS order, not the oracle's, so
+        # the two agree to rounding
         np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_output_extents(self):
@@ -184,18 +249,89 @@ class TestConv2d:
         rng = np.random.default_rng(3)
         x0 = rng.uniform(-1, 1, (1, 4, 4, 2))
         k0 = rng.uniform(-1, 1, (3, 3, 2, 2))
+        conv_fd_check(x0, k0, 1, "same")
 
-        def loss_np(x, k):
-            return float(np.sum(conv_oracle(x, k, 1, "same") ** 2))
+    def test_gradients_vs_central_differences_strided_valid(self):
+        rng = np.random.default_rng(4)
+        x0 = rng.uniform(-1, 1, (1, 7, 6, 2))
+        k0 = rng.uniform(-1, 1, (3, 2, 2, 2))
+        conv_fd_check(x0, k0, 2, "valid")
 
-        with Tape() as tape:
-            x = tape.watch(Tensor(x0))
-            k = tape.watch(Tensor(k0))
-            grads = tape.backward(tensor_sum(square(conv2d(x, k))))
-        fx = finite_diff_grad(lambda v: loss_np(v, k0), x0)
-        fk = finite_diff_grad(lambda v: loss_np(x0, v), k0)
-        assert max_rel_err(grads[x.node_id].data, fx) < 1e-5
-        assert max_rel_err(grads[k.node_id].data, fk) < 1e-5
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_stride_below_one_rejected(self, stride):
+        with pytest.raises(ValueError, match="stride"):
+            conv2d(Tensor(np.zeros((1, 4, 4, 1))), Tensor(np.zeros((3, 3, 1, 1))),
+                   stride=stride)
+
+    def test_untracked_input_gets_no_input_gradient(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return backend.conv2d_grad_input(*args)
+
+        monkeypatch.setattr("uncertain.tensor.conv2d_grad_input", counting)
+        rng = np.random.default_rng(6)
+        x0 = rng.normal(size=(2, 5, 5, 3))
+        k0 = rng.normal(size=(3, 3, 3, 4))
+
+        def kernel_grad(watch_x):
+            with Tape() as tape:
+                x = tape.watch(Tensor(x0)) if watch_x else Tensor(x0)
+                k = tape.watch(Tensor(k0))
+                grads = tape.backward(tensor_sum(square(conv2d(x, k, stride=2))))
+            return grads[k.node_id].data
+
+        dk = kernel_grad(watch_x=False)
+        assert calls == []
+        assert np.array_equal(dk, kernel_grad(watch_x=True))
+        assert calls == [1]
+
+
+# (input h, w), (kernel h, w), stride, padding
+KERNEL_CASES = [
+    ((5, 5), (3, 3), 1, "same"),
+    ((5, 5), (3, 3), 1, "valid"),
+    ((7, 6), (3, 2), 2, "same"),
+    ((8, 7), (2, 3), 2, "valid"),
+    ((7, 8), (2, 2), 3, "same"),
+    ((10, 7), (2, 1), 3, "valid"),
+]
+
+
+def assert_sums_close(got, loops, *operands):
+    """Compare a kernel with its loop nest to 1e-12 of each output's scale.
+
+    The rounding error of a sum scales with the magnitudes of its terms, not
+    with the result, which cancellation can bring near zero; so each output
+    may differ by 1e-12 times the same loop nest run on absolute values,
+    which is never less than 1e-12 times the output itself.
+    """
+    want = loops(*operands)
+    scale = loops(*(np.abs(o) if isinstance(o, np.ndarray) else o
+                    for o in operands))
+    assert got.shape == want.shape
+    err = np.abs(got - want)
+    assert np.all(err <= 1e-12 * scale), np.max(err / np.maximum(scale, 1e-300))
+
+
+class TestConvKernels:
+    """The im2col kernels against the loop nests, on padded inputs."""
+
+    @pytest.mark.parametrize("hw,khw,stride,padding", KERNEL_CASES)
+    def test_match_loop_kernels(self, hw, khw, stride, padding):
+        rng = np.random.default_rng(11)
+        kh, kw = khw
+        xp = conv_pad(rng.normal(size=(2, *hw, 3)), kh, kw, stride, padding)
+        k = rng.normal(size=(kh, kw, 3, 4))
+        hp, wp = xp.shape[1], xp.shape[2]
+        out = backend.conv2d_forward(xp, k, stride)
+        assert_sums_close(out, _conv2d_forward_loops, xp, k, stride)
+        adj = rng.normal(size=out.shape)
+        assert_sums_close(backend.conv2d_grad_input(adj, k, stride, hp, wp),
+                          _conv2d_grad_input_loops, adj, k, stride, hp, wp)
+        assert_sums_close(backend.conv2d_grad_kernel(xp, adj, kh, kw, stride),
+                          _conv2d_grad_kernel_loops, xp, adj, kh, kw, stride)
 
 
 class TestBackward:

@@ -215,6 +215,16 @@ class TestVariationalConv2D:
         out = layer(Tensor(np.zeros((1, 7, 7, 1))), seed=0)
         assert out.shape == (1, 3, 3, 2)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        ({"kernel_size": 0}, "kernel_size"),
+        ({"kernel_size": (3, 0)}, "kernel_size"),
+        ({"kernel_size": 3, "stride": 0}, "stride"),
+        ({"kernel_size": 3, "stride": -1}, "stride"),
+    ])
+    def test_bad_geometry_rejected(self, kwargs, name):
+        with pytest.raises(ValueError, match=name):
+            VariationalConv2D(2, **kwargs)
+
 
 def lstm_oracle_step(x, h, c, w, u, b, n):
     z = x @ w + h @ u + b
