@@ -187,11 +187,8 @@ def run_train_flow(args):
     hidden = _resolve(args, cfg_file, "conditioner_hidden", int, 32)
     model = build_flow(num_couplings, hidden, dims=data.shape[1])
     base = Normal(np.zeros(data.shape[1]), np.ones(data.shape[1]))
-
-    def batch_fn(_bx, step):
-        return base.sample(mix(cfg.seed, "base", step))
-
-    fit(model, data, data, cfg, batch_fn=batch_fn, log_fn=_print_step)
+    fit(model, data, data, cfg, batch_fn=lambda _bx, _step: base,
+        log_fn=_print_step)
     save_checkpoint(args.checkpoint, model.state_dict())
     return 0
 
@@ -210,19 +207,12 @@ def run_train_lstm(args):
                        {"steps": 300, "learning_rate": 0.05, "batch_size": 16})
     units = _resolve(args, cfg_file, "units", int, 16)
     model = build_lstm(units, vocab)
-    model(Tensor(inputs[:1]), seed=mix(cfg.seed, "build"))
-
-    flat_inputs = inputs.reshape(n, -1)
-    steps = seq_len - 1
-
-    def batch_fn(bx, step):
-        return Tensor(bx.reshape(-1, steps, vocab))
 
     def likelihood(out, y):
         return out.log_prob(reshape(y, (-1,)))
 
-    fit(model, flat_inputs, targets, cfg, likelihood=likelihood,
-        batch_fn=batch_fn, log_fn=_print_step)
+    fit(model, inputs, targets, cfg, likelihood=likelihood,
+        log_fn=_print_step)
     save_checkpoint(args.checkpoint, model.state_dict())
     return 0
 

@@ -356,9 +356,11 @@ class MultivariateNormal(Distribution):
 class TransformedDistribution(Distribution):
     """Pushforward of a base distribution through a reversible transform.
 
-    The transform must provide ``reverse`` and ``log_det_jacobian`` (the log
-    absolute Jacobian determinant of the forward map).  For elementwise base
-    distributions the base log density is summed over the last axis.
+    Sampling pushes a base draw through the transform's forward call.
+    ``log_prob(y)`` makes one ``transform.inverse_and_log_det(y)`` call, which
+    returns x = f^-1(y) and log |det J_f(x)|, the log absolute Jacobian
+    determinant of the forward map.  For elementwise base distributions the
+    base log density is summed over the last axis.
     """
 
     def __init__(self, base, transform):
@@ -376,8 +378,8 @@ class TransformedDistribution(Distribution):
         return lp
 
     def log_prob(self, y):
-        x = self.transform.reverse(as_tensor(y))
-        return self._base_log_prob(x) - self.transform.log_det_jacobian(x)
+        x, log_det = self.transform.inverse_and_log_det(as_tensor(y))
+        return self._base_log_prob(x) - log_det
 
 
 class Discretized(Distribution):

@@ -25,7 +25,7 @@ import math
 import numpy as np
 
 from ..distributions import Distribution, Normal, kl_divergence
-from ..errors import LayerError, ShapeError
+from ..errors import LayerError, NotReversibleError, ShapeError
 from ..rng import rng_from
 from ..tensor import (
     Tensor,
@@ -280,15 +280,13 @@ class Sequential(Layer):
                 ) from exc
         return out
 
-    # flows compose inside Sequential: reverse runs right to left and the
-    # log-det terms of the pieces sum along the forward pass
+    # flows compose inside Sequential: reverse runs right to left, and so
+    # does inverse_and_log_det, summing the log-det terms of the pieces
     def reverse(self, y):
         out = y
         for i in reversed(range(len(self.layers))):
             layer = self.layers[i]
             if not hasattr(layer, "reverse"):
-                from ..errors import NotReversibleError
-
                 raise NotReversibleError(
                     f"layer {i} ({layer.name}) does not implement reverse"
                 )
@@ -296,19 +294,20 @@ class Sequential(Layer):
         return out
 
     def log_det_jacobian(self, x):
-        total = None
-        out = as_tensor(x)
-        for i, layer in enumerate(self.layers):
-            if not hasattr(layer, "log_det_jacobian"):
-                from ..errors import NotReversibleError
+        return self.inverse_and_log_det(self(x, seed=0))[1]
 
+    def inverse_and_log_det(self, y):
+        total = None
+        out = y
+        for i in reversed(range(len(self.layers))):
+            layer = self.layers[i]
+            if not hasattr(layer, "inverse_and_log_det"):
                 raise NotReversibleError(
-                    f"layer {i} ({layer.name}) has no log_det_jacobian"
+                    f"layer {i} ({layer.name}) has no inverse_and_log_det"
                 )
-            term = layer.log_det_jacobian(out)
+            out, term = layer.inverse_and_log_det(out)
             total = term if total is None else total + term
-            out = as_tensor(layer(out, seed=0))
-        return total
+        return out, total
 
 
 def rng_seed(seed, layer, *salts) -> int:

@@ -1,11 +1,19 @@
 """Reversible layers: exact inverses and log-det-Jacobians for flows.
 
-A reversible layer adds ``reverse`` (the exact inverse of its call) and
-``log_det_jacobian`` (the log absolute determinant of the forward Jacobian
-at a point) to the ordinary layer contract.  Given a RandomVariable input,
-the call returns a transformed RandomVariable whose log_prob applies the
-change of variables, so densities ride through whole stacks; Sequential
-composes reversibles with the log-det terms summing.
+A reversible layer adds to the ordinary layer contract:
+
+* ``call(x, seed)``: the forward map y = f(x);
+* ``reverse(y)``: its exact inverse x = f^-1(y);
+* ``log_det_jacobian(x)`` (optional): log |det J_f(x)| at a point;
+* ``inverse_and_log_det(y)``: (f^-1(y), log |det J_f(f^-1(y))|), the one
+  primitive densities use.  The default runs ``reverse`` and then
+  ``log_det_jacobian``; a coupling computes both from one conditioner pass.
+
+Called on a Distribution, a reversible layer returns the pushforward
+TransformedDistribution and draws nothing, so a Sequential of reversibles
+turns a base density into a flow density.  Called on a RandomVariable, it
+returns the transformed sample bound to that pushforward; on a tensor, the
+plain forward map.
 
 ``log_det_jacobian`` is optional for pure round-trip use: layers without it
 still invert, and a density query raises NotReversibleError at that point.
@@ -16,7 +24,11 @@ import warnings
 
 import numpy as np
 
-from ..distributions import RandomVariable, TransformedDistribution
+from ..distributions import (
+    Distribution,
+    RandomVariable,
+    TransformedDistribution,
+)
 from ..errors import NotReversibleError, ShapeError
 from ..tensor import (
     Tensor,
@@ -33,10 +45,19 @@ from .base import Layer, glorot_uniform, zeros_init
 
 
 class ReversibleLayer(Layer):
-    """Layer with an exact inverse; propagates RandomVariables by default."""
+    """Layer with an exact inverse.
+
+    Subclasses define ``call`` and ``reverse``, and ``log_det_jacobian`` for
+    density use; ``inverse_and_log_det`` defaults to one ``reverse`` and one
+    ``log_det_jacobian`` and may be overridden by a single fused pass.  A
+    Distribution input returns its pushforward TransformedDistribution and a
+    RandomVariable input the transformed sample bound to it.
+    """
 
     def __call__(self, x, seed=0):
         self._losses = []
+        if isinstance(x, Distribution):
+            return TransformedDistribution(x, self)
         if isinstance(x, RandomVariable):
             value = as_tensor(self.call(x.value, seed))
             return RandomVariable(
@@ -51,6 +72,10 @@ class ReversibleLayer(Layer):
             f"{type(self).__name__} does not implement log_det_jacobian; "
             "density propagation through it is unavailable"
         )
+
+    def inverse_and_log_det(self, y):
+        x = self.reverse(y)
+        return x, self.log_det_jacobian(x)
 
 
 def propagate(rv: RandomVariable, layer) -> RandomVariable:
@@ -84,37 +109,35 @@ class CouplingLayer(ReversibleLayer):
         self.conditioner = self.add_child("conditioner", conditioner)
         self.scale_bound = float(scale_bound)
 
-    def _affine(self, anchored, seed):
-        shift, raw_scale = self.conditioner(anchored, seed=seed)
-        active = 1.0 - self.mask
-        scale = tanh(raw_scale) * self.scale_bound * active
-        return shift * active, scale
-
-    def _check(self, x):
+    def _affine(self, x, seed):
+        """One conditioner pass: (x, anchored part, active shift, scale)."""
         x = as_tensor(x)
         if x.shape[-1] != self.mask.shape[0]:
             raise ShapeError(
                 f"coupling expects last axis {self.mask.shape[0]}, "
                 f"got {list(x.shape)}"
             )
-        return x
+        anchored = x * self.mask
+        shift, raw_scale = self.conditioner(anchored, seed=seed)
+        active = 1.0 - self.mask
+        scale = tanh(raw_scale) * self.scale_bound * active
+        return x, anchored, shift * active, scale
 
     def call(self, x, seed):
-        x = self._check(x)
-        anchored = x * self.mask
-        shift, scale = self._affine(anchored, seed)
+        x, anchored, shift, scale = self._affine(x, seed)
         return anchored + (1.0 - self.mask) * (x * exp(scale) + shift)
 
     def reverse(self, y):
-        y = self._check(y)
-        anchored = y * self.mask
-        shift, scale = self._affine(anchored, seed=0)
-        return anchored + (1.0 - self.mask) * ((y - shift) * exp(-scale))
+        return self.inverse_and_log_det(y)[0]
 
     def log_det_jacobian(self, x):
-        x = self._check(x)
-        _, scale = self._affine(x * self.mask, seed=0)
-        return tensor_sum(scale, axis=-1)
+        return tensor_sum(self._affine(x, seed=0)[3], axis=-1)
+
+    def inverse_and_log_det(self, y):
+        # y's anchored part equals x's, so one conditioner pass gives both
+        y, anchored, shift, scale = self._affine(y, seed=0)
+        x = anchored + (1.0 - self.mask) * ((y - shift) * exp(-scale))
+        return x, tensor_sum(scale, axis=-1)
 
 
 class Reverse(ReversibleLayer):
@@ -139,12 +162,11 @@ class Reverse(ReversibleLayer):
         return as_tensor(self.inner(y, seed=0))
 
     def log_det_jacobian(self, x):
-        if not hasattr(self.inner, "log_det_jacobian"):
+        if not hasattr(self.inner, "inverse_and_log_det"):
             raise NotReversibleError(
-                f"{type(self.inner).__name__} has no log_det_jacobian"
+                f"{type(self.inner).__name__} has no inverse_and_log_det"
             )
-        x = as_tensor(x)
-        return -self.inner.log_det_jacobian(self.inner.reverse(x))
+        return -self.inner.inverse_and_log_det(as_tensor(x))[1]
 
 
 def _made_degrees(dims, hidden_sizes):

@@ -180,8 +180,11 @@ class VariationalConv2D(Layer, _VariationalMixin):
         if min(self.kernel_size) < 1:
             raise ValueError(
                 f"kernel_size entries must be >= 1, got {self.kernel_size}")
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride!r}")
+        if stride < 1 or stride != int(stride):
+            raise ValueError(f"stride must be an integer >= 1, got {stride!r}")
+        if padding not in ("same", "valid"):
+            raise ValueError(
+                f"padding must be 'same' or 'valid', got {padding!r}")
         self.stride = int(stride)
         self.padding = padding
         self.activation = resolve_activation(activation)

@@ -697,8 +697,8 @@ def conv2d(x, kernel, stride=1, padding="same"):
         )
     if padding not in ("same", "valid"):
         raise ValueError(f"padding must be 'same' or 'valid', got {padding!r}")
-    if stride < 1:
-        raise ValueError(f"conv2d stride must be >= 1, got {stride!r}")
+    if stride < 1 or stride != int(stride):
+        raise ValueError(f"conv2d stride must be an integer >= 1, got {stride!r}")
     stride = int(stride)
     b, h, w, ci = x.shape
     kh, kw = kernel.shape[0], kernel.shape[1]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Prefetcher, batch_indices
-from .distributions import RandomVariable
+from .distributions import Distribution, RandomVariable
 from .errors import ConfigError, TrainingError
 from .layers.base import Layer, collect_losses
 from .rng import mix
@@ -83,9 +83,10 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
               likelihood=None, params=None):
     """One ELBO evaluation with gradients.
 
-    The model's output must be a RandomVariable (its ``log_prob`` is the
-    likelihood) unless a ``likelihood(output, y) -> per-element log prob``
-    is supplied.  Returns (loss Tensor, kl value, gradient map, params).
+    The model's output must be a RandomVariable or a Distribution (its
+    ``log_prob`` is the likelihood) unless a
+    ``likelihood(output, y) -> per-element log prob`` is supplied.  Returns
+    (loss Tensor, kl value, gradient map, params).
     """
     if params is None:
         params = _unique_params(model)
@@ -102,7 +103,7 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
             out = model(batch_x, seed=mix(cfg.seed, "step", step, "mc", s))
             if likelihood is not None:
                 lp = likelihood(out, batch_y)
-            elif isinstance(out, RandomVariable):
+            elif isinstance(out, (RandomVariable, Distribution)):
                 lp = out.log_prob(batch_y)
             else:
                 raise TrainingError(
@@ -164,7 +165,8 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     """Run the training loop; returns the [(step, loss, kl)] trace.
 
     ``batch_fn(x_batch, step) -> model input`` lets callers replace the model
-    input per step (flows feed a fresh base sample instead of data).
+    input per step (a flow is fed its base Distribution, and its output
+    density scores the data batch given as targets).
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)

@@ -219,6 +219,25 @@ def _case_coupling(rng, seed):
     return layer, loss_fn
 
 
+def _case_flow_log_prob(rng, seed):
+    # differentiates through inverse_and_log_det: the inverse and the log-det
+    # adjoints meet in one conditioner pass per coupling
+    flow = layers.Sequential([
+        layers.CouplingLayer(layers.alternating_mask(3, parity=i),
+                             layers.MADE(3, hidden_sizes=(6,)))
+        for i in range(2)
+    ])
+    for p in flow.trainable_variables().values():
+        p.data[...] = 0.3 * rng.standard_normal(p.shape)
+    base = Normal(np.zeros(3), np.ones(3))
+    x = rng.normal(size=(4, 3))
+
+    def loss_fn():
+        return -tensor_mean(flow(base, seed=seed).log_prob(Tensor(x)))
+
+    return flow, loss_fn
+
+
 _GRADIENT_CASES = [
     ("dense", _case_dense),
     ("variational_dense", _case_variational_dense),
@@ -233,6 +252,7 @@ _GRADIENT_CASES = [
     ("mixture_logistic_output", _case_mixture_head),
     ("made_conditioner", _case_made),
     ("coupling_layer", _case_coupling),
+    ("flow_log_prob", _case_flow_log_prob),
 ]
 
 

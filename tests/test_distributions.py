@@ -316,6 +316,10 @@ class TestTransformedDistribution:
         def log_det_jacobian(self, x):
             return tensor_sum(Tensor(np.full(x.shape, math.log(2.0))), axis=-1)
 
+        def inverse_and_log_det(self, y):
+            x = self.reverse(y)
+            return x, self.log_det_jacobian(x)
+
     def test_change_of_variables(self):
         dist = TransformedDistribution(Normal(np.zeros(1), np.ones(1)),
                                        self.Doubler())

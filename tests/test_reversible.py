@@ -4,7 +4,12 @@ import math
 import numpy as np
 import pytest
 
-from uncertain.distributions import DiscretizedLogisticMixture, Logistic, Normal
+from uncertain.distributions import (
+    DiscretizedLogisticMixture,
+    Logistic,
+    Normal,
+    TransformedDistribution,
+)
 from uncertain.errors import NotReversibleError
 from uncertain.layers import (
     MADE,
@@ -174,6 +179,53 @@ class TestPropagate:
                 - layer_a.log_det_jacobian(start)
                 - layer_b.log_det_jacobian(mid))
         np.testing.assert_allclose(out.log_prob(pts).data, want.data,
+                                   atol=1e-12)
+        # one distribution over the whole Sequential gives the same density
+        whole = TransformedDistribution(base, flow)
+        np.testing.assert_allclose(whole.log_prob(pts).data, want.data,
+                                   atol=1e-12)
+
+    def test_log_prob_makes_one_conditioner_pass_per_coupling(
+            self, monkeypatch):
+        flow = Sequential([random_coupling(2, seed=60 + i, parity=i % 2)
+                           for i in range(4)])
+        base = Normal(np.zeros(2), np.ones(2))
+        pts = Tensor(np.random.default_rng(64).normal(size=(5, 2)))
+        calls = []
+        made_call = MADE.call
+
+        def counting(self, x, seed):
+            calls.append(1)
+            return made_call(self, x, seed)
+
+        monkeypatch.setattr(MADE, "call", counting)
+        flow(base, seed=0).log_prob(pts)
+        assert len(calls) == 4
+
+    def test_distribution_input_matches_sample_input(self):
+        flow = Sequential([random_coupling(2, seed=65 + i, parity=i % 2)
+                           for i in range(3)])
+        base = Normal(np.zeros(2), np.ones(2))
+        pts = Tensor(np.random.default_rng(68).normal(size=(6, 2)))
+        pushforward = flow(base, seed=0)
+        assert isinstance(pushforward, TransformedDistribution)
+        np.testing.assert_array_equal(
+            pushforward.log_prob(pts).data,
+            flow(base.sample(seed=0), seed=0).log_prob(pts).data)
+
+    def test_reversed_sequential_density(self):
+        # Reverse(flow) maps y to flow^-1(y): log p(y) = log p_base(flow(y))
+        # + the forward log-det of the flow at y
+        layer_a = random_coupling(2, seed=39, parity=0)
+        layer_b = random_coupling(2, seed=40, parity=1)
+        base = Normal(np.zeros(2), np.ones(2))
+        dist = Reverse(Sequential([layer_a, layer_b]))(base)
+        pts = Tensor(np.random.default_rng(41).normal(size=(7, 2)))
+        mid = layer_a(pts, seed=0)
+        want = (tensor_sum(base.log_prob(layer_b(mid, seed=0)), axis=-1)
+                + layer_a.log_det_jacobian(pts)
+                + layer_b.log_det_jacobian(mid))
+        np.testing.assert_allclose(dist.log_prob(pts).data, want.data,
                                    atol=1e-12)
 
     def test_sequential_log_det_sums(self):

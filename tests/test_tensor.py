@@ -257,8 +257,8 @@ class TestConv2d:
         k0 = rng.uniform(-1, 1, (3, 2, 2, 2))
         conv_fd_check(x0, k0, 2, "valid")
 
-    @pytest.mark.parametrize("stride", [0, -1])
-    def test_stride_below_one_rejected(self, stride):
+    @pytest.mark.parametrize("stride", [0, -1, 1.5])
+    def test_bad_stride_rejected(self, stride):
         with pytest.raises(ValueError, match="stride"):
             conv2d(Tensor(np.zeros((1, 4, 4, 1))), Tensor(np.zeros((3, 3, 1, 1))),
                    stride=stride)

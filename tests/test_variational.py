@@ -220,6 +220,8 @@ class TestVariationalConv2D:
         ({"kernel_size": (3, 0)}, "kernel_size"),
         ({"kernel_size": 3, "stride": 0}, "stride"),
         ({"kernel_size": 3, "stride": -1}, "stride"),
+        ({"kernel_size": 3, "stride": 1.5}, "stride"),
+        ({"kernel_size": 3, "padding": "full"}, "padding"),
     ])
     def test_bad_geometry_rejected(self, kwargs, name):
         with pytest.raises(ValueError, match=name):
