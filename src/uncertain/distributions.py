@@ -28,10 +28,8 @@ from .tensor import (
     exp,
     log,
     log_softmax,
-    logdet_psd,
     logsumexp,
     matmul,
-    posdef_solve,
     reshape,
     sigmoid,
     slice_last,
@@ -39,6 +37,7 @@ from .tensor import (
     square,
     take_last,
     tensor_sum,
+    triangular_solve,
     where,
 )
 
@@ -296,6 +295,10 @@ class MultivariateNormal(Distribution):
 
     The mean may be a vector ``[n]`` or a matrix ``[n, k]`` of k independent
     columns sharing one ``[n, n]`` covariance.
+
+    The covariance is factored at most once, on first use: :meth:`factor`
+    caches its lower Cholesky factor L and sum(log diag L), and ``sample``,
+    ``log_prob`` and :func:`kl_divergence` read only that pair.
     """
 
     def __init__(self, mean, covariance):
@@ -314,6 +317,15 @@ class MultivariateNormal(Distribution):
         if not np.allclose(self.covariance.data, self.covariance.data.T,
                            atol=1e-8):
             raise DomainError("covariance must be symmetric")
+        self._factor = None
+
+    def factor(self):
+        """``(L, sum(log diag L))`` for the lower Cholesky factor L of the
+        covariance; log det = 2 sum(log diag L)."""
+        if self._factor is None:
+            scale = cholesky(self.covariance)
+            self._factor = (scale, tensor_sum(log(diag_part(scale))))
+        return self._factor
 
     @property
     def dim(self):
@@ -330,7 +342,7 @@ class MultivariateNormal(Distribution):
         rng = _as_rng(seed)
         mean2 = self._mean2d()
         eps = Tensor(rng.standard_normal(mean2.shape))
-        scale = cholesky(self.covariance)
+        scale, _ = self.factor()
         value = mean2 + matmul(scale, eps)
         if self.mean.ndim == 1:
             value = reshape(value, (self.dim,))
@@ -345,9 +357,9 @@ class MultivariateNormal(Distribution):
             )
         diff = x - self.mean
         diff2 = reshape(diff, (self.dim, 1)) if diff.ndim == 1 else diff
-        solved = posdef_solve(self.covariance, diff2)
-        quad = tensor_sum(diff2 * solved, axis=0)
-        out = -0.5 * (quad + logdet_psd(self.covariance) + self.dim * LOG_2PI)
+        scale, half_logdet = self.factor()
+        quad = tensor_sum(square(triangular_solve(scale, diff2)), axis=0)
+        out = -0.5 * (quad + 2.0 * half_logdet + self.dim * LOG_2PI)
         if self.mean.ndim == 1:
             out = reshape(out, ())
         return out
@@ -418,7 +430,13 @@ class Discretized(Distribution):
 
 
 def kl_divergence(q, p):
-    """Closed-form KL(q || p) for matching normal families."""
+    """Closed-form KL(q || p) for matching normal families.
+
+    For multivariate normals it reads only the cached factors Lq and Lp (see
+    :meth:`MultivariateNormal.factor`): tr(Sp^-1 Sq) = ||Lp^-1 Lq||_F^2, the
+    mean term is ||Lp^-1 (mq - mp)||^2 and log det S = 2 sum(log diag L).
+    No matrix is inverted or factored twice.
+    """
     if isinstance(q, Normal) and isinstance(p, Normal):
         var_ratio = square(q.scale / p.scale)
         mean_term = square((q.loc - p.loc) / p.scale)
@@ -432,10 +450,12 @@ def kl_divergence(q, p):
             )
         n = q.dim
         cols = 1 if q.mean.ndim == 1 else q.mean.shape[1]
-        tr = tensor_sum(diag_part(posdef_solve(p.covariance, q.covariance)))
-        diff = q._mean2d() - p._mean2d()
-        quad = tensor_sum(diff * posdef_solve(p.covariance, diff))
-        logdets = logdet_psd(p.covariance) - logdet_psd(q.covariance)
+        scale_q, half_logdet_q = q.factor()
+        scale_p, half_logdet_p = p.factor()
+        tr = tensor_sum(square(triangular_solve(scale_p, scale_q)))
+        quad = tensor_sum(square(triangular_solve(scale_p,
+                                                  q._mean2d() - p._mean2d())))
+        logdets = 2.0 * (half_logdet_p - half_logdet_q)
         return 0.5 * (cols * (tr - n + logdets) + quad)
     raise TypeError(
         f"kl_divergence supports Normal||Normal and MultivariateNormal pairs, "

@@ -1,8 +1,8 @@
 """Gaussian-process layers in three estimator classes.
 
-``GaussianProcess`` integrates exactly (prior or posterior predictive via a
-dense solve), ``SparseGaussianProcess`` uses inducing variables with a KL
-regularizer on the inducing output distribution, and
+``GaussianProcess`` integrates exactly (prior or posterior predictive from
+one Cholesky factor), ``SparseGaussianProcess`` uses inducing variables with
+a KL regularizer on the inducing output distribution, and
 ``RandomFourierFeatures`` projects onto fixed cosine features with a
 variational readout.  All default to a zero mean function and a squared
 exponential kernel, output one independent GP per unit sharing the kernel,
@@ -19,17 +19,20 @@ from ..errors import ShapeError
 from ..tensor import (
     Tensor,
     as_tensor,
+    cholesky,
     concat,
     cos,
     exp,
     matmul,
-    posdef_solve,
     reshape,
+    slice_last,
     softplus,
     softplus_inverse,
     sqrt,
+    square,
     tensor_sum,
     transpose,
+    triangular_solve,
     where,
 )
 from .base import Layer, normal_kl, rng_seed, trainable_normal
@@ -150,13 +153,14 @@ class GaussianProcess(_GPLayer):
         if self.conditional_inputs is None:
             return MultivariateNormal(mean, k_xx)
         cx, cy = self.conditional_inputs, self.conditional_outputs
-        k_xn = self.kernel(x, cx)
         k_nn = self.kernel(cx, cx)
         noise = exp(2.0 * self.log_noise)
         gram = k_nn + noise * Tensor(np.eye(cx.shape[0]))
+        chol = cholesky(gram)
+        cross = transpose(triangular_solve(chol, self.kernel(cx, x)))  # K_xn L^-T
         residual = cy - self._mean(cx)
-        post_mean = mean + matmul(k_xn, posdef_solve(gram, residual))
-        post_cov = k_xx - matmul(k_xn, posdef_solve(gram, transpose(k_xn)))
+        post_mean = mean + matmul(cross, triangular_solve(chol, residual))
+        post_cov = k_xx - matmul(cross, transpose(cross))
         return MultivariateNormal(post_mean, post_cov)
 
     def call(self, x, seed):
@@ -169,6 +173,12 @@ class SparseGaussianProcess(_GPLayer):
     The call returns per-point marginals sampled by reparameterization (the
     doubly stochastic estimator, which is what lets deep stacks train), and
     appends one loss: sum over units of KL(N(m_u, S) || N(0, K_zz)).
+
+    Each call factors K_zz = L L^T once, in the prior
+    ``MultivariateNormal(0, K_zz)``, and L serves the predictive mean
+    (L^-1 K_zx)^T (L^-1 m_u), the base variance, each unit's variance through
+    (L^-1 L_u)^T (L^-1 K_zx), and every unit's KL against that prior.  Unit u
+    adds one factorization, of its own S = L_u L_u^T inside the KL.
 
     S is parameterized by an unconstrained lower-triangular factor per unit
     whose diagonal passes through softplus, initialized so that S = K_zz and
@@ -228,24 +238,25 @@ class SparseGaussianProcess(_GPLayer):
         if self.inducing_inputs is None:
             self._build(x, seed)
         z = self.inducing_inputs
-        k_zz = self.kernel(z, z) + _VAR_FLOOR * Tensor(np.eye(self.num_inducing))
-        k_zx = self.kernel(z, x)
-        solved = posdef_solve(k_zz, k_zx)                     # K_zz^-1 K_zx
-        mean = self._mean(x) + matmul(transpose(solved), self.inducing_mean)
-        base_var = self.kernel.diag(x) - tensor_sum(k_zx * solved, axis=0)
+        m = self.num_inducing
+        k_zz = self.kernel(z, z) + _VAR_FLOOR * Tensor(np.eye(m))
+        prior = MultivariateNormal(Tensor(np.zeros((m, 1))), k_zz)
+        chol, _ = prior.factor()
+        proj = triangular_solve(chol, self.kernel(z, x))      # L^-1 K_zx
+        mean = self._mean(x) + matmul(
+            transpose(proj), triangular_solve(chol, self.inducing_mean))
+        base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=0)
         cols, kl_terms = [], []
-        zero = Tensor(np.zeros((self.num_inducing, 1)))
         for u in range(self.units):
             scale_u = self._unit_scale(u)
-            half = matmul(transpose(scale_u), solved)         # L^T K_zz^-1 K_zx
-            var_u = base_var + tensor_sum(half * half, axis=0)
+            half = matmul(transpose(triangular_solve(chol, scale_u)), proj)
+            var_u = base_var + tensor_sum(square(half), axis=0)
             var_u = where(var_u.data > _VAR_FLOOR, var_u, _VAR_FLOOR)
             cols.append(reshape(var_u, (x.shape[0], 1)))
             q_u = MultivariateNormal(
-                _slice_col(self.inducing_mean, u),
+                slice_last(self.inducing_mean, u, u + 1),
                 matmul(scale_u, transpose(scale_u)))
-            p_u = MultivariateNormal(zero, k_zz)
-            kl_terms.append(kl_divergence(q_u, p_u))
+            kl_terms.append(kl_divergence(q_u, prior))
         variance = concat(cols, axis=1)
         total_kl = kl_terms[0]
         for term in kl_terms[1:]:
@@ -253,12 +264,6 @@ class SparseGaussianProcess(_GPLayer):
         self.add_loss(total_kl)
         dist = Normal(mean, sqrt(variance))
         return dist.sample(self.rng(seed, "function"))
-
-
-def _slice_col(t, u, width=1):
-    from ..tensor import slice_last
-
-    return slice_last(t, u, u + width)
 
 
 class RandomFourierFeatures(Layer):

@@ -561,18 +561,16 @@ def diag_part(a):
 _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def chol_with_jitter(a: np.ndarray, jitters=None):
+def chol_with_jitter(a: np.ndarray):
     """Lower Cholesky factor, escalating diagonal jitter on failure."""
-    if jitters is None:
-        jitters = _JITTERS
     eye = np.eye(a.shape[0])
-    for jitter in jitters:
+    for jitter in _JITTERS:
         try:
             return np.linalg.cholesky(a + jitter * eye), jitter
         except np.linalg.LinAlgError:
             continue
     raise NotPositiveDefiniteError(
-        f"matrix is not positive definite even with jitter {jitters[-1]:g}"
+        f"matrix is not positive definite even with jitter {_JITTERS[-1]:g}"
     )
 
 
@@ -603,49 +601,25 @@ def cholesky(a):
     return _apply("cholesky", L, (a,), backward)
 
 
-def posdef_solve(a, b):
-    """Solve ``a x = b`` for symmetric positive-definite ``a`` (with jitter)."""
-    a, b = as_tensor(a), as_tensor(b)
-    _check_square(a, "posdef_solve")
-    vector = b.ndim == 1
-    bd = b.data[:, None] if vector else b.data
-    if bd.ndim != 2 or bd.shape[0] != a.shape[0]:
+def triangular_solve(l, b):
+    """``x = l^-1 b`` for lower-triangular ``l`` and a matrix ``b``.
+
+    Only the lower triangle of ``l`` is read, and only it gets an adjoint.
+    """
+    l, b = as_tensor(l), as_tensor(b)
+    _check_square(l, "triangular_solve")
+    if b.ndim != 2 or b.shape[0] != l.shape[0]:
         raise ShapeError(
-            f"posdef_solve: incompatible shapes {list(a.shape)} and {list(b.shape)}"
+            f"triangular_solve: incompatible shapes {list(l.shape)} and "
+            f"{list(b.shape)}"
         )
-    L, _ = chol_with_jitter(a.data)
-    x = solve_triangular(L, bd, lower=True)
-    x = solve_triangular(L.T, x, lower=False)
-    out = x[:, 0] if vector else x
+    x = solve_triangular(l.data, b.data, lower=True)
 
     def backward(adj):
-        adj2 = adj[:, None] if vector else adj
-        gb = solve_triangular(L, adj2, lower=True)
-        gb = solve_triangular(L.T, gb, lower=False)
-        ga = -gb @ x.T
-        return (ga, gb[:, 0] if vector else gb)
+        gb = solve_triangular(l.data, adj, lower=True, trans="T")
+        return (-np.tril(gb @ x.T), gb)
 
-    return _apply("posdef_solve", out, (a, b), backward)
-
-
-def logdet_psd(a):
-    """log determinant of a symmetric positive-definite matrix."""
-    a = as_tensor(a)
-    _check_square(a, "logdet_psd")
-    L, _ = chol_with_jitter(a.data)
-    out = 2.0 * np.sum(np.log(np.diag(L)))
-    eye = np.eye(a.shape[0])
-
-    def backward(adj):
-        inv = solve_triangular(L, eye, lower=True)
-        inv = solve_triangular(L.T, inv, lower=False)
-        return (adj * inv,)
-
-    return _apply("logdet_psd", np.asarray(out), (a,), backward)
-
-
-def trace(a):
-    return tensor_sum(diag_part(a))
+    return _apply("triangular_solve", x, (l, b), backward)
 
 
 # ---------------------------------------------------------------------------

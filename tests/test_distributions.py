@@ -18,7 +18,7 @@ from uncertain.distributions import (
 )
 from uncertain.errors import DomainError, NotPositiveDefiniteError
 from uncertain.rng import rng_from
-from uncertain.tensor import Tape, Tensor, tensor_sum
+from uncertain.tensor import Tape, Tensor, matmul, tensor_sum, transpose
 
 from conftest import finite_diff_grad, max_rel_err
 
@@ -165,10 +165,45 @@ class TestDiscretizedLogisticMixture:
             self._random_dist(1).log_prob(Tensor(256.0))
 
 
+def spd(a):
+    """Covariance A A^T + n I built on the tape from a square ``a``."""
+    n = a.shape[0]
+    return matmul(a, transpose(a)) + n * Tensor(np.eye(n))
+
+
+def gradient_errors(loss, arrays):
+    """Worst relative error of the tape gradient of ``loss(*tensors)``
+    against central differences, one entry per argument."""
+    with Tape() as tape:
+        watched = [tape.watch(Tensor(a)) for a in arrays]
+        grads = tape.backward(loss(*watched))
+    errors = []
+    for i, a in enumerate(arrays):
+        def f(v, i=i):
+            args = [Tensor(b) for b in arrays]
+            args[i] = Tensor(v)
+            return loss(*args).item()
+
+        errors.append(max_rel_err(grads[watched[i].node_id].data,
+                                  finite_diff_grad(f, a)))
+    return errors
+
+
 class TestMultivariateNormal:
     def _spd(self, rng, n):
         m = rng.normal(size=(n, n))
         return m @ m.T + n * np.eye(n)
+
+    def test_log_prob_gradients_vs_central_differences(self):
+        rng = np.random.default_rng(23)
+        x = Tensor(rng.normal(size=(4,)))
+
+        def loss(mean, a):
+            return MultivariateNormal(mean, spd(a)).log_prob(x)
+
+        errors = gradient_errors(loss, [rng.normal(size=(4,)),
+                                        rng.normal(size=(4, 4))])
+        assert max(errors) < 1e-6, errors
 
     def test_log_prob_matches_direct_formula(self):
         rng = np.random.default_rng(21)
@@ -252,6 +287,20 @@ class TestKL:
         ])
         se = diffs.std() / math.sqrt(diffs.size)
         assert abs(closed - diffs.mean()) < 4 * se
+
+    def test_full_covariance_gradients_vs_central_differences(self):
+        # matrix means: two columns sharing each covariance
+        rng = np.random.default_rng(10)
+
+        def loss(mean_q, a_q, mean_p, a_p):
+            return kl_divergence(MultivariateNormal(mean_q, spd(a_q)),
+                                 MultivariateNormal(mean_p, spd(a_p)))
+
+        errors = gradient_errors(loss, [rng.normal(size=(3, 2)),
+                                        rng.normal(size=(3, 3)),
+                                        rng.normal(size=(3, 2)),
+                                        rng.normal(size=(3, 3))])
+        assert max(errors) < 1e-6, errors
 
     def test_unsupported_pair(self):
         with pytest.raises(TypeError, match="kl_divergence supports"):

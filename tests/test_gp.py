@@ -176,16 +176,24 @@ def set_sparse_state(layer, z, m_u, s):
 
 
 class TestSparseGP:
-    def test_prior_matched_state_is_prior_with_zero_kl(self):
-        x = np.linspace(-2, 2, 9)[:, None]
-        layer = SparseGaussianProcess(2, num_inducing=5, lengthscale=0.5,
-                                      amplitude=1.3)
-        rv = layer(Tensor(x), seed=0)
+    @pytest.mark.parametrize("x, num_inducing, kernel_args", [
+        (np.linspace(-2, 2, 9), 5, dict(lengthscale=0.5, amplitude=1.3)),
+        # 8 inducing points on [-1, 1] at the default lengthscale: K_zz has
+        # condition number ~6e10, so a trace formed by solving against K_zz
+        # itself rather than its factor leaves a KL of ~3e-7
+        (np.linspace(-1, 1, 32), 8, {}),
+    ], ids=["well_conditioned", "ill_conditioned"])
+    def test_prior_matched_state_is_prior_with_zero_kl(self, x, num_inducing,
+                                                       kernel_args):
+        layer = SparseGaussianProcess(2, num_inducing=num_inducing,
+                                      **kernel_args)
+        rv = layer(Tensor(x[:, None]), seed=0)
         assert len(layer.losses) == 1
         assert abs(layer.losses[0].item()) <= 1e-10
         assert np.abs(rv.distribution.mean.data).max() == 0.0
-        np.testing.assert_allclose(rv.distribution.stddev.data**2, 1.3**2,
-                                   rtol=1e-10)
+        amplitude = kernel_args.get("amplitude", 1.0)
+        np.testing.assert_allclose(rv.distribution.stddev.data**2,
+                                   amplitude**2, rtol=1e-10)
 
     def test_collapse_to_exact_gp_at_optimum(self):
         amp, ell, noise = 1.1, 0.6, 0.2
@@ -225,6 +233,41 @@ class TestSparseGP:
             grads = tape.backward(tensor_sum(rv.value))
         mean_grad = grads[layer.inducing_mean.node_id]
         assert np.any(mean_grad.data != 0.0)
+
+
+def count_factorizations(monkeypatch):
+    """Route ``tensor.chol_with_jitter`` through a counter; returns the count."""
+    calls = [0]
+    real = tensor_mod.chol_with_jitter
+
+    def counting(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(tensor_mod, "chol_with_jitter", counting)
+    return calls
+
+
+class TestFactorizationCount:
+    @pytest.mark.parametrize("units", [1, 2, 4])
+    def test_sparse_call_factors_k_zz_once_plus_one_per_unit(self, monkeypatch,
+                                                             units):
+        # K_zz once, shared by the predictive and every KL; each unit's KL
+        # factors its own S
+        layer = SparseGaussianProcess(units, num_inducing=5)
+        x = Tensor(np.linspace(-1, 1, 7)[:, None])
+        layer(x, seed=0)  # build
+        calls = count_factorizations(monkeypatch)
+        layer(x, seed=1)
+        assert calls[0] == 1 + units
+
+    def test_exact_predictive_factors_gram_once(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        gp = GaussianProcess(2, conditional_inputs=rng.uniform(-1, 1, (5, 1)),
+                             conditional_outputs=rng.normal(size=(5, 2)))
+        calls = count_factorizations(monkeypatch)
+        gp.predictive(Tensor(rng.uniform(-1, 1, (3, 1))))
+        assert calls[0] == 1
 
 
 class TestRandomFourierFeatures:

@@ -30,6 +30,7 @@ from uncertain.tensor import (
     tensor_mean,
     tensor_sum,
     transpose,
+    triangular_solve,
     where,
 )
 
@@ -117,6 +118,54 @@ class TestMatmul:
         fb = finite_diff_grad(lambda v: loss_np(a0, v), b0)
         assert max_rel_err(grads[a.node_id].data, fa) < 1e-6
         assert max_rel_err(grads[b.node_id].data, fb) < 1e-6
+
+
+class TestTriangularSolve:
+    def _operands(self, seed):
+        rng = np.random.default_rng(seed)
+        # junk above the diagonal: only the lower triangle may be read
+        l0 = rng.normal(size=(4, 4)) + 3.0 * np.eye(4)
+        return l0, rng.normal(size=(4, 3)), rng.normal(size=(4, 3))
+
+    def test_matches_dense_solve_and_ignores_upper_triangle(self):
+        l0, b0, _ = self._operands(0)
+        got = triangular_solve(Tensor(l0), Tensor(b0)).data
+        want = np.linalg.solve(np.tril(l0), b0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+    def test_gradients_vs_central_differences(self):
+        l0, b0, w = self._operands(1)
+        rows, cols = np.tril_indices(4)
+
+        def loss_np(l, b):
+            return float(np.sum(w * np.linalg.solve(np.tril(l), b) ** 2))
+
+        with Tape() as tape:
+            l = tape.watch(Tensor(l0))
+            b = tape.watch(Tensor(b0))
+            x = triangular_solve(l, b)
+            grads = tape.backward(tensor_sum(Tensor(w) * square(x)))
+        gl = grads[l.node_id].data
+        assert np.all(gl[np.triu_indices(4, 1)] == 0.0)
+
+        def loss_of_lower(v):
+            l = l0.copy()
+            l[rows, cols] = v
+            return loss_np(l, b0)
+
+        fl = finite_diff_grad(loss_of_lower, l0[rows, cols])
+        fb = finite_diff_grad(lambda v: loss_np(l0, v), b0)
+        assert max_rel_err(gl[rows, cols], fl) < 1e-6
+        assert max_rel_err(grads[b.node_id].data, fb) < 1e-6
+
+    def test_non_square_factor_rejected(self):
+        with pytest.raises(ShapeError, match="square"):
+            triangular_solve(Tensor(np.eye(3)[:, :2]), Tensor(np.ones((3, 1))))
+
+    @pytest.mark.parametrize("b_shape", [(2, 1), (3,)])
+    def test_mismatched_rows_rejected(self, b_shape):
+        with pytest.raises(ShapeError, match="incompatible"):
+            triangular_solve(Tensor(np.eye(3)), Tensor(np.ones(b_shape)))
 
 
 def conv_pad(x, kh, kw, stride, padding):
