@@ -18,7 +18,7 @@ from .data import load_csv, one_hot, toy_flow_data, toy_regression, toy_sequence
 from .distributions import Normal
 from .errors import UncertainError
 from .rng import mix, rng_from
-from .tensor import Tensor, as_tensor, reshape
+from .tensor import Tensor, as_tensor, matmul, reshape
 from .training import ElboConfig, config_get, fit, parse_config
 
 _FMT = "%.17g"
@@ -82,11 +82,32 @@ def build_bnn(hidden):
     ])
 
 
+def copy_columns_mean(units):
+    """Fixed linear mean x @ W with W[j mod d_in, j] = 1: output column j
+    copies input column j mod d_in.
+
+    Inner layers of a deep GP use it so that each layer starts near the
+    identity map and learns a residual (Salimbeni & Deisenroth 2017,
+    arXiv:1705.08933); W holds no trainable state.
+    """
+
+    def mean_fn(x):
+        d_in = x.shape[1]
+        w = np.zeros((d_in, units))
+        w[np.arange(units) % d_in, np.arange(units)] = 1.0
+        return matmul(x, Tensor(w))
+
+    return mean_fn
+
+
 def build_deep_gp(hidden_units, num_inducing):
     layers.reset_layer_indices()
+    inner_mean = copy_columns_mean(hidden_units)
     return layers.Sequential([
-        layers.SparseGaussianProcess(hidden_units, num_inducing),
-        layers.SparseGaussianProcess(hidden_units, num_inducing),
+        layers.SparseGaussianProcess(hidden_units, num_inducing,
+                                     mean_fn=inner_mean),
+        layers.SparseGaussianProcess(hidden_units, num_inducing,
+                                     mean_fn=inner_mean),
         layers.SparseGaussianProcess(1, num_inducing),
     ])
 

@@ -1,12 +1,14 @@
 """Gaussian-process layers in three estimator classes.
 
 ``GaussianProcess`` integrates exactly (prior or posterior predictive from
-one Cholesky factor), ``SparseGaussianProcess`` uses inducing variables with
-a KL regularizer on the inducing output distribution, and
-``RandomFourierFeatures`` projects onto fixed cosine features with a
-variational readout.  All default to a zero mean function and a squared
-exponential kernel, output one independent GP per unit sharing the kernel,
-and return RandomVariables so deep stacks compose by feeding samples forward.
+one Cholesky factor), ``SparseGaussianProcess`` uses whitened inducing
+variables (Hensman et al. 2015): a variational q(v) over v = L^-1 u with
+L L^T = K_zz, so each call factors K_zz once and its KL against the N(0, I)
+prior is closed form, and ``RandomFourierFeatures`` projects onto fixed
+cosine features with a variational readout.  All default to a zero mean
+function and a squared exponential kernel, output one independent GP per unit
+sharing the kernel, and return RandomVariables so deep stacks compose by
+feeding samples forward.
 """
 from __future__ import annotations
 
@@ -14,7 +16,7 @@ import math
 
 import numpy as np
 
-from ..distributions import MultivariateNormal, Normal, kl_divergence
+from ..distributions import MultivariateNormal, Normal
 from ..errors import ShapeError
 from ..tensor import (
     Tensor,
@@ -23,9 +25,9 @@ from ..tensor import (
     concat,
     cos,
     exp,
+    log,
     matmul,
     reshape,
-    slice_last,
     softplus,
     softplus_inverse,
     sqrt,
@@ -35,10 +37,11 @@ from ..tensor import (
     triangular_solve,
     where,
 )
-from .base import Layer, normal_kl, rng_seed, trainable_normal
-from .variational import VariationalParameter
+from .base import Layer, rng_seed, trainable_normal
+from .variational import VariationalParameter, _regularizer_or_default
 
-_VAR_FLOOR = 1e-10
+_KZZ_FLOOR = 1e-10  # diagonal added to K_zz before its factorization
+_VAR_FLOOR = 1e-10  # lower clamp on predictive variances
 
 
 class SquaredExponential:
@@ -168,22 +171,23 @@ class GaussianProcess(_GPLayer):
 
 
 class SparseGaussianProcess(_GPLayer):
-    """Inducing-variable GP with a variational N(m_u, S) over inducing outputs.
+    """Inducing-variable GP with a whitened variational posterior.
 
-    The call returns per-point marginals sampled by reparameterization (the
-    doubly stochastic estimator, which is what lets deep stacks train), and
-    appends one loss: sum over units of KL(N(m_u, S) || N(0, K_zz)).
+    The inducing outputs are u = L v with L = chol(K_zz + 1e-10 I), so the
+    prior on the whitened v is N(0, I).  Unit u keeps q(v_u) = N(m_v, L_v L_v^T)
+    with L_v lower triangular, its diagonal passed through softplus.  The call
+    returns per-point marginals sampled by reparameterization (the doubly
+    stochastic estimator, which is what lets deep stacks train), and appends
+    one loss: the sum over units of KL(q(v_u) || N(0, I)).
 
-    Each call factors K_zz = L L^T once, in the prior
-    ``MultivariateNormal(0, K_zz)``, and L serves the predictive mean
-    (L^-1 K_zx)^T (L^-1 m_u), the base variance, each unit's variance through
-    (L^-1 L_u)^T (L^-1 K_zx), and every unit's KL against that prior.  Unit u
-    adds one factorization, of its own S = L_u L_u^T inside the KL.
+    Each call factors K_zz once and solves once, proj = L^-1 K_zx.  The
+    predictive mean is mean_fn(x) + proj^T m_v, unit u's variance is
+    k(x, x) - ||proj||^2 + ||L_v^T proj||^2 per column, and unit u's KL is the
+    closed form 0.5 (||L_v||_F^2 + ||m_v||^2 - M) - sum(log diag L_v), which
+    needs no further factor or solve.
 
-    S is parameterized by an unconstrained lower-triangular factor per unit
-    whose diagonal passes through softplus, initialized so that S = K_zz and
-    m_u = 0 (zero KL, prior-matched) at build time.  Inducing inputs start
-    uniform over the bounding box of the first batch.
+    The variational state starts at m_v = 0, L_v = I (zero KL, the prior).
+    Inducing inputs start uniform over the bounding box of the first batch.
     """
 
     def __init__(self, units, num_inducing, mean_fn=None, kernel=None,
@@ -196,8 +200,8 @@ class SparseGaussianProcess(_GPLayer):
         self.num_inducing = int(num_inducing)
         self.train_inducing = train_inducing
         self.inducing_inputs = None
-        self.inducing_mean = None
-        self.scale_raws = None
+        self.inducing_mean = None  # m_v, one column per unit
+        self.scale_raws = None     # raw L_v per unit
         self._tril_mask = None
 
     def _build(self, x, seed):
@@ -209,25 +213,14 @@ class SparseGaussianProcess(_GPLayer):
         z0 = rng.uniform(0.0, 1.0, (m, x.shape[1])) * span + lo
         self.inducing_inputs = self.add_param("inducing_inputs", z0,
                                               trainable=self.train_inducing)
-        self.inducing_mean = self.add_param("inducing_mean",
+        self.inducing_mean = self.add_param("whitened_mean",
                                             np.zeros((m, self.units)))
-        k_zz = self.kernel(self.inducing_inputs, self.inducing_inputs).data
-        chol = np.linalg.cholesky(k_zz + _VAR_FLOOR * np.eye(m))
-        raw0 = np.tril(chol, -1)
-        raw0[np.diag_indices(m)] = softplus_inverse(np.diag(chol))
+        raw0 = softplus_inverse(1.0) * np.eye(m)
         self.scale_raws = [
-            self.add_param(f"inducing_scale_raw{u}", raw0.copy())
+            self.add_param(f"whitened_scale_raw{u}", raw0.copy())
             for u in range(self.units)
         ]
         self._tril_mask = np.tril(np.ones((m, m)), -1)
-
-    def _unit_scale(self, u):
-        """Lower-triangular factor of S for unit u (softplus diagonal)."""
-        m = self.num_inducing
-        raw_u = self.scale_raws[u]
-        strict = raw_u * Tensor(self._tril_mask)
-        diag = softplus(raw_u) * Tensor(np.eye(m))
-        return strict + diag
 
     def call(self, x, seed):
         x = as_tensor(x)
@@ -238,30 +231,26 @@ class SparseGaussianProcess(_GPLayer):
         if self.inducing_inputs is None:
             self._build(x, seed)
         z = self.inducing_inputs
-        m = self.num_inducing
-        k_zz = self.kernel(z, z) + _VAR_FLOOR * Tensor(np.eye(m))
-        prior = MultivariateNormal(Tensor(np.zeros((m, 1))), k_zz)
-        chol, _ = prior.factor()
+        m, units, batch = self.num_inducing, self.units, x.shape[0]
+        eye = Tensor(np.eye(m))
+        chol = cholesky(self.kernel(z, z) + _KZZ_FLOOR * eye)
         proj = triangular_solve(chol, self.kernel(z, x))      # L^-1 K_zx
-        mean = self._mean(x) + matmul(
-            transpose(proj), triangular_solve(chol, self.inducing_mean))
+        mean = self._mean(x) + matmul(transpose(proj), self.inducing_mean)
         base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=0)
-        cols, kl_terms = [], []
-        for u in range(self.units):
-            scale_u = self._unit_scale(u)
-            half = matmul(transpose(triangular_solve(chol, scale_u)), proj)
-            var_u = base_var + tensor_sum(square(half), axis=0)
-            var_u = where(var_u.data > _VAR_FLOOR, var_u, _VAR_FLOOR)
-            cols.append(reshape(var_u, (x.shape[0], 1)))
-            q_u = MultivariateNormal(
-                slice_last(self.inducing_mean, u, u + 1),
-                matmul(scale_u, transpose(scale_u)))
-            kl_terms.append(kl_divergence(q_u, prior))
-        variance = concat(cols, axis=1)
-        total_kl = kl_terms[0]
-        for term in kl_terms[1:]:
-            total_kl = total_kl + term
-        self.add_loss(total_kl)
+        # every unit's L_v at once, as a [units, M, M] stack
+        raw = reshape(concat(self.scale_raws, axis=0), (units, m, m))
+        diag = softplus(raw) * eye
+        scale = raw * Tensor(self._tril_mask) + diag
+        half = matmul(reshape(transpose(scale, (0, 2, 1)), (units * m, m)),
+                      proj)                                    # L_v^T proj
+        extra = tensor_sum(reshape(square(half), (units, m, batch)), axis=1)
+        variance = transpose(extra) + reshape(base_var, (batch, 1))
+        variance = where(variance.data > _VAR_FLOOR, variance, _VAR_FLOOR)
+        log_diag = log(tensor_sum(diag, axis=2))
+        kl = 0.5 * (tensor_sum(square(scale))
+                    + tensor_sum(square(self.inducing_mean))
+                    - units * m) - tensor_sum(log_diag)
+        self.add_loss(kl)
         dist = Normal(mean, sqrt(variance))
         return dist.sample(self.rng(seed, "function"))
 
@@ -286,8 +275,7 @@ class RandomFourierFeatures(Layer):
         for k, v in self.kernel.variables().items():
             self.add_param(f"kernel_{k}", v, trainable=train_kernel)
         self.kernel_initializer = kernel_initializer or trainable_normal()
-        self.kernel_regularizer = (normal_kl() if kernel_regularizer == "default"
-                                   else kernel_regularizer)
+        self.kernel_regularizer = _regularizer_or_default(kernel_regularizer)
         self.directions = None
         self.phases = None
         self.readout = None

@@ -253,13 +253,12 @@ def _unbroadcast(adj: np.ndarray, shape) -> np.ndarray:
 def _binary(op, a, b, forward, grad_a, grad_b):
     a, b = as_tensor(a), as_tensor(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
+        out = forward(a.data, b.data)
+    except ValueError:  # numpy's broadcast failure
         raise ShapeError(
             f"{op}: shapes {list(a.shape)} and {list(b.shape)} "
             "are not broadcast-compatible"
         ) from None
-    out = forward(a.data, b.data)
 
     def backward(adj):
         return (

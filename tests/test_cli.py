@@ -5,9 +5,11 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from uncertain.checkpoint import load_checkpoint
 from uncertain.cli import main
+from uncertain.layers import gp as gp_module
 
 
 def run_cli(argv, capsys):
@@ -156,6 +158,35 @@ class TestOtherTasks:
             tokens = [int(t) for t in line.split(",")]
             assert len(tokens) == 6
             assert all(0 <= t < 8 for t in tokens)
+
+
+def deep_gp_losses(capsys, tmp_path, seed, steps=None):
+    argv = ["train-deep-gp", "--seed", str(seed),
+            "--checkpoint", str(tmp_path / "gp.ckpt")]
+    if steps is not None:
+        argv += ["--steps", str(steps)]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    return [float(line.split()[1].split("=")[1])
+            for line in out.strip().splitlines()]
+
+
+class TestDeepGpDemo:
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_demo_fits(self, capsys, tmp_path, seed):
+        # last-20 mean loss at CLI defaults: 1.19 (seed 0) and 1.53 (seed 1)
+        # with whitened inducing variables and linear inner means; 35.5 and
+        # 38.0 with unwhitened q(u) and zero inner means
+        losses = deep_gp_losses(capsys, tmp_path, seed)
+        assert len(losses) == 300
+        assert np.mean(losses[-20:]) < 3.0
+
+    def test_k_zz_floor_does_not_decide_the_run(self, capsys, tmp_path,
+                                                 monkeypatch):
+        base = deep_gp_losses(capsys, tmp_path, 0, steps=2)
+        monkeypatch.setattr(gp_module, "_KZZ_FLOOR", 2e-10)
+        moved = deep_gp_losses(capsys, tmp_path, 0, steps=2)
+        assert abs(moved[1] - base[1]) < 1e-9 * abs(base[1])
 
 
 class TestConfigIntegration:

@@ -73,6 +73,15 @@ class TestForward:
         with pytest.raises(ShapeError, match=r"\[2\].*\[3\]"):
             add(Tensor([1.0, 2.0]), Tensor([1.0, 2.0, 3.0]))
 
+    @pytest.mark.parametrize("name", ["add", "sub", "mul", "div"])
+    def test_incompatible_shapes_raise_shape_error(self, name):
+        op = ELEMENTWISE_BINARY[name]
+        want = (f"{name}: shapes [2, 3] and [4] are not "
+                "broadcast-compatible")
+        with pytest.raises(ShapeError) as info:
+            op(Tensor(np.ones((2, 3))), Tensor(np.ones(4)))
+        assert str(info.value) == want
+
     def test_log_negative_raises(self):
         with pytest.raises(DomainError):
             log(Tensor([-1.0]))
