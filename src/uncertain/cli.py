@@ -92,7 +92,7 @@ def copy_columns_mean(units):
     """
 
     def mean_fn(x):
-        d_in = x.shape[1]
+        d_in = x.shape[-1]
         w = np.zeros((d_in, units))
         w[np.arange(units) % d_in, np.arange(units)] = 1.0
         return matmul(x, Tensor(w))
@@ -261,11 +261,9 @@ def run_predict(args):
     model, seed = _rebuild_for_predict(args, cfg_file)
     lo, hi, count = args.grid
     grid = np.linspace(lo, hi, int(count))[:, None]
-    draws = []
-    for s in range(args.mc_samples):
-        out = model(Tensor(grid), seed=mix(seed, "predict", s))
-        draws.append(as_tensor(out).data[:, 0])
-    draws = np.stack(draws)
+    # one call draws every sample: sample s is the call with seed seeds[s]
+    seeds = [mix(seed, "predict", s) for s in range(args.mc_samples)]
+    draws = as_tensor(model(Tensor(grid), seed=seeds)).data[:, :, 0]
     mean = draws.mean(axis=0)
     std = draws.std(axis=0)
     print("x,mean,stddev")
@@ -322,11 +320,26 @@ def run_sample(args):
 def _grid(text):
     try:
         lo, hi, count = text.split(":")
-        return float(lo), float(hi), int(count)
+        lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"grid must be lo:hi:count, got {text!r}"
         ) from None
+    if count < 1:
+        raise argparse.ArgumentTypeError(
+            f"grid count must be >= 1, got {count}")
+    return lo, hi, count
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _add_common(sub):
@@ -382,7 +395,8 @@ def build_parser():
     p.add_argument("--task", choices=("bnn", "deep-gp"), default="bnn")
     p.add_argument("--grid", type=_grid, default=(-3.0, 3.0, 61),
                    help="lo:hi:count (default -3:3:61)")
-    p.add_argument("--mc-samples", dest="mc_samples", type=int, default=100)
+    p.add_argument("--mc-samples", dest="mc_samples", type=_positive_int,
+                   default=100)
     p.add_argument("--hidden", type=int)
     p.add_argument("--hidden-units", dest="hidden_units", type=int)
     p.add_argument("--num-inducing", dest="num_inducing", type=int)

@@ -126,9 +126,19 @@ class Normal(Distribution):
     def batch_shape(self):
         return np.broadcast_shapes(self.loc.shape, self.scale.shape)
 
-    def sample(self, seed, sample_shape=()):
-        rng = _as_rng(seed)
-        eps = rng.standard_normal(tuple(sample_shape) + self.batch_shape)
+    def sample(self, seed, sample_shape=(), noise_shape=None):
+        """Reparameterized draw loc + scale * eps.
+
+        ``seed`` may be a list of S generators: each draws its own eps of
+        ``noise_shape`` (default: the batch shape), stacked on a new leading
+        axis, so draw s is the one a call with that generator alone makes.
+        """
+        shape = tuple(sample_shape) + (
+            self.batch_shape if noise_shape is None else tuple(noise_shape))
+        if isinstance(seed, list):
+            eps = np.stack([r.standard_normal(shape) for r in seed])
+        else:
+            eps = _as_rng(seed).standard_normal(shape)
         value = self.loc + self.scale * Tensor(eps)
         return RandomVariable(self, value)
 

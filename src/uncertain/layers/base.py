@@ -16,6 +16,16 @@ Randomness: a layer derives every sample from (call seed, its own
 ``layer_index``, a per-site salt).  Layer indices are assigned in
 construction order; call :func:`reset_layer_indices` before rebuilding a
 model when run-to-run bit-reproducibility matters.
+
+Monte-Carlo sample axis: ``layer(x, seed=seeds)`` with a sequence of S seeds
+draws S samples in one call and returns them along a new leading axis of
+length S.  ``x`` is either rank 2, shared by every sample, or carries that
+leading axis.  Sample s is bitwise equal to ``layer(x_s, seed=seeds[s])``
+and is drawn from the same Philox streams; regularizer losses are appended
+once per call, not once per sample.  ``Dense``, ``Sequential``,
+``VariationalDense`` and ``SparseGaussianProcess`` have the axis
+(``sample_axis = True``).  Every other layer, and a layer that is not yet
+built, raises ``LayerError`` naming itself when given a seed sequence.
 """
 from __future__ import annotations
 
@@ -30,6 +40,7 @@ from ..rng import rng_from
 from ..tensor import (
     Tensor,
     as_tensor,
+    broadcast_to,
     matmul,
     relu,
     sigmoid,
@@ -71,6 +82,9 @@ def resolve_activation(activation):
 class Layer:
     """Base class: parameter registry, loss side channel, seed splitting."""
 
+    #: whether ``call`` takes a tuple of seeds (see the module docstring)
+    sample_axis = False
+
     def __init__(self, name=None):
         self.layer_index = next(_layer_counter)
         self.name = name or f"{type(self).__name__.lower()}_{self.layer_index}"
@@ -106,7 +120,29 @@ class Layer:
 
     def __call__(self, x, seed=0):
         self._losses = []
-        return self.call(x, seed)
+        return self.call(x, self._check_seed(seed))
+
+    def _check_seed(self, seed):
+        """An int seed as given, or a seed sequence as a tuple of ints."""
+        if not isinstance(seed, (list, tuple)):
+            return seed
+        if not self.sample_axis:
+            raise LayerError(
+                f"{self.name} ({type(self).__name__}) has no Monte-Carlo "
+                "sample axis; call it once per seed"
+            )
+        if len(seed) == 0:
+            raise ValueError("a seed sequence needs at least one seed")
+        return tuple(int(s) for s in seed)
+
+    def _build_seed(self, seed):
+        """Building draws from one seed, so an unbuilt layer rejects S."""
+        if isinstance(seed, tuple):
+            raise LayerError(
+                f"{self.name} ({type(self).__name__}) is not built; call it "
+                "once with an int seed before passing a seed sequence"
+            )
+        return seed
 
     @property
     def losses(self) -> list:
@@ -117,7 +153,11 @@ class Layer:
         collected.extend(self._losses)
         return collected
 
-    def rng(self, seed, *salts) -> np.random.Generator:
+    def rng(self, seed, *salts):
+        """Philox generator keyed by (seed, layer index, salts); a tuple of
+        seeds gives a list with one generator per seed."""
+        if isinstance(seed, tuple):
+            return [rng_from(s, self.layer_index, *salts) for s in seed]
         return rng_from(seed, self.layer_index, *salts)
 
     # -- state -------------------------------------------------------------
@@ -156,6 +196,28 @@ class Layer:
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
+
+
+def sample_lead(layer, x, seed) -> tuple:
+    """Leading output shape of a call: () for one seed, (S,) for S seeds.
+
+    One seed takes a rank-2 ``x`` [batch, features]; S seeds take that shared
+    ``x`` or a rank-3 ``x`` [S, batch, features].
+    """
+    if not isinstance(seed, tuple):
+        if x.ndim != 2:
+            raise ShapeError(
+                f"{type(layer).__name__} expects rank-2 input [batch, "
+                f"features], got {list(x.shape)}; flatten first"
+            )
+        return ()
+    if x.ndim != 2 and (x.ndim != 3 or x.shape[0] != len(seed)):
+        raise ShapeError(
+            f"{type(layer).__name__} with {len(seed)} seeds expects input "
+            f"[batch, features] or [{len(seed)}, batch, features], got "
+            f"{list(x.shape)}"
+        )
+    return (len(seed),)
 
 
 def collect_losses(model: Layer) -> list:
@@ -218,6 +280,8 @@ def normal_kl(prior=None):
 class Dense(Layer):
     """Feedforward layer: activation(x @ kernel + bias)."""
 
+    sample_axis = True
+
     def __init__(self, units, activation=None, kernel_initializer=None,
                  bias_initializer=None, name=None):
         super().__init__(name)
@@ -246,18 +310,22 @@ class Dense(Layer):
 
     def call(self, x, seed):
         x = as_tensor(x)
-        if x.ndim != 2:
-            raise ShapeError(
-                f"{type(self).__name__} expects rank-2 input [batch, features], "
-                f"got {list(x.shape)}; flatten first"
-            )
+        lead = sample_lead(self, x, seed)
         if self.kernel is None:
-            self._build(x.shape[1], seed)
-        return self.activation(matmul(x, self.kernel) + self.bias)
+            self._build(x.shape[-1], self._build_seed(seed))
+        out = self.activation(matmul(x, self.kernel) + self.bias)
+        if out.ndim == 2 and lead:  # a shared x gives every sample one output
+            out = broadcast_to(out, lead + out.shape)
+        return out
 
 
 class Sequential(Layer):
-    """Composition of layers in list order; losses concatenate after a call."""
+    """Composition of layers in list order; losses concatenate after a call.
+
+    A seed sequence goes to every layer, so each must have the sample axis.
+    """
+
+    sample_axis = True
 
     def __init__(self, layers, name=None):
         super().__init__(name)

@@ -9,6 +9,12 @@ cosine features with a variational readout.  All default to a zero mean
 function and a squared exponential kernel, output one independent GP per unit
 sharing the kernel, and return RandomVariables so deep stacks compose by
 feeding samples forward.
+
+``SparseGaussianProcess`` has the Monte-Carlo sample axis of ``layers.base``.
+With S seeds and an input [S, batch, d], the kernel, mean function and
+matrix products act on each sample as a stacked slice, so sample s sees
+the same BLAS calls as a one-seed call; a kernel (and mean function) used
+there must accept that rank-3 input in its second argument.
 """
 from __future__ import annotations
 
@@ -37,7 +43,7 @@ from ..tensor import (
     triangular_solve,
     where,
 )
-from .base import Layer, rng_seed, trainable_normal
+from .base import Layer, rng_seed, sample_lead, trainable_normal
 from .variational import VariationalParameter, _regularizer_or_default
 
 _KZZ_FLOOR = 1e-10  # diagonal added to K_zz before its factorization
@@ -58,15 +64,18 @@ class SquaredExponential:
                 "log_lengthscale": self.log_lengthscale}
 
     def __call__(self, x, x2):
+        """Gram matrix [n, m] of x [n, d] against x2 [m, d], or [S, n, m]
+        against a stack x2 [S, m, d]."""
         x, x2 = as_tensor(x), as_tensor(x2)
-        if x.ndim != 2 or x2.ndim != 2 or x.shape[1] != x2.shape[1]:
+        if x.ndim != 2 or x2.ndim not in (2, 3) or x.shape[1] != x2.shape[-1]:
             raise ShapeError(
                 f"kernel inputs need matching feature dims, got "
                 f"{list(x.shape)} and {list(x2.shape)}"
             )
         sq_x = tensor_sum(x * x, axis=1, keepdims=True)
-        sq_x2 = tensor_sum(x2 * x2, axis=1, keepdims=True)
-        sq_dist = sq_x + transpose(sq_x2) - 2.0 * matmul(x, transpose(x2))
+        sq_x2 = tensor_sum(x2 * x2, axis=-1, keepdims=True)
+        sq_dist = (sq_x + _matrix_transpose(sq_x2)
+                   - 2.0 * matmul(x, _matrix_transpose(x2)))
         # rounding can push tiny distances slightly negative
         sq_dist = where(sq_dist.data > 0.0, sq_dist, 0.0)
         amp2 = exp(2.0 * self.log_amplitude)
@@ -76,7 +85,12 @@ class SquaredExponential:
     def diag(self, x):
         x = as_tensor(x)
         amp2 = exp(2.0 * self.log_amplitude)
-        return amp2 * Tensor(np.ones(x.shape[0]))
+        return amp2 * Tensor(np.ones(x.shape[:-1]))
+
+
+def _matrix_transpose(t):
+    """Swap the last two axes: the transpose of each stacked matrix."""
+    return transpose(t, tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2))
 
 
 class _GPLayer(Layer):
@@ -94,13 +108,13 @@ class _GPLayer(Layer):
             self.add_param(f"kernel_{k}", v, trainable=train_kernel)
 
     def _mean(self, x):
+        shape = x.shape[:-1] + (self.units,)
         if self.mean_fn is None:
-            return Tensor(np.zeros((x.shape[0], self.units)))
+            return Tensor(np.zeros(shape))
         out = as_tensor(self.mean_fn(x))
-        if out.shape != (x.shape[0], self.units):
+        if out.shape != shape:
             raise ShapeError(
-                f"mean_fn returned {list(out.shape)}, expected "
-                f"[{x.shape[0]}, {self.units}]"
+                f"mean_fn returned {list(out.shape)}, expected {list(shape)}"
             )
         return out
 
@@ -188,7 +202,13 @@ class SparseGaussianProcess(_GPLayer):
 
     The variational state starts at m_v = 0, L_v = I (zero KL, the prior).
     Inducing inputs start uniform over the bounding box of the first batch.
+
+    With S seeds, K_zz is factored once for all samples and the one solve
+    takes K_zx as an [S, M, batch] stack.  Sample s draws its noise from the
+    stream of a one-seed call with seeds[s], and the KL is appended once.
     """
+
+    sample_axis = True
 
     def __init__(self, units, num_inducing, mean_fn=None, kernel=None,
                  amplitude=1.0, lengthscale=1.0, train_kernel=True,
@@ -224,27 +244,27 @@ class SparseGaussianProcess(_GPLayer):
 
     def call(self, x, seed):
         x = as_tensor(x)
-        if x.ndim != 2:
-            raise ShapeError(
-                f"GP input must be rank 2 [batch, features], got {list(x.shape)}"
-            )
+        sample_lead(self, x, seed)  # checks the input rank against the seeds
         if self.inducing_inputs is None:
-            self._build(x, seed)
+            self._build(x, self._build_seed(seed))
         z = self.inducing_inputs
-        m, units, batch = self.num_inducing, self.units, x.shape[0]
+        m, units = self.num_inducing, self.units
+        rows = x.shape[:-1]  # (batch,), or (S, batch) for a stacked input
         eye = Tensor(np.eye(m))
         chol = cholesky(self.kernel(z, z) + _KZZ_FLOOR * eye)
         proj = triangular_solve(chol, self.kernel(z, x))      # L^-1 K_zx
-        mean = self._mean(x) + matmul(transpose(proj), self.inducing_mean)
-        base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=0)
+        mean = self._mean(x) + matmul(_matrix_transpose(proj),
+                                      self.inducing_mean)
+        base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=-2)
         # every unit's L_v at once, as a [units, M, M] stack
         raw = reshape(concat(self.scale_raws, axis=0), (units, m, m))
         diag = softplus(raw) * eye
         scale = raw * Tensor(self._tril_mask) + diag
         half = matmul(reshape(transpose(scale, (0, 2, 1)), (units * m, m)),
                       proj)                                    # L_v^T proj
-        extra = tensor_sum(reshape(square(half), (units, m, batch)), axis=1)
-        variance = transpose(extra) + reshape(base_var, (batch, 1))
+        extra = tensor_sum(
+            reshape(square(half), rows[:-1] + (units, m, rows[-1])), axis=-2)
+        variance = _matrix_transpose(extra) + reshape(base_var, rows + (1,))
         variance = where(variance.data > _VAR_FLOOR, variance, _VAR_FLOOR)
         log_diag = log(tensor_sum(diag, axis=2))
         kl = 0.5 * (tensor_sum(square(scale))
@@ -252,7 +272,8 @@ class SparseGaussianProcess(_GPLayer):
                     - units * m) - tensor_sum(log_diag)
         self.add_loss(kl)
         dist = Normal(mean, sqrt(variance))
-        return dist.sample(self.rng(seed, "function"))
+        return dist.sample(self.rng(seed, "function"),
+                           noise_shape=(rows[-1], units))
 
 
 class RandomFourierFeatures(Layer):

@@ -56,6 +56,7 @@ class ReversibleLayer(Layer):
 
     def __call__(self, x, seed=0):
         self._losses = []
+        seed = self._check_seed(seed)
         if isinstance(x, Distribution):
             return TransformedDistribution(x, self)
         if isinstance(x, RandomVariable):
@@ -295,6 +296,7 @@ class Discretize(Layer):
 
     def __call__(self, x, seed=0):
         self._losses = []
+        self._check_seed(seed)
         if not isinstance(x, RandomVariable):
             raise TypeError(
                 "Discretize needs a continuous RandomVariable input, got "

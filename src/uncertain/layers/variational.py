@@ -24,6 +24,7 @@ from ..tensor import (
     slice_last,
     softplus,
     softplus_inverse,
+    take,
     tanh,
 )
 from ..rng import rademacher
@@ -32,6 +33,7 @@ from .base import (
     normal_kl,
     resolve_activation,
     rng_seed,
+    sample_lead,
     trainable_normal,
 )
 
@@ -61,6 +63,8 @@ class VariationalParameter:
         return Normal(self.mu, softplus(self.rho))
 
     def sample(self, rng) -> RandomVariable:
+        """Reparameterized draw; a list of S generators stacks S draws, one
+        per generator, on a new leading axis."""
         return self.posterior().sample(rng)
 
 
@@ -88,7 +92,13 @@ class _VariationalMixin:
 
 
 class VariationalDense(Layer, _VariationalMixin):
-    """Dense layer with reparameterized weight and bias posteriors."""
+    """Dense layer with reparameterized weight and bias posteriors.
+
+    With S seeds it stacks S weight draws, one per seed, and the regularizers
+    see the stacked draws once.
+    """
+
+    sample_axis = True
 
     def __init__(self, units, activation=None, kernel_initializer=None,
                  kernel_regularizer="default", bias_initializer=None,
@@ -111,16 +121,13 @@ class VariationalDense(Layer, _VariationalMixin):
 
     def call(self, x, seed):
         x = as_tensor(x)
-        if x.ndim != 2:
-            raise ShapeError(
-                f"{type(self).__name__} expects rank-2 input [batch, features], "
-                f"got {list(x.shape)}; flatten first"
-            )
+        lead = sample_lead(self, x, seed)
         if self.kernel is None:
-            self._build(x.shape[1], seed)
+            self._build(x.shape[-1], self._build_seed(seed))
         w = self.kernel.sample(self.rng(seed, "kernel"))
         b = self.bias.sample(self.rng(seed, "bias"))
-        out = self.activation(matmul(x, w.value) + b.value)
+        bias = reshape(b.value, lead + (1, self.units)) if lead else b.value
+        out = self.activation(matmul(x, w.value) + bias)
         self._regularize("kernel", w)
         self._regularize("bias", b)
         return out
@@ -138,6 +145,8 @@ class FlipoutDense(VariationalDense):
     batch-mean gradient variance drops.  The bias is sampled the ordinary
     way; the rank-one trick only applies to the matrix.
     """
+
+    sample_axis = False
 
     def call(self, x, seed):
         x = as_tensor(x)
@@ -258,6 +267,7 @@ class VariationalLSTMCell(Layer, _VariationalMixin):
 
     def start_sequence(self, input_dim, seed):
         """Sample weights for one sequence and append their KL losses."""
+        seed = self._check_seed(seed)
         self.build(input_dim, seed)
         self._losses = []
         w = self.kernel.sample(self.rng(seed, "kernel"))
@@ -273,6 +283,7 @@ class VariationalLSTMCell(Layer, _VariationalMixin):
         return Tensor(zeros), Tensor(zeros.copy())
 
     def __call__(self, x_t, state=None, seed=0):
+        seed = self._check_seed(seed)
         x_t = as_tensor(x_t)
         if x_t.ndim != 2:
             raise ShapeError(
@@ -319,9 +330,7 @@ def unroll(cell: VariationalLSTMCell, xs, seed, state=None):
         state = cell.init_state(batch)
     outputs = []
     for t in range(steps):
-        x_t = reshape(slice_last(reshape(xs, (batch, steps * dim)),
-                                 t * dim, (t + 1) * dim), (batch, dim))
-        h, c = cell(x_t, state, seed=seed)
+        h, c = cell(take(xs, t, axis=1), state, seed=seed)
         state = (h, c)
         outputs.append(reshape(h, (batch, 1, cell.units)))
     return concat(outputs, axis=1), state

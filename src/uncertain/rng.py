@@ -19,11 +19,17 @@ def _splitmix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+_SALTS: dict[str, int] = {}  # string salt -> its hash, computed once
+
+
 def _as_component(part) -> int:
     if isinstance(part, str):
-        acc = 0
-        for ch in part.encode("utf-8"):
-            acc = _splitmix64(acc ^ ch)
+        acc = _SALTS.get(part)
+        if acc is None:
+            acc = 0
+            for ch in part.encode("utf-8"):
+                acc = _splitmix64(acc ^ ch)
+            _SALTS[part] = acc
         return acc
     return int(part) & _MASK64
 

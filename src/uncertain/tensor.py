@@ -481,6 +481,35 @@ def slice_last(a, start, stop):
     return _apply("slice_last", out, (a,), backward)
 
 
+def take(a, index, axis):
+    """The slice ``a[..., index, ...]`` at one index of ``axis``, which drops
+    that axis."""
+    a = as_tensor(a)
+    axis = axis % a.ndim
+    at = (slice(None),) * axis + (index,)
+    out = a.data[at].copy()
+    shape = a.shape
+
+    def backward(adj):
+        full = np.zeros(shape)
+        full[at] = adj
+        return (full,)
+
+    return _apply("take", out, (a,), backward)
+
+
+def broadcast_to(a, shape):
+    """``a`` repeated over new leading axes (or stretched size-1 axes)."""
+    a = as_tensor(a)
+    out = np.broadcast_to(a.data, shape).copy()
+    old = a.shape
+
+    def backward(adj):
+        return (_unbroadcast(adj, old),)
+
+    return _apply("broadcast_to", out, (a,), backward)
+
+
 def concat(parts, axis=-1):
     parts = [as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
@@ -525,19 +554,34 @@ def take_last(a, indices):
 # ---------------------------------------------------------------------------
 
 def matmul(a, b):
+    """Matrix product of rank-2 or rank-3 operands.
+
+    A rank-3 operand carries a leading batch axis, and numpy broadcasts it
+    against the other operand, which is one GEMM per slice.  The adjoint
+    sums over broadcast axes.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    if a.ndim != 2 or b.ndim != 2:
+    if a.ndim not in (2, 3) or b.ndim not in (2, 3):
         raise ShapeError(
-            f"matmul expects rank-2 operands, got {list(a.shape)} and {list(b.shape)}"
+            f"matmul expects rank-2 or rank-3 operands, got {list(a.shape)} "
+            f"and {list(b.shape)}"
         )
-    if a.shape[1] != b.shape[0]:
+    if a.shape[-1] != b.shape[-2]:
         raise ShapeError(
             f"matmul inner dimensions disagree: {list(a.shape)} vs {list(b.shape)}"
         )
-    out = a.data @ b.data
+    try:
+        out = a.data @ b.data
+    except ValueError:  # numpy's broadcast failure on the leading axis
+        raise ShapeError(
+            f"matmul leading axes disagree: {list(a.shape)} vs {list(b.shape)}"
+        ) from None
 
     def backward(adj):
-        return (adj @ b.data.T, a.data.T @ adj)
+        return (
+            _unbroadcast(adj @ b.data.swapaxes(-1, -2), a.shape),
+            _unbroadcast(a.data.swapaxes(-1, -2) @ adj, b.shape),
+        )
 
     return _apply("matmul", out, (a, b), backward)
 
@@ -600,23 +644,37 @@ def cholesky(a):
     return _apply("cholesky", L, (a,), backward)
 
 
+def _solve_lower(l, b, trans="N"):
+    """scipy's ``solve_triangular`` with lower ``l`` on a matrix ``b``, or
+    once per slice of a stack ``b`` [S, n, k], so each slice gets the LAPACK
+    call a lone matrix gets (older scipy releases reject a 3-D ``b``)."""
+    if b.ndim == 2:
+        return solve_triangular(l, b, lower=True, trans=trans)
+    return np.stack([solve_triangular(l, b_s, lower=True, trans=trans)
+                     for b_s in b])
+
+
 def triangular_solve(l, b):
-    """``x = l^-1 b`` for lower-triangular ``l`` and a matrix ``b``.
+    """``x = l^-1 b`` for lower-triangular ``l`` and a matrix ``b``, or a
+    stack of matrices ``b`` [S, n, k], each solved as on its own.
 
     Only the lower triangle of ``l`` is read, and only it gets an adjoint.
     """
     l, b = as_tensor(l), as_tensor(b)
     _check_square(l, "triangular_solve")
-    if b.ndim != 2 or b.shape[0] != l.shape[0]:
+    if b.ndim not in (2, 3) or b.shape[-2] != l.shape[0]:
         raise ShapeError(
             f"triangular_solve: incompatible shapes {list(l.shape)} and "
             f"{list(b.shape)}"
         )
-    x = solve_triangular(l.data, b.data, lower=True)
+    x = _solve_lower(l.data, b.data)
 
     def backward(adj):
-        gb = solve_triangular(l.data, adj, lower=True, trans="T")
-        return (-np.tril(gb @ x.T), gb)
+        gb = _solve_lower(l.data, adj, trans="T")
+        gl = gb @ x.swapaxes(-1, -2)
+        if gl.ndim == 3:  # every slice shares l, so their terms add up
+            gl = gl.sum(axis=0)
+        return (-np.tril(gl), gb)
 
     return _apply("triangular_solve", x, (l, b), backward)
 

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from uncertain.checkpoint import load_checkpoint
-from uncertain.cli import main
+from uncertain.cli import build_bnn, build_deep_gp, main
+from uncertain.data import toy_regression
 from uncertain.layers import gp as gp_module
+from uncertain.rng import mix
+from uncertain.tensor import Tensor, as_tensor
 
 
 def run_cli(argv, capsys):
@@ -36,6 +39,20 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_mc_samples_is_usage_error(self, capsys, count):
+        code, out, err = run_cli(["predict", "--mc-samples", count], capsys)
+        assert code == 2
+        assert "--mc-samples" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", ["--grid=-1:1:0", "--grid=-1:1:-2"])
+    def test_empty_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(["predict", grid], capsys)
+        assert code == 2
+        assert "--grid" in err
+        assert out == ""
 
     def test_subprocess_entry(self, tmp_path):
         proc = subprocess.run(
@@ -113,6 +130,43 @@ class TestPredict:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+def looped_predict(task, ckpt, seed, grid, samples):
+    """The predict CSV rebuilt from the public API, one call per sample."""
+    x, _ = toy_regression(64, seed, 0.05)
+    if task == "bnn":
+        model = build_bnn(16)
+        model(Tensor(x[:1]), seed=mix(seed, "build"))
+    else:
+        model = build_deep_gp(4, 8)
+        model(Tensor(x), seed=mix(seed, "build"))
+    model.load_state_dict(load_checkpoint(ckpt))
+    draws = np.stack([
+        as_tensor(model(Tensor(grid), seed=mix(seed, "predict", s))).data[:, 0]
+        for s in range(samples)])
+    mean, std = draws.mean(axis=0), draws.std(axis=0)
+    rows = [f"{g:.17g},{m:.17g},{d:.17g}"
+            for g, m, d in zip(grid[:, 0], mean, std)]
+    return "\n".join(["x,mean,stddev"] + rows) + "\n"
+
+
+class TestPredictMatchesLoop:
+    @pytest.mark.parametrize("task", ["bnn", "deep-gp"])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_output_equals_looped_reference(self, capsys, tmp_path, task,
+                                            seed):
+        ckpt = tmp_path / "m.ckpt"
+        train = "train-bnn" if task == "bnn" else "train-deep-gp"
+        run_cli([train, "--steps", "5", "--seed", str(seed),
+                 "--checkpoint", str(ckpt)], capsys)
+        code, out, _ = run_cli(
+            ["predict", "--task", task, "--seed", str(seed),
+             "--checkpoint", str(ckpt), "--grid=-2:2:7",
+             "--mc-samples", "12"], capsys)
+        assert code == 0
+        grid = np.linspace(-2.0, 2.0, 7)[:, None]
+        assert out == looped_predict(task, ckpt, seed, grid, 12)
 
 
 class TestOtherTasks:

@@ -12,6 +12,7 @@ from uncertain.tensor import (
     Tape,
     Tensor,
     add,
+    broadcast_to,
     concat,
     conv2d,
     diag_part,
@@ -26,6 +27,7 @@ from uncertain.tensor import (
     softplus,
     softplus_inverse,
     square,
+    take,
     take_last,
     tensor_mean,
     tensor_sum,
@@ -128,6 +130,54 @@ class TestMatmul:
         assert max_rel_err(grads[a.node_id].data, fa) < 1e-6
         assert max_rel_err(grads[b.node_id].data, fb) < 1e-6
 
+    # stacked operands, and each kind of broadcast over the leading axis
+    RANK3_SHAPES = [((3, 2, 4), (3, 4, 2)), ((2, 4), (3, 4, 2)),
+                    ((3, 2, 4), (4, 2)), ((1, 2, 4), (3, 4, 2))]
+
+    @pytest.mark.parametrize("a_shape,b_shape", RANK3_SHAPES)
+    def test_rank3_gradients_vs_central_differences(self, a_shape, b_shape):
+        rng = np.random.default_rng(8)
+        a0 = rng.uniform(-2, 2, a_shape)
+        b0 = rng.uniform(-2, 2, b_shape)
+        w = rng.uniform(-1, 1, np.broadcast_shapes(a_shape[:-1] + (1,),
+                                                   b_shape[:-2] + (1, 2)))
+
+        def loss_np(a, b):
+            return float(np.sum(w * (a @ b) ** 2))
+
+        with Tape() as tape:
+            a = tape.watch(Tensor(a0))
+            b = tape.watch(Tensor(b0))
+            out = matmul(a, b)
+            grads = tape.backward(tensor_sum(Tensor(w) * square(out)))
+        assert out.shape == w.shape
+        fa = finite_diff_grad(lambda v: loss_np(v, b0), a0)
+        fb = finite_diff_grad(lambda v: loss_np(a0, v), b0)
+        assert grads[a.node_id].shape == a_shape
+        assert grads[b.node_id].shape == b_shape
+        assert max_rel_err(grads[a.node_id].data, fa) < 1e-6
+        assert max_rel_err(grads[b.node_id].data, fb) < 1e-6
+
+    @pytest.mark.parametrize("a_shape,b_shape", RANK3_SHAPES)
+    def test_rank3_slices_equal_rank2_products_bitwise(self, a_shape, b_shape):
+        rng = np.random.default_rng(9)
+        a0 = rng.normal(size=a_shape)
+        b0 = rng.normal(size=b_shape)
+        out = matmul(Tensor(a0), Tensor(b0)).data
+        for s in range(out.shape[0]):
+            a_s = a0 if a0.ndim == 2 else a0[min(s, a0.shape[0] - 1)]
+            b_s = b0 if b0.ndim == 2 else b0[s]
+            want = matmul(Tensor(a_s), Tensor(b_s)).data
+            assert out[s].tobytes() == want.tobytes()
+
+    def test_leading_axes_disagree(self):
+        with pytest.raises(ShapeError, match="leading axes"):
+            matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 2))))
+
+    def test_rank4_rejected(self):
+        with pytest.raises(ShapeError, match="rank-2 or rank-3"):
+            matmul(Tensor(np.ones((1, 2, 3, 4))), Tensor(np.ones((4, 2))))
+
 
 class TestTriangularSolve:
     def _operands(self, seed):
@@ -144,6 +194,62 @@ class TestTriangularSolve:
 
     def test_gradients_vs_central_differences(self):
         l0, b0, w = self._operands(1)
+        rows, cols = np.tril_indices(4)
+
+        def loss_np(l, b):
+            return float(np.sum(w * np.linalg.solve(np.tril(l), b) ** 2))
+
+        with Tape() as tape:
+            l = tape.watch(Tensor(l0))
+            b = tape.watch(Tensor(b0))
+            x = triangular_solve(l, b)
+            grads = tape.backward(tensor_sum(Tensor(w) * square(x)))
+        gl = grads[l.node_id].data
+        assert np.all(gl[np.triu_indices(4, 1)] == 0.0)
+
+        def loss_of_lower(v):
+            l = l0.copy()
+            l[rows, cols] = v
+            return loss_np(l, b0)
+
+        fl = finite_diff_grad(loss_of_lower, l0[rows, cols])
+        fb = finite_diff_grad(lambda v: loss_np(l0, v), b0)
+        assert max_rel_err(gl[rows, cols], fl) < 1e-6
+        assert max_rel_err(grads[b.node_id].data, fb) < 1e-6
+
+    def test_stacked_right_sides_solve_as_on_their_own(self):
+        l0, _, _ = self._operands(2)
+        b0 = np.random.default_rng(3).normal(size=(5, 4, 3))
+        got = triangular_solve(Tensor(l0), Tensor(b0)).data
+        for s in range(5):
+            want = triangular_solve(Tensor(l0), Tensor(b0[s])).data
+            assert got[s].tobytes() == want.tobytes()
+
+    def test_stack_reaches_scipy_as_matrices(self, monkeypatch):
+        # scipy releases without batched solve_triangular reject a 3-D b
+        import uncertain.tensor as tensor_module
+        scipy_solve = tensor_module.solve_triangular
+
+        def matrix_only(a, b, **kwargs):
+            if np.ndim(b) != 2:
+                raise ValueError("shapes of a and b are incompatible")
+            return scipy_solve(a, b, **kwargs)
+
+        monkeypatch.setattr(tensor_module, "solve_triangular", matrix_only)
+        l0, _, _ = self._operands(6)
+        b0 = np.random.default_rng(7).normal(size=(3, 4, 2))
+        with Tape() as tape:
+            b = tape.watch(Tensor(b0))
+            x = triangular_solve(Tensor(l0), b)
+            grads = tape.backward(tensor_sum(square(x)))
+        assert x.shape == (3, 4, 2)
+        assert grads[b.node_id].shape == (3, 4, 2)
+
+    def test_stacked_gradients_vs_central_differences(self):
+        l0, _, _ = self._operands(4)
+        rng = np.random.default_rng(5)
+        b0 = rng.normal(size=(3, 4, 2))
+        w = rng.normal(size=(3, 4, 2))
         rows, cols = np.tril_indices(4)
 
         def loss_np(l, b):
@@ -529,6 +635,29 @@ class TestStructuralOps:
         assert np.array_equal(got.data, [2.0, 3.0])
         want = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
         assert np.array_equal(grads[x.node_id].data, want)
+
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_take_matches_indexing_and_gradient(self, axis):
+        rng = np.random.default_rng(10)
+        x0 = rng.normal(size=(3, 4, 2))
+        w = rng.normal(size=np.take(x0, 1, axis=axis).shape)
+        got = take(Tensor(x0), 1, axis=axis).data
+        assert np.array_equal(got, np.take(x0, 1, axis=axis))
+        analytic, numeric = grad_of(
+            lambda x: tensor_sum(Tensor(w) * square(take(x, 1, axis=axis))),
+            x0)
+        assert max_rel_err(analytic, numeric) < 1e-6
+
+    def test_broadcast_to_gradient_sums_copies(self):
+        rng = np.random.default_rng(11)
+        x0 = rng.normal(size=(2, 3))
+        w = rng.normal(size=(4, 2, 3))
+        got = broadcast_to(Tensor(x0), (4, 2, 3)).data
+        assert all(np.array_equal(got[s], x0) for s in range(4))
+        analytic, numeric = grad_of(
+            lambda x: tensor_sum(Tensor(w) * square(broadcast_to(x, w.shape))),
+            x0)
+        assert max_rel_err(analytic, numeric) < 1e-6
 
     def test_where_routes_gradients(self):
         mask = np.array([True, False, True])

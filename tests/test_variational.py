@@ -20,6 +20,7 @@ from uncertain.tensor import (
     conv2d,
     softplus_inverse,
     tensor_mean,
+    tensor_sum,
 )
 
 from conftest import finite_diff_grad, max_rel_err
@@ -289,6 +290,17 @@ class TestVariationalLSTMCell:
         assert not np.array_equal(w_first, w_second)
         cell.start_sequence(2, seed=0)
         assert np.array_equal(cell._samples[0].data, w_first)
+
+    def test_unroll_takes_each_step_with_one_node(self):
+        cell = VariationalLSTMCell(3)
+        xs0 = np.random.default_rng(3).normal(size=(2, 5, 4))
+        with Tape() as tape:
+            xs = tape.watch(Tensor(xs0))
+            hs, _ = unroll(cell, xs, seed=0)
+            grads = tape.backward(tensor_sum(hs))
+        readers = [n.op for n in tape.nodes if xs.node_id in n.parents]
+        assert readers == ["take"] * 5
+        assert grads[xs.node_id].shape == xs0.shape
 
     def test_state_shape_mismatch(self):
         from uncertain.errors import ShapeError
