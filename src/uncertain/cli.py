@@ -16,7 +16,7 @@ from . import layers
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_csv, one_hot, toy_flow_data, toy_regression, toy_sequences
 from .distributions import Normal
-from .errors import UncertainError
+from .errors import ConfigError, UncertainError
 from .rng import mix, rng_from
 from .tensor import Tensor, as_tensor, matmul, reshape
 from .training import ElboConfig, config_get, fit, parse_config
@@ -36,8 +36,30 @@ def _resolve(args, cfg, key, cast, default):
     return config_get(cfg, key, cast, default)
 
 
+# every key a subcommand reads through _resolve or config_get
+_CONFIG_KEYS = frozenset({
+    "batch_size", "conditioner_hidden", "data_noise", "features", "hidden",
+    "hidden_units", "kl_scale", "learning_rate", "mc_samples",
+    "num_couplings", "num_examples", "num_inducing", "obs_noise", "seed",
+    "seq_len", "steps", "targets", "units", "vocab",
+})
+
+
+class UnknownConfigKeyError(ConfigError):
+    """A config key that no subcommand reads: a usage error (exit 2)."""
+
+
 def _load_config(args):
-    return parse_config(args.config) if args.config else {}
+    if not args.config:
+        return {}
+    values = parse_config(args.config)
+    for key in values:
+        if key not in _CONFIG_KEYS:
+            raise UnknownConfigKeyError(
+                f"{args.config}: unknown config key {key!r}; known keys: "
+                f"{', '.join(sorted(_CONFIG_KEYS))}"
+            )
+    return values
 
 
 def _elbo_config(args, cfg, n, defaults):
@@ -51,7 +73,6 @@ def _elbo_config(args, cfg, n, defaults):
         mc_samples=_resolve(args, cfg, "mc_samples", int, 1),
         kl_scale=config_get(cfg, "kl_scale", str, "one_over_N"),
         seed=_resolve(args, cfg, "seed", int, 0),
-        prefetch=config_get(cfg, "prefetch", int, 0),
     )
 
 
@@ -424,6 +445,9 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
+    except UnknownConfigKeyError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except UncertainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

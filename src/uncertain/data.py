@@ -1,10 +1,8 @@
-"""Dataset ingestion: CSV loading, toy data generators, batch prefetching."""
+"""Dataset ingestion: CSV loading, toy data generators, batch indices."""
 from __future__ import annotations
 
 import csv
 import math
-import queue
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,47 +134,3 @@ def batch_indices(num_examples, batch_size, num_steps, seed):
     rng = rng_from(seed, "batches")
     for _ in range(num_steps):
         yield rng.integers(0, num_examples, batch_size)
-
-
-class Prefetcher:
-    """Produce items from an iterator on a worker thread via a bounded queue.
-
-    FIFO ordering keeps training deterministic; the worker only hides data
-    preparation latency.  An exception raised by the iterator is re-raised
-    from ``__next__`` after the items produced before it.
-    """
-
-    _DONE = object()
-
-    def __init__(self, iterator, capacity=2):
-        self._queue = queue.Queue(maxsize=max(1, int(capacity)))
-        self._thread = threading.Thread(
-            target=self._fill, args=(iter(iterator),), daemon=True)
-        self._thread.start()
-
-    def _fill(self, iterator):
-        try:
-            for item in iterator:
-                self._queue.put(item)
-        except BaseException as exc:
-            self._queue.put(_Raised(exc))
-        else:
-            self._queue.put(self._DONE)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        item = self._queue.get()
-        if item is self._DONE:
-            raise StopIteration
-        if isinstance(item, _Raised):
-            raise item.error
-        return item
-
-
-@dataclass(frozen=True)
-class _Raised:
-    """Queue entry carrying the producer's exception to the consumer."""
-
-    error: BaseException

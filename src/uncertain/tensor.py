@@ -11,7 +11,10 @@ Design notes:
 
 * float64 everywhere; GP Cholesky factors and KL terms need the headroom.
 * a tape lives for one training step; long-lived parameter tensors are
-  re-watched on each new tape.
+  re-watched on each new tape.  Its nodes, adjoint closures and tracked
+  tensors form a reference cycle, so ``Tape.release()`` drops the nodes,
+  freeing the saved forward arrays without the cyclic GC; a released tape
+  refuses ``backward``.  ``training.fit`` releases each step's tape.
 * tensors not attached to a tape are treated as constants.
 """
 from __future__ import annotations
@@ -154,12 +157,21 @@ def active_tape():
 
 
 class Tape:
-    """Append-only reverse-mode record; use as a context manager."""
+    """Append-only reverse-mode record; use as a context manager.
 
-    def __init__(self):
-        self.nodes: list[Node] = []
+    ``Tape(replaces=old)`` releases the finished tape ``old`` when it records
+    its first op, so a training step frees the previous step's arrays once
+    its own forward pass has started, and the rest of the step reuses that
+    memory (see ``training.fit``).
+    """
+
+    def __init__(self, replaces: "Tape | None" = None):
+        self.nodes: list[Node] | None = []
+        self.replaces = replaces
 
     def __enter__(self):
+        if self.nodes is None:
+            raise TapeError("this tape was released; record on a new Tape")
         _TAPE_STACK.append(self)
         return self
 
@@ -180,12 +192,20 @@ class Tape:
         self.nodes.append(Node(op, tuple(parent_ids), backward))
         return len(self.nodes) - 1
 
+    def release(self):
+        """Drop the nodes, freeing the forward arrays their adjoints saved
+        now rather than by the cyclic GC; ``backward`` then raises
+        :class:`TapeError`."""
+        self.nodes = None
+
     def backward(self, root: Tensor, leaves_only: bool = True):
         """Adjoints of a scalar root as ``{node_id: Tensor}``.
 
         Missing ids have zero gradient.  With ``leaves_only`` the map is
         restricted to watched leaves.
         """
+        if self.nodes is None:
+            raise TapeError("backward on a released tape")
         if root.tape is not self or root.node_id is None:
             raise TapeError("backward root is detached from this tape")
         if root.shape != ():
@@ -230,6 +250,9 @@ def _apply(op, out_data, parents, backward):
     t = Tensor(out_data)
     t.tape = tape
     t.node_id = tape._record(op, pids, backward)
+    if tape.replaces is not None:
+        tape.replaces.release()
+        tape.replaces = None
     return t
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Prefetcher, batch_indices
+from .data import batch_indices
 from .distributions import Distribution, RandomVariable
 from .errors import ConfigError, TrainingError
 from .layers.base import Layer, collect_losses
@@ -37,7 +37,6 @@ class ElboConfig:
     mc_samples: int = 1
     kl_scale: object = "one_over_N"  # or a numeric constant
     seed: int = 0
-    prefetch: int = 0
 
     def __post_init__(self):
         if self.batch_size > self.num_train_examples:
@@ -80,13 +79,17 @@ def _blame_non_finite(model: Layer) -> str:
 
 
 def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
-              likelihood=None, params=None):
+              likelihood=None, params=None, replaces=None):
     """One ELBO evaluation with gradients.
 
     The model's output must be a RandomVariable or a Distribution (its
     ``log_prob`` is the likelihood) unless a
     ``likelihood(output, y) -> per-element log prob`` is supplied.  Returns
-    (loss Tensor, kl value, gradient map, params).
+    (loss Tensor, kl value, gradient map, params); the loss is tracked on
+    this step's tape, ``loss.tape``.  ``replaces``, a finished step's tape,
+    is released when this step records its first op.  Raises
+    :class:`TrainingError` when the loss or a parameter's gradient is not
+    finite.
     """
     if params is None:
         params = _unique_params(model)
@@ -94,7 +97,7 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
             # lazily-built layers create parameters on their first call
             model(batch_x, seed=mix(cfg.seed, "build"))
             params = _unique_params(model)
-    tape = Tape()
+    tape = Tape(replaces=replaces)
     with tape:
         for p in params.values():
             tape.watch(p)
@@ -130,6 +133,13 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
                 f"{blame} (log-lik={log_lik.item()!r})"
             )
         grads = tape.backward(loss) if loss.node_id is not None else {}
+    for name, p in params.items():
+        grad = grads.get(p.node_id)
+        if grad is not None and not np.isfinite(grad.data).all():
+            raise TrainingError(
+                f"non-finite gradient at step {step} for parameter {name!r} "
+                f"(loss {loss.item()!r} is finite)"
+            )
     return loss, kl_value, grads, params
 
 
@@ -167,6 +177,13 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     ``batch_fn(x_batch, step) -> model input`` lets callers replace the model
     input per step (a flow is fed its base Distribution, and its output
     density scores the data batch given as targets).
+
+    Each step's tape, with the forward arrays it saved, is released when the
+    next step records its first op, and the last one when the loop ends, so
+    the rest of the next step reuses that memory.  Released at the end of
+    its own step, or after the next step's backward pass, a tape's memory
+    joins the step's freed temporaries at the top of the heap, where glibc
+    returns it to the kernel and the next step faults it back in.
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
@@ -179,23 +196,21 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     state = adam_init()
     params = None
     trace = []
-    batches = (
-        (step, features[idx], targets[idx])
-        for step, idx in enumerate(
-            batch_indices(cfg.num_train_examples, cfg.batch_size,
-                          cfg.max_steps, cfg.seed))
-    )
-    if cfg.prefetch > 0:
-        batches = Prefetcher(batches, capacity=cfg.prefetch)
-    for step, bx, by in batches:
+    held = None
+    for step, idx in enumerate(batch_indices(
+            cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
+        bx = features[idx]
         batch_x = batch_fn(bx, step) if batch_fn is not None else Tensor(bx)
         loss, kl, grads, params = elbo_step(
-            model, batch_x, Tensor(by), cfg, step,
-            likelihood=likelihood, params=params)
+            model, batch_x, Tensor(targets[idx]), cfg, step,
+            likelihood=likelihood, params=params, replaces=held)
+        held = loss.tape
         adam_update(params, grads, state, cfg.learning_rate)
         trace.append((step, loss.item(), kl))
         if log_fn is not None:
             log_fn(step, loss.item(), kl)
+    if held is not None:
+        held.release()
     return trace
 
 

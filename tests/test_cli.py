@@ -265,6 +265,33 @@ class TestConfigIntegration:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
+    @pytest.mark.parametrize("line", ["prefetch = 2", "learning_rte = 0.1"])
+    def test_unknown_config_key_is_usage_error(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"steps = 2\n{line}\n")
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run_cli(
+            ["train-bnn", "--config", str(cfg), "--checkpoint", str(ckpt)],
+            capsys)
+        assert code == 2
+        assert out == ""
+        assert str(cfg) in err
+        assert repr(line.split(" = ")[0]) in err
+        assert not ckpt.exists()
+
+    def test_known_config_keys_are_the_keys_read(self):
+        """_CONFIG_KEYS lists exactly the keys cli.py passes to _resolve or
+        config_get, so a newly read key cannot be rejected as unknown."""
+        import re
+
+        from uncertain import cli
+
+        with open(cli.__file__, encoding="utf-8") as fh:
+            source = fh.read()
+        read = set(re.findall(
+            r'(?:_resolve\(args, \w+|config_get\(\w+), "(\w+)"', source))
+        assert read == cli._CONFIG_KEYS
+
     def test_malformed_config_is_runtime_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("what even is this\n")

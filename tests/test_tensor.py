@@ -531,6 +531,18 @@ class TestBackward:
             with pytest.raises(TapeError, match="detached"):
                 tape.backward(Tensor(1.0))
 
+    def test_released_tape_refuses_backward(self):
+        with Tape() as tape:
+            x = tape.watch(Tensor([1.0, 2.0]))
+            root = tensor_sum(square(x))
+        assert set(tape.backward(root)) == {x.node_id}
+        tape.release()
+        with pytest.raises(TapeError, match="released"):
+            tape.backward(root)
+        with pytest.raises(TapeError, match="released"):
+            with tape:
+                pass
+
     def test_ops_off_tape_stay_constant(self):
         with Tape() as tape:
             c = mul(Tensor([2.0]), Tensor([3.0]))

@@ -1,9 +1,12 @@
 """Training loop, Adam, ELBO semantics, checkpoints, CSV, determinism."""
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from uncertain.checkpoint import load_checkpoint, save_checkpoint
-from uncertain.data import Prefetcher, load_csv, toy_regression
+from uncertain.data import load_csv, toy_regression
 from uncertain.distributions import Normal
 from uncertain.errors import (
     CheckpointError,
@@ -18,6 +21,7 @@ from uncertain.layers import (
     VariationalDense,
     reset_layer_indices,
 )
+import uncertain.tensor as tensor_module
 from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
 from uncertain.training import (
     ElboConfig,
@@ -234,16 +238,17 @@ def loss_seed(cfg, step, sample=0):
 
 
 class TestFit:
-    def _run(self, prefetch=0, steps=40):
+    def _model(self):
         reset_layer_indices()
+        return Sequential([VariationalDense(8, "relu"), Dense(1)])
+
+    def _run(self, steps=40, model=None, log_fn=None):
         x, y = toy_regression(32, seed=0)
-        model = Sequential([VariationalDense(8, "relu"), Dense(1)])
         cfg = ElboConfig(num_train_examples=32, batch_size=8,
-                         learning_rate=0.02, max_steps=steps, seed=3,
-                         prefetch=prefetch)
-        trace = fit(model, x, y, cfg,
+                         learning_rate=0.02, max_steps=steps, seed=3)
+        trace = fit(model or self._model(), x, y, cfg,
                     likelihood=lambda out, t: Normal(as_tensor(out), 0.1)
-                    .log_prob(t))
+                    .log_prob(t), log_fn=log_fn)
         return trace
 
     def test_identical_seed_identical_trace_bitwise(self):
@@ -255,11 +260,8 @@ class TestFit:
         trace = self._run(steps=150)
         assert trace[-1][1] < trace[0][1]
 
-    def test_prefetching_does_not_change_the_trace(self):
-        assert self._run(prefetch=0) == self._run(prefetch=3)
-
-    @pytest.mark.parametrize("prefetch", [0, 3])
-    def test_failing_batch_source_raises(self, monkeypatch, prefetch):
+    @pytest.mark.parametrize("fail_after", [0, 2])
+    def test_failing_batch_source_raises(self, monkeypatch, fail_after):
         import uncertain.training as training
 
         real = training.batch_indices
@@ -267,14 +269,69 @@ class TestFit:
 
         def failing(*args):
             batches = real(*args)
-            yield next(batches)
-            yield next(batches)
+            for _ in range(fail_after):
+                yield next(batches)
             raise error
 
         monkeypatch.setattr(training, "batch_indices", failing)
         with pytest.raises(DataError) as excinfo:
-            self._run(prefetch=prefetch)
+            self._run()
         assert excinfo.value is error
+
+    def test_tapes_freed_without_the_cyclic_gc(self, monkeypatch):
+        """Every step's tracked forward arrays but the last two steps' are
+        freed by reference counting alone."""
+        steps = 20
+        recorded, per_step = [], []
+        real_apply = tensor_module._apply
+
+        def recording_apply(op, out_data, parents, backward):
+            out = real_apply(op, out_data, parents, backward)
+            if out.node_id is not None:
+                recorded.append(weakref.ref(out.data))
+            return out
+
+        def close_step(step, loss, kl):
+            per_step.append(list(recorded))
+            recorded.clear()
+
+        monkeypatch.setattr(tensor_module, "_apply", recording_apply)
+        model = self._model()
+        gc.collect()
+        gc.disable()
+        try:
+            self._run(steps=steps, model=model, log_fn=close_step)
+            alive = [sum(ref() is not None for ref in refs) for refs in per_step]
+        finally:
+            gc.enable()
+        assert len(per_step) == steps
+        assert all(per_step)
+        assert alive[:-2] == [0] * (steps - 2)
+
+    def test_non_finite_gradient_raises_before_any_update(self, monkeypatch):
+        model = self._model()
+        self._run(steps=2, model=model)
+        before = {k: v.copy() for k, v in model.state_dict().items()}
+        real_backward = Tape.backward
+        poisoned = []
+
+        def backward_with_nan(tape, root, leaves_only=True):
+            grads = real_backward(tape, root, leaves_only)
+            nid = max(grads)  # the last watched leaf: the output bias
+            grads[nid].data[...] = np.nan
+            poisoned.append(nid)
+            return grads
+
+        monkeypatch.setattr(Tape, "backward", backward_with_nan)
+        with pytest.raises(TrainingError, match="step 0") as excinfo:
+            self._run(steps=5, model=model)
+        assert "non-finite gradient" in str(excinfo.value)
+        assert "'layer1/bias'" in str(excinfo.value)
+        assert len(poisoned) == 1
+        after = model.state_dict()
+        assert before.keys() == after.keys()
+        for key in before:
+            assert np.array_equal(before[key], after[key]), key
 
     def test_batch_size_validation(self):
         with pytest.raises(ConfigError):
@@ -308,24 +365,3 @@ class TestConfigFile:
         path.write_text("steps = soon\n")
         with pytest.raises(ConfigError, match="steps"):
             config_get(parse_config(path), "steps", int, 0)
-
-
-class TestPrefetcher:
-    def test_order_preserved(self):
-        items = list(range(100))
-        assert list(Prefetcher(iter(items), capacity=4)) == items
-
-    def test_producer_exception_reraised_after_items(self):
-        error = ValueError("producer failed")
-
-        def producer():
-            yield 1
-            yield 2
-            raise error
-
-        prefetcher = Prefetcher(producer(), capacity=4)
-        assert next(prefetcher) == 1
-        assert next(prefetcher) == 2
-        with pytest.raises(ValueError) as excinfo:
-            next(prefetcher)
-        assert excinfo.value is error
