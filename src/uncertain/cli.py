@@ -270,7 +270,7 @@ def _rebuild_for_predict(args, cfg_file):
         model = build_deep_gp(
             _resolve(args, cfg_file, "hidden_units", int, 4),
             _resolve(args, cfg_file, "num_inducing", int, 8))
-        model(Tensor(x), seed=mix(seed, "build"))
+        model(Tensor(x[:1]), seed=mix(seed, "build"))
     else:
         raise UncertainError(f"predict does not support task {task!r}")
     model.load_state_dict(load_checkpoint(args.checkpoint))

@@ -36,7 +36,7 @@ import numpy as np
 
 from ..distributions import Distribution, Normal, kl_divergence
 from ..errors import LayerError, NotReversibleError, ShapeError
-from ..rng import rng_from
+from ..rng import rng_from, rng_streams
 from ..tensor import (
     Tensor,
     as_tensor,
@@ -154,10 +154,11 @@ class Layer:
         return collected
 
     def rng(self, seed, *salts):
-        """Philox generator keyed by (seed, layer index, salts); a tuple of
-        seeds gives a list with one generator per seed."""
+        """Philox generator keyed by (seed, layer index, salts).  A tuple of
+        seeds gives a list with one generator per seed, each bitwise the
+        one-seed generator; ``rng_streams`` derives their keys together."""
         if isinstance(seed, tuple):
-            return [rng_from(s, self.layer_index, *salts) for s in seed]
+            return rng_streams(seed, self.layer_index, *salts)
         return rng_from(seed, self.layer_index, *salts)
 
     # -- state -------------------------------------------------------------

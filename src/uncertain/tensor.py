@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import erf as _erf, expit as _expit
 
 from .backend import conv2d_forward, conv2d_grad_input, conv2d_grad_kernel
@@ -660,21 +660,51 @@ def cholesky(a):
         p = L.T @ lbar
         phi = np.tril(p, -1) + 0.5 * np.diag(np.diag(p))
         # S = L^{-T} phi L^{-1}
-        x = solve_triangular(L.T, phi, lower=False)
-        s = solve_triangular(L.T, x.T, lower=False).T
+        x = _solve_lower(L, phi, trans=1)
+        s = _solve_lower(L, x.T, trans=1).T
         return (0.5 * (s + s.T),)
 
     return _apply("cholesky", L, (a,), backward)
 
 
-def _solve_lower(l, b, trans="N"):
-    """scipy's ``solve_triangular`` with lower ``l`` on a matrix ``b``, or
-    once per slice of a stack ``b`` [S, n, k], so each slice gets the LAPACK
-    call a lone matrix gets (older scipy releases reject a 3-D ``b``)."""
+def solve_triangular(l, b, trans):
+    """One LAPACK ``trtrs`` solve of ``l x = b`` (``trans=1``: ``l^T x = b``)
+    for a lower-triangular ``l`` and a non-empty matrix ``b``, both known
+    finite.
+
+    The operands and flags are the ones scipy's ``solve_triangular`` passes,
+    so the result is bitwise its result: trtrs reads Fortran order, so a
+    C-ordered ``l`` is handed over as the upper factor ``l.T`` of the
+    transposed system.
+    """
+    if l.flags.f_contiguous:
+        x, info = dtrtrs(l, b, 1, trans)
+    else:
+        x, info = dtrtrs(l.T, b, 0, 1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal trtrs")
+    return x
+
+
+def _solve_lower(l, b, trans=0):
+    """``l^-1 b`` (``trans=1``: ``l^-T b``) for lower ``l`` and a matrix
+    ``b``, or a stack ``b`` [S, n, k] solved one slice at a time, so each
+    slice gets the LAPACK call a lone matrix gets.
+
+    Like scipy, a non-finite ``l`` or ``b`` raises ``ValueError`` and an
+    empty ``b`` gives an empty result; the check runs once per call, not
+    once per slice.
+    """
+    np.asarray_chkfinite(l)
+    np.asarray_chkfinite(b)
+    if b.size == 0:
+        return np.empty_like(b)
     if b.ndim == 2:
-        return solve_triangular(l, b, lower=True, trans=trans)
-    return np.stack([solve_triangular(l, b_s, lower=True, trans=trans)
-                     for b_s in b])
+        return solve_triangular(l, b, trans)
+    return np.stack([solve_triangular(l, b_s, trans) for b_s in b])
 
 
 def triangular_solve(l, b):
@@ -693,7 +723,7 @@ def triangular_solve(l, b):
     x = _solve_lower(l.data, b.data)
 
     def backward(adj):
-        gb = _solve_lower(l.data, adj, trans="T")
+        gb = _solve_lower(l.data, adj, trans=1)
         gl = gb @ x.swapaxes(-1, -2)
         if gl.ndim == 3:  # every slice shares l, so their terms add up
             gl = gl.sum(axis=0)

@@ -1,7 +1,8 @@
 """Counter-based keys: the mixed values are pinned across refactors."""
+import numpy as np
 import pytest
 
-from uncertain.rng import mix, rng_from
+from uncertain.rng import _seed_sequence_keys, mix, rng_from, rng_streams
 
 # values of mix(...) before string salts were cached; any change to the
 # hashing would silently move every random stream in the package
@@ -27,3 +28,26 @@ def test_rng_from_reads_the_mixed_key():
     b = rng_from(3, "kernel").standard_normal(4)
     assert a.tobytes() == b.tobytes()
     assert rng_from(3, "bias").standard_normal(4).tobytes() != a.tobytes()
+
+
+def test_rng_streams_equal_per_seed_generators():
+    seeds = [mix(7, "predict", s) for s in range(40)] + [0, 1, 2**64 - 1, -1]
+    streams = rng_streams(seeds, 3, "function")
+    assert len(streams) == len(seeds)
+    for seed, got in zip(seeds, streams):
+        want = rng_from(seed, 3, "function")
+        assert got.standard_normal(6).tobytes() == want.standard_normal(6).tobytes()
+        assert got.integers(0, 2**62, 4).tobytes() == want.integers(0, 2**62, 4).tobytes()
+
+
+def test_batched_keys_equal_seed_sequence_state():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+    rng = np.random.default_rng(11)
+    wide = rng.integers(0, 2**64 - 1, size=3000, dtype=np.uint64, endpoint=True)
+    narrow = rng.integers(0, 2**32, size=1000, dtype=np.uint64)
+    keys = edges + [int(k) for k in wide] + [int(k) for k in narrow]
+    got = _seed_sequence_keys(np.array(keys, dtype=np.uint64))
+    want = np.array([np.random.SeedSequence(k).generate_state(2, np.uint64)
+                     for k in keys])
+    assert got.dtype == np.uint64
+    np.testing.assert_array_equal(got, want)
