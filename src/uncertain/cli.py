@@ -192,7 +192,6 @@ def run_train_bnn(args):
     hidden = _resolve(args, cfg_file, "hidden", int, 16)
     noise = config_get(cfg_file, "obs_noise", float, 0.1)
     model = build_bnn(hidden)
-    model(Tensor(x[:1]), seed=mix(cfg.seed, "build"))  # create parameters
     fit(model, x, y, cfg, likelihood=gaussian_likelihood(noise),
         log_fn=_print_step)
     save_checkpoint(args.checkpoint, model.state_dict())
@@ -265,14 +264,13 @@ def _rebuild_for_predict(args, cfg_file):
     x, _ = _regression_data(args, cfg_file)
     if task == "bnn":
         model = build_bnn(_resolve(args, cfg_file, "hidden", int, 16))
-        model(Tensor(x[:1]), seed=mix(seed, "build"))
     elif task == "deep-gp":
         model = build_deep_gp(
             _resolve(args, cfg_file, "hidden_units", int, 4),
             _resolve(args, cfg_file, "num_inducing", int, 8))
-        model(Tensor(x[:1]), seed=mix(seed, "build"))
     else:
         raise UncertainError(f"predict does not support task {task!r}")
+    model(Tensor(x[:1]), seed=mix(seed, "build"))
     model.load_state_dict(load_checkpoint(args.checkpoint))
     return model, seed
 

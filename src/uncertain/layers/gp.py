@@ -5,7 +5,8 @@ one Cholesky factor), ``SparseGaussianProcess`` uses whitened inducing
 variables (Hensman et al. 2015): a variational q(v) over v = L^-1 u with
 L L^T = K_zz, so each call factors K_zz once and its KL against the N(0, I)
 prior is closed form, and ``RandomFourierFeatures`` projects onto fixed
-cosine features with a variational readout.  All default to a zero mean
+cosine features with a variational readout (a ``VariationalParameter``,
+the same path as the variational layers' weights).  All default to a zero mean
 function and a squared exponential kernel, output one independent GP per unit
 sharing the kernel, and return RandomVariables so deep stacks compose by
 feeding samples forward.
@@ -28,7 +29,6 @@ from ..tensor import (
     Tensor,
     as_tensor,
     cholesky,
-    concat,
     cos,
     exp,
     log,
@@ -43,8 +43,8 @@ from ..tensor import (
     triangular_solve,
     where,
 )
-from .base import Layer, rng_seed, sample_lead, trainable_normal
-from .variational import VariationalParameter, _regularizer_or_default
+from .base import Layer, sample_lead
+from .variational import VariationalParameter
 
 _KZZ_FLOOR = 1e-10  # diagonal added to K_zz before its factorization
 _VAR_FLOOR = 1e-10  # lower clamp on predictive variances
@@ -94,7 +94,9 @@ def _matrix_transpose(t):
 
 
 class _GPLayer(Layer):
-    """Shared kernel/mean plumbing for the three estimators."""
+    """Shared units check, kernel parameters and mean function of the three
+    estimators.  ``RandomFourierFeatures`` uses the kernel's amplitude and
+    lengthscale and no mean function."""
 
     def __init__(self, units, mean_fn=None, kernel=None, amplitude=1.0,
                  lengthscale=1.0, train_kernel=True, name=None):
@@ -189,7 +191,10 @@ class SparseGaussianProcess(_GPLayer):
 
     The inducing outputs are u = L v with L = chol(K_zz + 1e-10 I), so the
     prior on the whitened v is N(0, I).  Unit u keeps q(v_u) = N(m_v, L_v L_v^T)
-    with L_v lower triangular, its diagonal passed through softplus.  The call
+    with L_v lower triangular, its diagonal passed through softplus.  The
+    parameters are ``whitened_mean`` [M, units], column u for unit u, and
+    ``whitened_scale_raw`` [units, M, M], slice u the raw L_v of unit u (its
+    upper triangle is unused), so every unit's L_v is one stack.  The call
     returns per-point marginals sampled by reparameterization (the doubly
     stochastic estimator, which is what lets deep stacks train), and appends
     one loss: the sum over units of KL(q(v_u) || N(0, I)).
@@ -221,7 +226,7 @@ class SparseGaussianProcess(_GPLayer):
         self.train_inducing = train_inducing
         self.inducing_inputs = None
         self.inducing_mean = None  # m_v, one column per unit
-        self.scale_raws = None     # raw L_v per unit
+        self.scale_raw = None      # raw L_v, [units, M, M]
         self._tril_mask = None
 
     def _build(self, x, seed):
@@ -236,10 +241,8 @@ class SparseGaussianProcess(_GPLayer):
         self.inducing_mean = self.add_param("whitened_mean",
                                             np.zeros((m, self.units)))
         raw0 = softplus_inverse(1.0) * np.eye(m)
-        self.scale_raws = [
-            self.add_param(f"whitened_scale_raw{u}", raw0.copy())
-            for u in range(self.units)
-        ]
+        self.scale_raw = self.add_param(
+            "whitened_scale_raw", np.broadcast_to(raw0, (self.units, m, m)).copy())
         self._tril_mask = np.tril(np.ones((m, m)), -1)
 
     def call(self, x, seed):
@@ -256,10 +259,8 @@ class SparseGaussianProcess(_GPLayer):
         mean = self._mean(x) + matmul(_matrix_transpose(proj),
                                       self.inducing_mean)
         base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=-2)
-        # every unit's L_v at once, as a [units, M, M] stack
-        raw = reshape(concat(self.scale_raws, axis=0), (units, m, m))
-        diag = softplus(raw) * eye
-        scale = raw * Tensor(self._tril_mask) + diag
+        diag = softplus(self.scale_raw) * eye
+        scale = self.scale_raw * Tensor(self._tril_mask) + diag
         half = matmul(reshape(transpose(scale, (0, 2, 1)), (units * m, m)),
                       proj)                                    # L_v^T proj
         extra = tensor_sum(
@@ -276,30 +277,28 @@ class SparseGaussianProcess(_GPLayer):
                            noise_shape=(rows[-1], units))
 
 
-class RandomFourierFeatures(Layer):
+class RandomFourierFeatures(_GPLayer):
     """Kernel approximation by fixed random cosines with a variational readout.
 
     phi(x) = sqrt(2 a^2 / D) cos(x Omega / l + beta) with Omega ~ N(0, I) and
     beta ~ U[0, 2pi) frozen at build; the output is phi(x) @ W with W a
-    mean-field variational matrix whose KL is appended as the single loss.
+    mean-field variational matrix, ``readout_mu``/``readout_rho``, whose
+    initializer and regularizer are ``kernel_initializer`` and
+    ``kernel_regularizer``; its KL is appended as the single loss.
     """
 
     def __init__(self, units, num_features, kernel_initializer=None,
                  kernel_regularizer="default", amplitude=1.0, lengthscale=1.0,
                  kernel=None, train_kernel=True, name=None):
-        super().__init__(name)
-        if units < 1 or num_features < 1:
-            raise ValueError("units and num_features must be >= 1")
-        self.units = int(units)
+        super().__init__(units, None, kernel, amplitude, lengthscale,
+                         train_kernel, name)
+        if num_features < 1:
+            raise ValueError(f"num_features must be >= 1, got {num_features}")
         self.num_features = int(num_features)
-        self.kernel = kernel or SquaredExponential(amplitude, lengthscale)
-        for k, v in self.kernel.variables().items():
-            self.add_param(f"kernel_{k}", v, trainable=train_kernel)
-        self.kernel_initializer = kernel_initializer or trainable_normal()
-        self.kernel_regularizer = _regularizer_or_default(kernel_regularizer)
         self.directions = None
         self.phases = None
-        self.readout = None
+        self.readout = VariationalParameter("readout", kernel_initializer,
+                                            kernel_regularizer)
 
     def _build(self, input_dim, seed):
         rng = self.rng(seed, "features")
@@ -307,9 +306,7 @@ class RandomFourierFeatures(Layer):
             "directions", rng.standard_normal((input_dim, self.num_features)))
         self.phases = self.add_buffer(
             "phases", rng.uniform(0.0, 2.0 * math.pi, self.num_features))
-        self.readout = VariationalParameter(
-            self, "readout", (self.num_features, self.units),
-            self.kernel_initializer, rng_seed(seed, self, "readout"))
+        self.readout.build(self, (self.num_features, self.units), seed)
 
     def features(self, x):
         """The cosine feature map phi(x), shape [batch, num_features]."""
@@ -335,8 +332,7 @@ class RandomFourierFeatures(Layer):
                 )
             self._build(x.shape[1], seed)
         phi = self.features(x)
-        w = self.readout.sample(self.rng(seed, "readout"))
+        w = self.readout.sample(seed)
         out = matmul(phi, w.value)
-        if self.kernel_regularizer is not None:
-            self.add_loss(self.kernel_regularizer(w))
+        self.readout.regularize(w)
         return out

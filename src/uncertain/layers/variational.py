@@ -1,11 +1,15 @@
 """Bayesian counterparts of dense, conv2d and LSTM layers.
 
-Each trainable weight gets a mean-field normal posterior: a trainable mean
-and a trainable pre-softplus scale, with a standard normal prior by default.
-A call samples the weights by reparameterization, runs the deterministic
-computation on the sample, and appends one KL loss per variational parameter.
-Constructor signatures match the deterministic layers, so swapping a layer
-for its Bayesian version changes nothing else in the model.
+A Bayesian layer is its deterministic layer with two differences: the
+initializer of each weight returns a trainable distribution, and the
+regularizer is that distribution's KL to a prior.  :class:`VariationalParameter`
+is the one path each variational weight takes: a mean-field normal posterior
+(a trainable mean and a trainable pre-softplus scale), standard normal prior
+by default.  A call samples the weights by reparameterization, runs the
+deterministic computation on the sample, and then appends one KL loss per
+variational parameter.  Constructor signatures match the deterministic
+layers, so swapping a layer for its Bayesian version changes nothing else in
+the model.
 """
 from __future__ import annotations
 
@@ -39,59 +43,53 @@ from .base import (
 
 
 class VariationalParameter:
-    """Mean-field posterior over one weight tensor.
+    """Mean-field posterior over one weight tensor of a layer.
 
-    Stores a trainable mean and a trainable pre-softplus scale on the owning
-    layer.  The prior lives in the layer's regularizer (``normal_kl(prior)``,
-    standard normal by default), not here.
+    Made in the layer's ``__init__`` from the weight's name, its
+    distribution initializer (``trainable_normal()`` when None) and its
+    regularizer: a callable from the drawn RandomVariable to a scalar loss,
+    ``"default"`` for ``normal_kl()``, or None for no loss.  The name keys
+    everything: :meth:`build` adds ``<name>_mu`` and ``<name>_rho`` to the
+    layer, seeded by ``rng_seed(seed, layer, name)``, and :meth:`sample`
+    draws from ``layer.rng(seed, name)``.
     """
 
-    def __init__(self, layer: Layer, name: str, shape, initializer, seed):
-        init = initializer(shape, seed)
+    def __init__(self, name, initializer=None, regularizer="default"):
+        self.name = name
+        self.initializer = initializer or trainable_normal()
+        self.regularizer = normal_kl() if regularizer == "default" else regularizer
+        self.layer = None
+        self.mu = None
+        self.rho = None
+
+    def build(self, layer: Layer, shape, seed):
+        init = self.initializer(shape, rng_seed(seed, layer, self.name))
         if not isinstance(init, Distribution):
             raise TypeError(
-                f"variational parameter {name!r} needs a distribution "
+                f"variational parameter {self.name!r} needs a distribution "
                 f"initializer, got {type(init).__name__}"
             )
         loc = np.broadcast_to(init.loc.data, shape).copy()
         scale = np.broadcast_to(init.scale.data, shape).copy()
-        self.mu = layer.add_param(f"{name}_mu", loc)
-        self.rho = layer.add_param(f"{name}_rho", softplus_inverse(scale))
-        self.shape = tuple(shape)
+        self.layer = layer
+        self.mu = layer.add_param(f"{self.name}_mu", loc)
+        self.rho = layer.add_param(f"{self.name}_rho", softplus_inverse(scale))
 
     def posterior(self) -> Normal:
         return Normal(self.mu, softplus(self.rho))
 
-    def sample(self, rng) -> RandomVariable:
-        """Reparameterized draw; a list of S generators stacks S draws, one
-        per generator, on a new leading axis."""
-        return self.posterior().sample(rng)
+    def sample(self, seed) -> RandomVariable:
+        """Reparameterized draw; a tuple of S seeds stacks S draws, one per
+        seed, on a new leading axis."""
+        return self.posterior().sample(self.layer.rng(seed, self.name))
+
+    def regularize(self, rv):
+        """Append the regularizer's loss on a draw to the layer's losses."""
+        if self.regularizer is not None:
+            self.layer.add_loss(self.regularizer(rv))
 
 
-def _regularizer_or_default(value):
-    """``"default"`` means KL to a standard normal prior."""
-    return normal_kl() if value == "default" else value
-
-
-class _VariationalMixin:
-    """Shared wiring for layers with variational parameters.
-
-    ``<name>_initializer`` builds each posterior; ``<name>_regularizer`` turns
-    a posterior sample into a KL loss against its prior, or is None.
-    """
-
-    def _make_param(self, name, shape, seed, salt):
-        initializer = getattr(self, f"{name}_initializer")
-        return VariationalParameter(self, name, shape, initializer,
-                                    rng_seed(seed, self, salt))
-
-    def _regularize(self, which, rv):
-        regularizer = getattr(self, f"{which}_regularizer")
-        if regularizer is not None:
-            self.add_loss(regularizer(rv))
-
-
-class VariationalDense(Layer, _VariationalMixin):
+class VariationalDense(Layer):
     """Dense layer with reparameterized weight and bias posteriors.
 
     With S seeds it stacks S weight draws, one per seed, and the regularizers
@@ -108,28 +106,27 @@ class VariationalDense(Layer, _VariationalMixin):
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = int(units)
         self.activation = resolve_activation(activation)
-        self.kernel_initializer = kernel_initializer or trainable_normal()
-        self.bias_initializer = bias_initializer or trainable_normal(mean_stddev=0.0)
-        self.kernel_regularizer = _regularizer_or_default(kernel_regularizer)
-        self.bias_regularizer = _regularizer_or_default(bias_regularizer)
-        self.kernel = None
-        self.bias = None
+        self.kernel = VariationalParameter("kernel", kernel_initializer,
+                                           kernel_regularizer)
+        self.bias = VariationalParameter(
+            "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
+            bias_regularizer)
 
     def _build(self, input_dim, seed):
-        self.kernel = self._make_param("kernel", (input_dim, self.units), seed, "kernel")
-        self.bias = self._make_param("bias", (self.units,), seed, "bias")
+        self.kernel.build(self, (input_dim, self.units), seed)
+        self.bias.build(self, (self.units,), seed)
 
     def call(self, x, seed):
         x = as_tensor(x)
         lead = sample_lead(self, x, seed)
-        if self.kernel is None:
+        if self.kernel.mu is None:
             self._build(x.shape[-1], self._build_seed(seed))
-        w = self.kernel.sample(self.rng(seed, "kernel"))
-        b = self.bias.sample(self.rng(seed, "bias"))
+        w = self.kernel.sample(seed)
+        b = self.bias.sample(seed)
         bias = reshape(b.value, lead + (1, self.units)) if lead else b.value
         out = self.activation(matmul(x, w.value) + bias)
-        self._regularize("kernel", w)
-        self._regularize("bias", b)
+        self.kernel.regularize(w)
+        self.bias.regularize(b)
         return out
 
 
@@ -150,31 +147,27 @@ class FlipoutDense(VariationalDense):
 
     def call(self, x, seed):
         x = as_tensor(x)
-        if x.ndim != 2:
-            raise ShapeError(
-                f"{type(self).__name__} expects rank-2 input [batch, features], "
-                f"got {list(x.shape)}; flatten first"
-            )
-        if self.kernel is None:
+        sample_lead(self, x, seed)
+        if self.kernel.mu is None:
             self._build(x.shape[1], seed)
         batch = x.shape[0]
         if batch < 1:
             raise ShapeError("Flipout needs a batch of at least one example")
         sigma = softplus(self.kernel.rho)
-        eps = Tensor(self.rng(seed, "kernel").standard_normal(self.kernel.shape))
+        eps = Tensor(self.rng(seed, "kernel").standard_normal(self.kernel.mu.shape))
         signs_in = Tensor(rademacher(self.rng(seed, "signs-in"), (batch, x.shape[1])))
         signs_out = Tensor(rademacher(self.rng(seed, "signs-out"), (batch, self.units)))
-        b = self.bias.sample(self.rng(seed, "bias"))
+        b = self.bias.sample(seed)
         perturbation = matmul(x * signs_in, sigma * eps) * signs_out
         out = self.activation(matmul(x, self.kernel.mu) + perturbation + b.value)
         kernel_rv = RandomVariable(self.kernel.posterior(),
                                    self.kernel.mu + sigma * eps)
-        self._regularize("kernel", kernel_rv)
-        self._regularize("bias", b)
+        self.kernel.regularize(kernel_rv)
+        self.bias.regularize(b)
         return out
 
 
-class VariationalConv2D(Layer, _VariationalMixin):
+class VariationalConv2D(Layer):
     """2-D convolution with variational kernel and bias."""
 
     def __init__(self, filters, kernel_size, stride=1, padding="same",
@@ -197,18 +190,11 @@ class VariationalConv2D(Layer, _VariationalMixin):
         self.stride = int(stride)
         self.padding = padding
         self.activation = resolve_activation(activation)
-        self.kernel_initializer = kernel_initializer or trainable_normal()
-        self.bias_initializer = bias_initializer or trainable_normal(mean_stddev=0.0)
-        self.kernel_regularizer = _regularizer_or_default(kernel_regularizer)
-        self.bias_regularizer = _regularizer_or_default(bias_regularizer)
-        self.kernel = None
-        self.bias = None
-
-    def _build(self, in_channels, seed):
-        kh, kw = self.kernel_size
-        self.kernel = self._make_param(
-            "kernel", (kh, kw, in_channels, self.filters), seed, "kernel")
-        self.bias = self._make_param("bias", (self.filters,), seed, "bias")
+        self.kernel = VariationalParameter("kernel", kernel_initializer,
+                                           kernel_regularizer)
+        self.bias = VariationalParameter(
+            "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
+            bias_regularizer)
 
     def call(self, x, seed):
         x = as_tensor(x)
@@ -217,18 +203,20 @@ class VariationalConv2D(Layer, _VariationalMixin):
                 f"{type(self).__name__} expects rank-4 input [batch, h, w, c], "
                 f"got {list(x.shape)}"
             )
-        if self.kernel is None:
-            self._build(x.shape[3], seed)
-        w = self.kernel.sample(self.rng(seed, "kernel"))
-        b = self.bias.sample(self.rng(seed, "bias"))
+        if self.kernel.mu is None:
+            self.kernel.build(self, self.kernel_size + (x.shape[3], self.filters),
+                              seed)
+            self.bias.build(self, (self.filters,), seed)
+        w = self.kernel.sample(seed)
+        b = self.bias.sample(seed)
         out = conv2d(x, w.value, stride=self.stride, padding=self.padding)
         out = self.activation(out + b.value)
-        self._regularize("kernel", w)
-        self._regularize("bias", b)
+        self.kernel.regularize(w)
+        self.bias.regularize(b)
         return out
 
 
-class VariationalLSTMCell(Layer, _VariationalMixin):
+class VariationalLSTMCell(Layer):
     """LSTM cell whose input kernel, recurrent kernel and bias are variational.
 
     Weights sit outside the time plate: one sample is drawn per sequence and
@@ -246,37 +234,33 @@ class VariationalLSTMCell(Layer, _VariationalMixin):
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = int(units)
-        self.kernel_initializer = kernel_initializer or trainable_normal()
-        self.recurrent_initializer = recurrent_initializer or trainable_normal()
-        self.bias_initializer = bias_initializer or trainable_normal(mean_stddev=0.0)
-        self.kernel_regularizer = _regularizer_or_default(kernel_regularizer)
-        self.recurrent_regularizer = _regularizer_or_default(recurrent_regularizer)
-        self.bias_regularizer = _regularizer_or_default(bias_regularizer)
-        self.kernel = None
-        self.recurrent = None
-        self.bias = None
+        self.kernel = VariationalParameter("kernel", kernel_initializer,
+                                           kernel_regularizer)
+        self.recurrent = VariationalParameter("recurrent", recurrent_initializer,
+                                              recurrent_regularizer)
+        self.bias = VariationalParameter(
+            "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
+            bias_regularizer)
         self._samples = None
 
     def build(self, input_dim, seed=0):
-        if self.kernel is None:
-            self.kernel = self._make_param(
-                "kernel", (input_dim, 4 * self.units), seed, "kernel")
-            self.recurrent = self._make_param(
-                "recurrent", (self.units, 4 * self.units), seed, "recurrent")
-            self.bias = self._make_param("bias", (4 * self.units,), seed, "bias")
+        if self.kernel.mu is None:
+            self.kernel.build(self, (input_dim, 4 * self.units), seed)
+            self.recurrent.build(self, (self.units, 4 * self.units), seed)
+            self.bias.build(self, (4 * self.units,), seed)
 
     def start_sequence(self, input_dim, seed):
         """Sample weights for one sequence and append their KL losses."""
         seed = self._check_seed(seed)
         self.build(input_dim, seed)
         self._losses = []
-        w = self.kernel.sample(self.rng(seed, "kernel"))
-        u = self.recurrent.sample(self.rng(seed, "recurrent"))
-        b = self.bias.sample(self.rng(seed, "bias"))
+        w = self.kernel.sample(seed)
+        u = self.recurrent.sample(seed)
+        b = self.bias.sample(seed)
         self._samples = (w.value, u.value, b.value)
-        self._regularize("kernel", w)
-        self._regularize("recurrent", u)
-        self._regularize("bias", b)
+        self.kernel.regularize(w)
+        self.recurrent.regularize(u)
+        self.bias.regularize(b)
 
     def init_state(self, batch):
         zeros = np.zeros((batch, self.units))

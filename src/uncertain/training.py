@@ -12,6 +12,7 @@ batch_size == N.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,8 @@ class ElboConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.batch_size > self.num_train_examples:
             raise ConfigError(
                 f"batch_size {self.batch_size} exceeds "
@@ -47,7 +50,16 @@ class ElboConfig:
         if self.mc_samples < 1:
             raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
         if self.kl_scale != "one_over_N":
-            self.kl_scale = float(self.kl_scale)
+            try:
+                value = float(self.kl_scale)
+            except (TypeError, ValueError):
+                value = math.nan
+            if not math.isfinite(value) or value < 0.0:
+                raise ConfigError(
+                    f"kl_scale must be 'one_over_N' or a finite number >= 0, "
+                    f"got {self.kl_scale!r}"
+                )
+            self.kl_scale = value
 
     def kl_factor(self) -> float:
         if self.kl_scale == "one_over_N":

@@ -54,6 +54,22 @@ class TestExitCodes:
         assert "--grid" in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, config, key", [
+        (["--batch-size", "0"], "", "batch_size"),
+        ([], "kl_scale = half\n", "kl_scale"),
+    ], ids=["batch_size", "kl_scale"])
+    def test_bad_training_value_is_error(self, capsys, tmp_path, argv,
+                                         config, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        code, out, err = run_cli(
+            ["train-bnn", "--config", str(cfg),
+             "--checkpoint", str(tmp_path / "m.ckpt")] + argv, capsys)
+        assert code == 1
+        assert err.startswith("error: ") and key in err
+        assert out == ""
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_subprocess_entry(self, tmp_path):
         proc = subprocess.run(
             [sys.executable, "-m", "uncertain.cli", "definitely-not-a-task"],

@@ -183,8 +183,7 @@ def set_sparse_state(layer, z, m_u, s):
     scale = np.linalg.cholesky(half @ half.T)  # chol(L^-1 s L^-T)
     raw = np.tril(scale, -1)
     raw[np.diag_indices(len(z))] = softplus_inverse(np.diag(scale))
-    for raw_param in layer.scale_raws:
-        raw_param.data[...] = raw
+    layer.scale_raw.data[...] = raw
 
 
 class TestSparseGP:
@@ -250,8 +249,9 @@ class TestSparseGP:
 def random_whitened_state(layer, rng):
     """Move every variational parameter of a built layer off its initial value."""
     layer.inducing_mean.data[...] = rng.standard_normal(layer.inducing_mean.shape)
-    for raw in layer.scale_raws:
-        raw.data[...] = np.tril(0.5 * rng.standard_normal(raw.shape))
+    # one [U, M, M] draw fills in C order: unit after unit
+    raw = layer.scale_raw
+    raw.data[...] = np.tril(0.5 * rng.standard_normal(raw.shape))
 
 
 class TestWhitenedSparseGP:
@@ -265,9 +265,9 @@ class TestWhitenedSparseGP:
         layer(x, seed=1)
         m = layer.num_inducing
         want = 0.0
-        for u, raw in enumerate(layer.scale_raws):
-            scale = np.tril(raw.data, -1) + np.diag(
-                softplus(Tensor(np.diag(raw.data))).data)
+        for u, raw in enumerate(layer.scale_raw.data):
+            scale = np.tril(raw, -1) + np.diag(
+                softplus(Tensor(np.diag(raw))).data)
             q = MultivariateNormal(layer.inducing_mean.data[:, u:u + 1],
                                    scale @ scale.T)
             p = MultivariateNormal(np.zeros((m, 1)), np.eye(m))
@@ -295,7 +295,7 @@ class TestWhitenedSparseGP:
                     + layer.losses[0])
 
         params = {"whitened_mean": layer.inducing_mean,
-                  "whitened_scale_raw0": layer.scale_raws[0],
+                  "whitened_scale_raw": layer.scale_raw,
                   "inducing_inputs": layer.inducing_inputs}
         with Tape() as tape:
             for p in params.values():
@@ -320,12 +320,16 @@ class TestWhitenedSparseGP:
         layer = SparseGaussianProcess(1, num_inducing=4)
         layer(Tensor(np.linspace(-1, 1, 6)[:, None]), seed=0)
         state = layer.state_dict()
-        state["inducing_mean"] = state.pop("whitened_mean")
-        state["inducing_scale_raw0"] = state.pop("whitened_scale_raw0")
         fresh = SparseGaussianProcess(1, num_inducing=4)
         fresh(Tensor(np.linspace(-1, 1, 6)[:, None]), seed=0)
-        with pytest.raises(KeyError):
-            fresh.load_state_dict(state)
+        unwhitened = dict(state)
+        unwhitened["inducing_mean"] = unwhitened.pop("whitened_mean")
+        unwhitened["inducing_scale_raw0"] = unwhitened.pop("whitened_scale_raw")[0]
+        per_unit = dict(state)
+        per_unit["whitened_scale_raw0"] = per_unit.pop("whitened_scale_raw")[0]
+        for old in (unwhitened, per_unit):
+            with pytest.raises(KeyError, match="whitened_scale_raw"):
+                fresh.load_state_dict(old)
 
 
 def count_factorizations(monkeypatch):

@@ -32,8 +32,8 @@ def perturb_gp(layer, seed):
     """Move a sparse GP's whitened state off the prior."""
     rng = np.random.default_rng(seed)
     layer.inducing_mean.data[...] = rng.normal(size=layer.inducing_mean.shape)
-    for raw in layer.scale_raws:
-        raw.data[...] += 0.3 * rng.normal(size=raw.shape)
+    # one [U, M, M] draw fills in C order: unit after unit
+    layer.scale_raw.data[...] += 0.3 * rng.normal(size=layer.scale_raw.shape)
 
 
 def sparse_gp(units, mean_fn=None):
@@ -104,7 +104,7 @@ class TestBatchedGradients:
         layer = built(lambda: sparse_gp(2, mean_fn=copy_columns_mean(2)), 2, 5)
         xs = np.random.default_rng(3).uniform(-1.0, 1.0, (len(SEEDS), 5, 2))
         params = [layer.inducing_inputs, layer.inducing_mean,
-                  layer.scale_raws[0], layer.kernel.log_lengthscale]
+                  layer.scale_raw, layer.kernel.log_lengthscale]
 
         def grads(x, seed):
             with Tape() as tape:

@@ -333,9 +333,19 @@ class TestFit:
         for key in before:
             assert np.array_equal(before[key], after[key]), key
 
-    def test_batch_size_validation(self):
-        with pytest.raises(ConfigError):
-            ElboConfig(num_train_examples=4, batch_size=8)
+    @pytest.mark.parametrize("overrides, key", [
+        (dict(batch_size=8), "batch_size"),
+        (dict(batch_size=0), "batch_size"),
+        (dict(batch_size=-3), "batch_size"),
+        (dict(kl_scale="half"), "kl_scale"),
+        (dict(kl_scale=-1), "kl_scale"),
+        (dict(kl_scale="inf"), "kl_scale"),
+    ], ids=["exceeds_examples", "zero", "negative", "kl_scale_word",
+            "kl_scale_negative", "kl_scale_inf"])
+    def test_batch_size_validation(self, overrides, key):
+        with pytest.raises(ConfigError, match=key):
+            ElboConfig(**{"num_train_examples": 4, "batch_size": 2,
+                          **overrides})
 
 
 class TestConfigFile:

@@ -7,6 +7,7 @@ from uncertain.distributions import Normal, kl_divergence
 from uncertain.layers import (
     Dense,
     FlipoutDense,
+    RandomFourierFeatures,
     VariationalConv2D,
     VariationalDense,
     VariationalLSTMCell,
@@ -362,3 +363,61 @@ class TestElboGradients:
         self._check_layer(
             lambda: VariationalConv2D(2, kernel_size=2, padding="valid"),
             rng.normal(size=(1, 3, 3, 2)), (1, 2, 2, 2), seed=3)
+
+
+def _rank2(layer, seed):
+    layer(Tensor(np.linspace(-1.0, 1.0, 8).reshape(4, 2)), seed=seed)
+
+
+# layer factory from a regularizer per weight, its weights in declaration
+# order, and one call (one sequence for the LSTM cell)
+VARIATIONAL_WEIGHTS = {
+    "dense": (lambda reg: VariationalDense(
+        3, kernel_regularizer=reg["kernel"], bias_regularizer=reg["bias"]),
+        ("kernel", "bias"), _rank2),
+    "flipout": (lambda reg: FlipoutDense(
+        3, kernel_regularizer=reg["kernel"], bias_regularizer=reg["bias"]),
+        ("kernel", "bias"), _rank2),
+    "conv2d": (lambda reg: VariationalConv2D(
+        2, kernel_size=2, kernel_regularizer=reg["kernel"],
+        bias_regularizer=reg["bias"]),
+        ("kernel", "bias"),
+        lambda layer, seed: layer(
+            Tensor(np.linspace(-1.0, 1.0, 18).reshape(1, 3, 3, 2)), seed=seed)),
+    "lstm": (lambda reg: VariationalLSTMCell(
+        3, kernel_regularizer=reg["kernel"],
+        recurrent_regularizer=reg["recurrent"], bias_regularizer=reg["bias"]),
+        ("kernel", "recurrent", "bias"),
+        lambda layer, seed: unroll(
+            layer, Tensor(np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)), seed)),
+    "rff": (lambda reg: RandomFourierFeatures(
+        3, 5, kernel_regularizer=reg["readout"]),
+        ("readout",), _rank2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VARIATIONAL_WEIGHTS))
+def test_each_weight_is_regularized_once_per_call_in_order(name):
+    make, weights, run = VARIATIONAL_WEIGHTS[name]
+    seen = []
+
+    def counting(rv):
+        seen.append(rv)
+        return Tensor(float(len(seen)))
+
+    layer = make(dict.fromkeys(weights, counting))
+    for seed in (0, 1):
+        seen.clear()
+        run(layer, seed)
+        assert len(seen) == len(weights)
+        for rv, weight in zip(seen, weights):
+            param = getattr(layer, weight)
+            # a draw from this weight's posterior, not its mean
+            assert rv.distribution.loc is param.mu
+            assert rv.value.shape == param.mu.shape
+            assert not np.array_equal(rv.value.data, param.mu.data)
+        assert [loss.item() for loss in layer.losses] == [
+            float(i + 1) for i in range(len(weights))]
+    silent = make(dict.fromkeys(weights))
+    run(silent, 0)
+    assert silent.losses == []
