@@ -8,6 +8,7 @@ lines go to stdout as ``step=<k> loss=<v> kl=<v>``.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -45,8 +46,9 @@ _CONFIG_KEYS = frozenset({
 })
 
 
-class UnknownConfigKeyError(ConfigError):
-    """A config key that no subcommand reads: a usage error (exit 2)."""
+class UsageError(ConfigError):
+    """A config key that no subcommand reads, or a model size that a layer
+    rejects: a usage error (exit 2)."""
 
 
 def _load_config(args):
@@ -55,7 +57,7 @@ def _load_config(args):
     values = parse_config(args.config)
     for key in values:
         if key not in _CONFIG_KEYS:
-            raise UnknownConfigKeyError(
+            raise UsageError(
                 f"{args.config}: unknown config key {key!r}; known keys: "
                 f"{', '.join(sorted(_CONFIG_KEYS))}"
             )
@@ -92,6 +94,24 @@ def _regression_data(args, cfg):
 # model builders (shared by train / predict / sample)
 # ---------------------------------------------------------------------------
 
+def _model_builder(build):
+    """Turn the ``ValueError`` of a layer constructor that rejects a size,
+    such as ``--hidden 0``, into a :class:`UsageError` naming the builder
+    and its arguments."""
+
+    @functools.wraps(build)
+    def wrapper(*args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except ValueError as exc:
+            call = ", ".join([repr(a) for a in args]
+                             + [f"{k}={v!r}" for k, v in kwargs.items()])
+            raise UsageError(f"{build.__name__}({call}): {exc}") from exc
+
+    return wrapper
+
+
+@_model_builder
 def build_bnn(hidden):
     # relu hiddens: slope uncertainty keeps growing with |x|, so the bands
     # widen away from the data (saturating activations would pinch them)
@@ -121,6 +141,7 @@ def copy_columns_mean(units):
     return mean_fn
 
 
+@_model_builder
 def build_deep_gp(hidden_units, num_inducing):
     layers.reset_layer_indices()
     inner_mean = copy_columns_mean(hidden_units)
@@ -133,6 +154,7 @@ def build_deep_gp(hidden_units, num_inducing):
     ])
 
 
+@_model_builder
 def build_flow(num_couplings, hidden, dims=2):
     layers.reset_layer_indices()
     couplings = [
@@ -168,6 +190,7 @@ class SequenceModel(layers.Layer):
         return self.head(flat, seed=seed)
 
 
+@_model_builder
 def build_lstm(units, vocab):
     layers.reset_layer_indices()
     return SequenceModel(units, vocab)
@@ -443,7 +466,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UnknownConfigKeyError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UncertainError as exc:

@@ -13,39 +13,20 @@ from .rng import rng_from
 
 @dataclass
 class Dataset:
-    """Feature/target arrays plus any standardization stats."""
+    """Feature and target arrays with their column names."""
 
     features: np.ndarray
     targets: np.ndarray
     feature_names: list[str]
     target_names: list[str]
-    feature_stats: tuple | None = None  # (mean, std) per column
-    target_stats: tuple | None = None
 
     @property
     def num_examples(self):
         return self.features.shape[0]
 
-    def denormalize_targets(self, values):
-        if self.target_stats is None:
-            return values
-        mean, std = self.target_stats
-        return values * std + mean
 
-
-def _standardize(columns):
-    mean = columns.mean(axis=0)
-    std = columns.std(axis=0)
-    std = np.where(std > 0, std, 1.0)
-    return (columns - mean) / std, (mean, std)
-
-
-def load_csv(path, feature_cols, target_cols, normalize=False) -> Dataset:
-    """Read a headered numeric CSV into feature/target arrays.
-
-    With ``normalize`` every column is standardized and the per-column
-    mean/std are kept for the inverse transform.
-    """
+def load_csv(path, feature_cols, target_cols) -> Dataset:
+    """Read a headered numeric CSV into feature/target arrays."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -76,14 +57,8 @@ def load_csv(path, feature_cols, target_cols, normalize=False) -> Dataset:
     table = np.asarray(rows, dtype=np.float64)
     fidx = [header.index(c) for c in feature_cols]
     tidx = [header.index(c) for c in target_cols]
-    features = table[:, fidx]
-    targets = table[:, tidx]
-    fstats = tstats = None
-    if normalize:
-        features, fstats = _standardize(features)
-        targets, tstats = _standardize(targets)
-    return Dataset(features, targets, list(feature_cols), list(target_cols),
-                   fstats, tstats)
+    return Dataset(table[:, fidx], table[:, tidx], list(feature_cols),
+                   list(target_cols))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from .tensor import (
     matmul,
     reshape,
     sigmoid,
-    slice_last,
     softplus,
     square,
     take_last,
@@ -280,24 +279,6 @@ class DiscretizedLogisticMixture(Distribution):
         pixels = np.clip(np.rint((cont + 1.0) * (self.num_bins - 1) / 2.0),
                          0, self.num_bins - 1)
         return RandomVariable(self, Tensor(pixels))
-
-
-def discretized_logistic_mixture_log_prob(params, x, num_bins=256):
-    """Log mass under packed parameters: last axis is [logits, means, log-scales]."""
-    params = as_tensor(params)
-    if params.shape[-1] % 3:
-        raise ShapeError(
-            f"packed mixture parameters need a last axis divisible by 3, "
-            f"got {params.shape[-1]}"
-        )
-    k = params.shape[-1] // 3
-    dist = DiscretizedLogisticMixture(
-        slice_last(params, 0, k),
-        slice_last(params, k, 2 * k),
-        slice_last(params, 2 * k, 3 * k),
-        num_bins=num_bins,
-    )
-    return dist.log_prob(x)
 
 
 class MultivariateNormal(Distribution):

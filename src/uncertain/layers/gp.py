@@ -9,7 +9,10 @@ cosine features with a variational readout (a ``VariationalParameter``,
 the same path as the variational layers' weights).  All default to a zero mean
 function and a squared exponential kernel, output one independent GP per unit
 sharing the kernel, and return RandomVariables so deep stacks compose by
-feeding samples forward.
+feeding samples forward.  ``SquaredExponential`` records one tape node per
+Gram matrix and one per diagonal (``tensor.se_kernel`` and
+``tensor.se_kernel_diag``), whose adjoints in the inputs and the log
+hyperparameters are closed form.
 
 ``SparseGaussianProcess`` has the Monte-Carlo sample axis of ``layers.base``.
 With S seeds and an input [S, batch, d], the kernel, mean function and
@@ -34,6 +37,8 @@ from ..tensor import (
     log,
     matmul,
     reshape,
+    se_kernel,
+    se_kernel_diag,
     softplus,
     softplus_inverse,
     sqrt,
@@ -51,7 +56,12 @@ _VAR_FLOOR = 1e-10  # lower clamp on predictive variances
 
 
 class SquaredExponential:
-    """k(x, x') = a^2 exp(-||x - x'||^2 / (2 l^2)) with log-space trainables."""
+    """k(x, x') = a^2 exp(-||x - x'||^2 / (2 l^2)) with log-space trainables.
+
+    A Gram matrix is one ``se_kernel`` op and a diagonal one
+    ``se_kernel_diag`` op, each with closed-form adjoints, so a call adds
+    one node to the tape.
+    """
 
     def __init__(self, amplitude=1.0, lengthscale=1.0):
         if amplitude <= 0 or lengthscale <= 0:
@@ -72,20 +82,11 @@ class SquaredExponential:
                 f"kernel inputs need matching feature dims, got "
                 f"{list(x.shape)} and {list(x2.shape)}"
             )
-        sq_x = tensor_sum(x * x, axis=1, keepdims=True)
-        sq_x2 = tensor_sum(x2 * x2, axis=-1, keepdims=True)
-        sq_dist = (sq_x + _matrix_transpose(sq_x2)
-                   - 2.0 * matmul(x, _matrix_transpose(x2)))
-        # rounding can push tiny distances slightly negative
-        sq_dist = where(sq_dist.data > 0.0, sq_dist, 0.0)
-        amp2 = exp(2.0 * self.log_amplitude)
-        inv_2ell2 = 0.5 * exp(-2.0 * self.log_lengthscale)
-        return amp2 * exp(-sq_dist * inv_2ell2)
+        return se_kernel(x, x2, self.log_amplitude, self.log_lengthscale)
 
     def diag(self, x):
-        x = as_tensor(x)
-        amp2 = exp(2.0 * self.log_amplitude)
-        return amp2 * Tensor(np.ones(x.shape[:-1]))
+        """k(x_i, x_i) over the rows of x [..., d]: shape x.shape[:-1]."""
+        return se_kernel_diag(x, self.log_amplitude)
 
 
 def _matrix_transpose(t):

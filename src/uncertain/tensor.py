@@ -609,6 +609,76 @@ def matmul(a, b):
     return _apply("matmul", out, (a, b), backward)
 
 
+def _tracked(t, tape):
+    """Whether ``t`` is recorded on ``tape``, so an op must give it an adjoint."""
+    return tape is not None and t.tape is tape and t.node_id is not None
+
+
+def se_kernel(x, x2, log_amplitude, log_lengthscale):
+    """Squared-exponential Gram matrix as one op:
+    k(x, x') = a^2 exp(-||x - x'||^2 / (2 l^2)) with a = exp(log_amplitude)
+    and l = exp(log_lengthscale).
+
+    ``x`` is [n, d] and ``x2`` [m, d], giving [n, m], or a stack [S, m, d],
+    giving [S, n, m] with one GEMM per slice.  The squared distance is
+    ||x||^2 + ||x'||^2 - 2 x x'^T, clamped at 0 where rounding pushes it
+    below.  The adjoints are closed form (Rasmussen & Williams 2006, ch. 5):
+    with A = adj * k and W = A / l^2 where the distance is unclamped (0 where
+    clamped), d/dx = W x2 - rowsum(W) x, d/dx2 = W^T x - colsum(W) x2,
+    d/dlog_amplitude = 2 sum(A) and d/dlog_lengthscale = sum(A * dist) / l^2.
+    Passing one tensor as both ``x`` and ``x2`` is fine: the tape adds the
+    two adjoints.
+    """
+    x, x2 = as_tensor(x), as_tensor(x2)
+    log_amplitude = as_tensor(log_amplitude)
+    log_lengthscale = as_tensor(log_lengthscale)
+    xd, x2d = x.data, x2.data
+    sq_x = np.sum(xd * xd, axis=1, keepdims=True)
+    sq_x2 = np.sum(x2d * x2d, axis=-1, keepdims=True)
+    # a C-ordered x2^T, as a transposed Tensor would be, so the GEMM rounds alike
+    x2t = np.ascontiguousarray(np.swapaxes(x2d, -1, -2))
+    dist = (sq_x + np.swapaxes(sq_x2, -1, -2)) - (xd @ x2t) * 2.0
+    # rounding can push tiny distances slightly negative
+    dist = np.where(dist > 0.0, dist, 0.0)
+    amp2 = np.exp(log_amplitude.data * 2.0)
+    inv_2ell2 = np.exp(log_lengthscale.data * -2.0) * 0.5
+    out = amp2 * np.exp(-dist * inv_2ell2)
+    tape = active_tape()
+    x_tracked, x2_tracked = _tracked(x, tape), _tracked(x2, tape)
+
+    def backward(adj):
+        a = adj * out
+        g_amp = np.sum(a) * 2.0
+        g_ell = np.sum(a * dist) * (inv_2ell2 * 2.0)
+        w = np.where(dist > 0.0, a, 0.0) * (inv_2ell2 * 2.0)
+        gx = gx2 = None
+        if x_tracked:
+            gx = w @ x2d - np.sum(w, axis=-1, keepdims=True) * xd
+            if gx.ndim == 3:  # every slice shares x
+                gx = gx.sum(axis=0)
+        if x2_tracked:
+            gx2 = (np.swapaxes(w, -1, -2) @ xd
+                   - np.swapaxes(np.sum(w, axis=-2, keepdims=True), -1, -2) * x2d)
+        return gx, gx2, g_amp, g_ell
+
+    return _apply("se_kernel", out, (x, x2, log_amplitude, log_lengthscale),
+                  backward)
+
+
+def se_kernel_diag(x, log_amplitude):
+    """The diagonal k(x_i, x_i) = a^2 of ``se_kernel(x, x, ...)`` over the
+    rows of ``x`` [..., d], shape ``x.shape[:-1]``, as one op; it does not
+    depend on the values of ``x``."""
+    log_amplitude = as_tensor(log_amplitude)
+    amp2 = np.exp(log_amplitude.data * 2.0)
+    out = amp2 * np.ones(as_tensor(x).shape[:-1])
+
+    def backward(adj):
+        return (np.sum(adj) * amp2 * 2.0,)
+
+    return _apply("se_kernel_diag", out, (log_amplitude,), backward)
+
+
 def diag_part(a):
     a = as_tensor(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -799,8 +869,7 @@ def conv2d(x, kernel, stride=1, padding="same"):
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     out = conv2d_forward(xp, kernel.data, stride)
     # an untracked x, such as the data batch of a model's first conv, needs no adjoint
-    tape = active_tape()
-    x_tracked = tape is not None and x.tape is tape and x.node_id is not None
+    x_tracked = _tracked(x, active_tape())
 
     def backward(adj):
         dx = None

@@ -49,6 +49,8 @@ class ElboConfig:
             )
         if self.mc_samples < 1:
             raise ConfigError(f"mc_samples must be >= 1, got {self.mc_samples}")
+        if self.max_steps < 0:
+            raise ConfigError(f"max_steps must be >= 0, got {self.max_steps}")
         if self.kl_scale != "one_over_N":
             try:
                 value = float(self.kl_scale)

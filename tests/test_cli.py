@@ -57,7 +57,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, config, key", [
         (["--batch-size", "0"], "", "batch_size"),
         ([], "kl_scale = half\n", "kl_scale"),
-    ], ids=["batch_size", "kl_scale"])
+        (["--steps", "-1"], "", "max_steps"),
+    ], ids=["batch_size", "kl_scale", "max_steps"])
     def test_bad_training_value_is_error(self, capsys, tmp_path, argv,
                                          config, key):
         cfg = tmp_path / "run.cfg"
@@ -69,6 +70,23 @@ class TestExitCodes:
         assert err.startswith("error: ") and key in err
         assert out == ""
         assert not (tmp_path / "m.ckpt").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["train-bnn", "--hidden", "0"],
+         "build_bnn(0): units must be >= 1, got 0"),
+        (["train-deep-gp", "--num-inducing", "0"],
+         "build_deep_gp(4, 0): num_inducing must be >= 1, got 0"),
+        (["predict", "--task", "deep-gp", "--hidden-units", "0"],
+         "build_deep_gp(0, 8): units must be >= 1, got 0"),
+    ], ids=["hidden", "num_inducing", "predict_hidden_units"])
+    def test_bad_model_size_is_usage_error(self, capsys, tmp_path, argv,
+                                           message):
+        ckpt = tmp_path / "m.ckpt"
+        code, out, err = run_cli(argv + ["--checkpoint", str(ckpt)], capsys)
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert out == ""
+        assert not ckpt.exists()
 
     def test_subprocess_entry(self, tmp_path):
         proc = subprocess.run(

@@ -13,7 +13,6 @@ from uncertain.distributions import (
     Normal,
     RandomVariable,
     TransformedDistribution,
-    discretized_logistic_mixture_log_prob,
     kl_divergence,
 )
 from uncertain.errors import DomainError, NotPositiveDefiniteError
@@ -149,16 +148,6 @@ class TestDiscretizedLogisticMixture:
         dist = self._random_dist(99)
         lp = dist.log_prob(Tensor(np.arange(256.0))).data
         assert np.all(np.isfinite(lp))
-
-    def test_packed_parameter_helper(self):
-        rng = np.random.default_rng(5)
-        k = 3
-        packed = rng.normal(size=(4, 3 * k))
-        x = rng.integers(0, 256, size=(4,)).astype(np.float64)
-        got = discretized_logistic_mixture_log_prob(Tensor(packed), Tensor(x))
-        want = DiscretizedLogisticMixture(
-            packed[:, :k], packed[:, k:2 * k], packed[:, 2 * k:]).log_prob(Tensor(x))
-        np.testing.assert_array_equal(got.data, want.data)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):

@@ -17,10 +17,16 @@ from uncertain.layers import (
 from uncertain.tensor import (
     Tape,
     Tensor,
+    exp,
+    matmul,
+    se_kernel,
+    se_kernel_diag,
     softplus,
     softplus_inverse,
     square,
     tensor_sum,
+    transpose,
+    where,
 )
 
 from conftest import finite_diff_grad, max_rel_err
@@ -68,6 +74,157 @@ class TestSquaredExponential:
         k = SquaredExponential()
         with pytest.raises(ShapeError):
             k(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
+
+
+def matrix_transpose(t):
+    return transpose(t, tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2))
+
+
+def composite_se_kernel(x, x2, log_amplitude, log_lengthscale):
+    """``se_kernel`` spelled out in elementwise, reduction and matmul tape
+    ops, in the order of its forward pass: the oracle of the fused op."""
+    sq_x = tensor_sum(x * x, axis=1, keepdims=True)
+    sq_x2 = tensor_sum(x2 * x2, axis=-1, keepdims=True)
+    sq_dist = (sq_x + matrix_transpose(sq_x2)
+               - 2.0 * matmul(x, matrix_transpose(x2)))
+    sq_dist = where(sq_dist.data > 0.0, sq_dist, 0.0)
+    amp2 = exp(2.0 * log_amplitude)
+    inv_2ell2 = 0.5 * exp(-2.0 * log_lengthscale)
+    return amp2 * exp(-sq_dist * inv_2ell2)
+
+
+def composite_se_kernel_diag(x, log_amplitude):
+    return exp(2.0 * log_amplitude) * Tensor(np.ones(x.shape[:-1]))
+
+
+def kernel_inputs(case):
+    """(x, x2, log_amplitude, log_lengthscale) tensors; ``x2`` is ``x``
+    itself in the "same" case, as in K_zz.  The rows of each input are
+    distinct points of a 3 x 3 grid of spacing 0.5, jittered by 0.05, so
+    like well-placed inducing inputs no two of them nearly coincide."""
+    rng = np.random.default_rng({"rank2": 20, "rank3": 21, "same": 22}[case])
+    grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), -1).reshape(-1, 2)
+
+    def points(n):
+        rows = rng.permutation(len(grid))[:n]
+        return 0.5 * grid[rows] + 0.05 * rng.standard_normal((n, 2)) - 0.5
+
+    x = Tensor(points(5))
+    if case == "same":
+        x2 = x
+    elif case == "rank2":
+        x2 = Tensor(points(6))
+    else:
+        x2 = Tensor(np.stack([points(6) for _ in range(3)]))
+    return x, x2, Tensor(math.log(1.3)), Tensor(math.log(0.7))
+
+
+KERNEL_CASES = ["rank2", "rank3", "same"]
+
+
+def kernel_grads(op, inputs, weights):
+    """The adjoints of sum(weights * op(*inputs)) in each input, zero for
+    an input the op does not depend on."""
+    with Tape() as tape:
+        for t in inputs:
+            tape.watch(t)
+        grads = tape.backward(tensor_sum(Tensor(weights) * op(*inputs)))
+    return [grads[t.node_id].data if t.node_id in grads else np.zeros(t.shape)
+            for t in inputs]
+
+
+class TestSeKernelOp:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_forward_is_bitwise_the_composite(self, case):
+        inputs = kernel_inputs(case)
+        np.testing.assert_array_equal(se_kernel(*inputs).data,
+                                      composite_se_kernel(*inputs).data)
+        x, _, log_amplitude, _ = inputs
+        np.testing.assert_array_equal(
+            se_kernel_diag(x, log_amplitude).data,
+            composite_se_kernel_diag(x, log_amplitude).data)
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_adjoints_match_the_composite(self, case):
+        inputs = kernel_inputs(case)
+        weights = np.random.default_rng(23).standard_normal(
+            se_kernel(*inputs).shape)
+        got = kernel_grads(se_kernel, inputs, weights)
+        want = kernel_grads(composite_se_kernel, inputs, weights)
+        for g, w in zip(got, want):
+            assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max()
+        x, _, log_amplitude, _ = inputs
+        diag_weights = weights[..., 0, :x.shape[0]]
+        got = kernel_grads(se_kernel_diag, (x, log_amplitude), diag_weights)
+        want = kernel_grads(composite_se_kernel_diag, (x, log_amplitude),
+                            diag_weights)
+        assert abs(got[1] - want[1]) <= 1e-12 * abs(want[1])
+
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_adjoints_match_central_differences(self, case):
+        inputs = kernel_inputs(case)
+        weights = np.random.default_rng(24).standard_normal(
+            se_kernel(*inputs).shape)
+        grads = kernel_grads(se_kernel, inputs, weights)
+        distinct = list({id(t): t for t in inputs}.values())
+        assert len(distinct) == len(grads) - (case == "same")
+        worst = []
+        for t in distinct:
+            base = t.data.copy()
+
+            def f(values):
+                t.data[...] = values
+                out = float(np.sum(weights * se_kernel(*inputs).data))
+                t.data[...] = base
+                return out
+
+            numeric = finite_diff_grad(f, base, h=1e-6)
+            worst.append(max_rel_err(grads[inputs.index(t)], numeric))
+        assert max(worst) < 1e-7, worst
+
+    def test_clamped_distance_has_zero_gradient(self):
+        # 1e8 and 1e8 + 1 are one apart, but 1e16 + (1e8 + 1)^2 - 2e8 (1e8 + 1)
+        # rounds to 0, which the clamp keeps
+        x, x2 = Tensor([[1e8]]), Tensor([[1e8 + 1.0]])
+        log_amplitude, log_lengthscale = Tensor(math.log(1.3)), Tensor(0.0)
+        inputs = (x, x2, log_amplitude, log_lengthscale)
+        assert se_kernel(*inputs).item() == math.exp(2.0 * math.log(1.3))
+        got = kernel_grads(se_kernel, inputs, np.ones((1, 1)))
+        want = kernel_grads(composite_se_kernel, inputs, np.ones((1, 1)))
+        assert got[0].item() == got[1].item() == got[3].item() == 0.0
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
+
+
+class TestTapeNodeCounts:
+    @pytest.mark.parametrize("case", KERNEL_CASES)
+    def test_each_kernel_and_diag_call_records_one_node(self, case):
+        x, x2, _, _ = kernel_inputs(case)
+        kernel = SquaredExponential(amplitude=1.3, lengthscale=0.7)
+        with Tape() as tape:
+            for t in (x, x2, *kernel.variables().values()):
+                tape.watch(t)
+            before = len(tape.nodes)
+            kernel(x, x2)
+            assert len(tape.nodes) == before + 1
+            kernel.diag(x2)
+            assert len(tape.nodes) == before + 2
+
+    def test_deep_gp_elbo_step_records_at_most_150_nodes(self):
+        from uncertain.cli import build_deep_gp, gaussian_likelihood
+        from uncertain.data import toy_regression
+        from uncertain.rng import mix
+        from uncertain.training import ElboConfig, elbo_step
+
+        # train-deep-gp at its CLI defaults: 64 examples, batches of 32
+        x, y = toy_regression(64, 0, 0.05)
+        model = build_deep_gp(4, 8)
+        model(Tensor(x), seed=mix(0, "build"))
+        cfg = ElboConfig(num_train_examples=64, batch_size=32,
+                         learning_rate=0.02, max_steps=300)
+        loss, _, _, _ = elbo_step(model, Tensor(x[:32]), Tensor(y[:32]), cfg,
+                                  0, likelihood=gaussian_likelihood(0.1))
+        assert len(loss.tape.nodes) <= 150
 
 
 class TestExactGP:

@@ -4,7 +4,11 @@ import math
 import numpy as np
 import pytest
 
-from uncertain.distributions import Normal, kl_divergence
+from uncertain.distributions import (
+    DiscretizedLogisticMixture,
+    Normal,
+    kl_divergence,
+)
 from uncertain.errors import ShapeError
 from uncertain.layers import (
     CategoricalOutput,
@@ -114,6 +118,16 @@ class TestMixtureLogisticOutput:
         rv = head(params, seed=0)
         values = rv.log_prob(Tensor(np.arange(256.0).reshape(256, 1))).data
         assert np.all(np.isfinite(values))
+
+    def test_packed_parameters_split_into_logits_means_log_scales(self):
+        rng = np.random.default_rng(5)
+        k = 3
+        packed = rng.normal(size=(4, 3 * k))
+        x = rng.integers(0, 256, size=(4,)).astype(np.float64)
+        rv = MixtureLogisticOutput(num_components=k)(Tensor(packed), seed=0)
+        want = DiscretizedLogisticMixture(
+            packed[:, :k], packed[:, k:2 * k], packed[:, 2 * k:]).log_prob(Tensor(x))
+        np.testing.assert_array_equal(rv.log_prob(Tensor(x)).data, want.data)
 
     def test_units_projection(self):
         head = MixtureLogisticOutput(units=2, num_components=3)

@@ -71,17 +71,6 @@ class TestCsv:
         assert ds.features.tolist() == [[0.25]]
         assert ds.targets.tolist() == [[-1.5]]
 
-    def test_normalization_stats(self, tmp_path):
-        rng = np.random.default_rng(0)
-        path = tmp_path / "data.csv"
-        rows = rng.normal(3.0, 2.0, size=(100, 2))
-        path.write_text("a,b\n" + "\n".join(f"{r[0]},{r[1]}" for r in rows))
-        ds = load_csv(path, ["a"], ["b"], normalize=True)
-        assert abs(ds.features.mean()) < 1e-12
-        assert abs(ds.features.std() - 1.0) < 1e-12
-        restored = ds.denormalize_targets(ds.targets)
-        np.testing.assert_allclose(restored[:, 0], rows[:, 1], atol=1e-12)
-
     def test_missing_column_lists_available(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("a,b\n1,2\n")
@@ -340,8 +329,9 @@ class TestFit:
         (dict(kl_scale="half"), "kl_scale"),
         (dict(kl_scale=-1), "kl_scale"),
         (dict(kl_scale="inf"), "kl_scale"),
+        (dict(max_steps=-1), "max_steps"),
     ], ids=["exceeds_examples", "zero", "negative", "kl_scale_word",
-            "kl_scale_negative", "kl_scale_inf"])
+            "kl_scale_negative", "kl_scale_inf", "max_steps_negative"])
     def test_batch_size_validation(self, overrides, key):
         with pytest.raises(ConfigError, match=key):
             ElboConfig(**{"num_train_examples": 4, "batch_size": 2,
