@@ -115,7 +115,6 @@ def _model_builder(build):
 def build_bnn(hidden):
     # relu hiddens: slope uncertainty keeps growing with |x|, so the bands
     # widen away from the data (saturating activations would pinch them)
-    layers.reset_layer_indices()
     return layers.Sequential([
         layers.VariationalDense(hidden, "relu"),
         layers.VariationalDense(hidden, "relu"),
@@ -143,7 +142,6 @@ def copy_columns_mean(units):
 
 @_model_builder
 def build_deep_gp(hidden_units, num_inducing):
-    layers.reset_layer_indices()
     inner_mean = copy_columns_mean(hidden_units)
     return layers.Sequential([
         layers.SparseGaussianProcess(hidden_units, num_inducing,
@@ -156,7 +154,6 @@ def build_deep_gp(hidden_units, num_inducing):
 
 @_model_builder
 def build_flow(num_couplings, hidden, dims=2):
-    layers.reset_layer_indices()
     couplings = [
         layers.CouplingLayer(
             layers.alternating_mask(dims, parity=i % 2),
@@ -192,7 +189,6 @@ class SequenceModel(layers.Layer):
 
 @_model_builder
 def build_lstm(units, vocab):
-    layers.reset_layer_indices()
     return SequenceModel(units, vocab)
 
 
@@ -257,10 +253,20 @@ def run_train_flow(args):
     return 0
 
 
+def _seq_len(args, cfg_file):
+    """Tokens per sequence; teacher forcing needs an input and a target."""
+    seq_len = _resolve(args, cfg_file, "seq_len", int, 12)
+    if seq_len < 2:
+        raise UsageError(f"seq_len must be >= 2, got {seq_len}")
+    return seq_len
+
+
 def run_train_lstm(args):
     cfg_file = _load_config(args)
     vocab = _resolve(args, cfg_file, "vocab", int, 8)
-    seq_len = _resolve(args, cfg_file, "seq_len", int, 12)
+    seq_len = _seq_len(args, cfg_file)
+    units = _resolve(args, cfg_file, "units", int, 16)
+    model = build_lstm(units, vocab)  # rejects a bad size before data exists
     n = config_get(cfg_file, "num_examples", int, 128)
     seed = _resolve(args, cfg_file, "seed", int, 0)
     tokens = toy_sequences(n, seq_len, vocab, seed)
@@ -269,8 +275,6 @@ def run_train_lstm(args):
     targets = tokens[:, 1:].reshape(n, -1)
     cfg = _elbo_config(args, cfg_file, n,
                        {"steps": 300, "learning_rate": 0.05, "batch_size": 16})
-    units = _resolve(args, cfg_file, "units", int, 16)
-    model = build_lstm(units, vocab)
 
     def likelihood(out, y):
         return out.log_prob(reshape(y, (-1,)))
@@ -332,7 +336,7 @@ def run_sample(args):
     if args.task == "lstm":
         vocab = _resolve(args, cfg_file, "vocab", int, 8)
         units = _resolve(args, cfg_file, "units", int, 16)
-        seq_len = _resolve(args, cfg_file, "seq_len", int, 12)
+        seq_len = _seq_len(args, cfg_file)
         model = build_lstm(units, vocab)
         dummy = np.zeros((1, seq_len - 1, vocab))
         model(Tensor(dummy), seed=mix(seed, "build"))

@@ -12,10 +12,12 @@ Distribution return value marks the parameter as variational and is how
 Bayesian layers differ from their deterministic counterparts.  Regularizers
 are callables from a parameter RandomVariable to a scalar tensor.
 
-Randomness: a layer derives every sample from (call seed, its own
-``layer_index``, a per-site salt).  Layer indices are assigned in
-construction order; call :func:`reset_layer_indices` before rebuilding a
-model when run-to-run bit-reproducibility matters.
+Randomness: a layer derives every sample from (call seed, its ``path``, a
+per-site salt).  The path is the chain of child names from the root, such as
+``layer1/conditioner``, and ``""`` for a root; :meth:`Layer.add_child` sets
+it.  A layer's streams therefore depend on where it sits in its model, not
+on what else the process built, and a model rebuilt from the same
+constructor calls reproduces its streams bitwise.
 
 Monte-Carlo sample axis: ``layer(x, seed=seeds)`` with a sequence of S seeds
 draws S samples in one call and returns them along a new leading axis of
@@ -29,14 +31,13 @@ built, raises ``LayerError`` naming itself when given a seed sequence.
 """
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
 
 from ..distributions import Distribution, Normal, kl_divergence
 from ..errors import LayerError, NotReversibleError, ShapeError
-from ..rng import rng_from, rng_streams
+from ..rng import mix, rng_from, rng_streams
 from ..tensor import (
     Tensor,
     as_tensor,
@@ -48,13 +49,10 @@ from ..tensor import (
     tanh,
 )
 
-_layer_counter = itertools.count()
-
 
 def reset_layer_indices():
-    """Restart layer numbering; fresh models then reproduce seed streams."""
-    global _layer_counter
-    _layer_counter = itertools.count()
+    """No-op, kept for old callers: streams are keyed by layer path, so no
+    global state needs resetting between builds."""
 
 
 ACTIVATIONS = {
@@ -86,8 +84,8 @@ class Layer:
     sample_axis = False
 
     def __init__(self, name=None):
-        self.layer_index = next(_layer_counter)
-        self.name = name or f"{type(self).__name__.lower()}_{self.layer_index}"
+        self.name = name or type(self).__name__.lower()
+        self.path = ""  # chain of child names from the root; set by add_child
         self._params: dict[str, Tensor] = {}
         self._trainable: set[str] = set()
         self._buffers: dict[str, Tensor] = {}
@@ -109,7 +107,13 @@ class Layer:
 
     def add_child(self, name, layer: "Layer") -> "Layer":
         self._children[name] = layer
+        layer._set_path(f"{self.path}/{name}" if self.path else name)
         return layer
+
+    def _set_path(self, path):
+        self.path = path
+        for name, child in self._children.items():
+            child._set_path(f"{path}/{name}")
 
     def add_loss(self, value: Tensor):
         self._losses.append(value)
@@ -154,12 +158,12 @@ class Layer:
         return collected
 
     def rng(self, seed, *salts):
-        """Philox generator keyed by (seed, layer index, salts).  A tuple of
+        """Philox generator keyed by (seed, layer path, salts).  A tuple of
         seeds gives a list with one generator per seed, each bitwise the
         one-seed generator; ``rng_streams`` derives their keys together."""
         if isinstance(seed, tuple):
-            return rng_streams(seed, self.layer_index, *salts)
-        return rng_from(seed, self.layer_index, *salts)
+            return rng_streams(seed, self.path, *salts)
+        return rng_from(seed, self.path, *salts)
 
     # -- state -------------------------------------------------------------
     def named_state(self, trainable_only=False):
@@ -380,7 +384,5 @@ class Sequential(Layer):
 
 
 def rng_seed(seed, layer, *salts) -> int:
-    """Derive a child seed from (call seed, layer index, salts)."""
-    from ..rng import mix
-
-    return mix(seed, layer.layer_index, *salts)
+    """Derive a child seed from (call seed, layer path, salts)."""
+    return mix(seed, layer.path, *salts)

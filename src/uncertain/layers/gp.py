@@ -207,7 +207,10 @@ class SparseGaussianProcess(_GPLayer):
     needs no further factor or solve.
 
     The variational state starts at m_v = 0, L_v = I (zero KL, the prior).
-    Inducing inputs start uniform over the bounding box of the first batch.
+    Inducing inputs start on a centered Latin hypercube over the bounding box
+    of the first batch: in each dimension the M inputs take the centres of M
+    equal strata, in an order drawn per dimension, so no two start closer
+    than a stratum apart along any axis and K_zz starts well conditioned.
 
     With S seeds, K_zz is factored once for all samples and the one solve
     takes K_zx as an [S, M, batch] stack.  Sample s draws its noise from the
@@ -236,7 +239,9 @@ class SparseGaussianProcess(_GPLayer):
         lo = x.data.min(axis=0)
         hi = x.data.max(axis=0)
         span = np.where(hi > lo, hi - lo, 1.0)
-        z0 = rng.uniform(0.0, 1.0, (m, x.shape[1])) * span + lo
+        strata = np.stack([rng.permutation(m) for _ in range(x.shape[1])],
+                          axis=1)
+        z0 = (strata + 0.5) / m * span + lo
         self.inducing_inputs = self.add_param("inducing_inputs", z0,
                                               trainable=self.train_inducing)
         self.inducing_mean = self.add_param("whitened_mean",

@@ -25,6 +25,8 @@ class _Head(Layer):
 
     def __init__(self, units=None, name=None):
         super().__init__(name)
+        if units is not None and units < 1:
+            raise ValueError(f"units must be >= 1, got {units}")
         self.units = None if units is None else int(units)
         self.projection = None
 

@@ -30,6 +30,7 @@ from ..distributions import (
     TransformedDistribution,
 )
 from ..errors import NotReversibleError, ShapeError
+from ..rng import mix
 from ..tensor import (
     Tensor,
     as_tensor,
@@ -170,6 +171,14 @@ class Reverse(ReversibleLayer):
         return -self.inner.inverse_and_log_det(as_tensor(x))[1]
 
 
+def _hidden_sizes(hidden_sizes):
+    """A conditioner's hidden widths as a tuple of ints, each at least 1."""
+    sizes = tuple(int(h) for h in hidden_sizes)
+    if any(h < 1 for h in sizes):
+        raise ValueError(f"hidden widths must be >= 1, got {list(sizes)}")
+    return sizes
+
+
 def _made_degrees(dims, hidden_sizes):
     """Input degrees 1..d; hidden degrees cycle 1..d-1 sequentially."""
     degrees = [np.arange(1, dims + 1)]
@@ -191,7 +200,9 @@ class MADE(Layer):
     on inputs with degree below i, so the Jacobian of either output with
     respect to the input is strictly lower triangular.  Masks are binary
     buffers fixed at construction; the two output heads start at zero so a
-    fresh flow is the identity map.
+    fresh flow is the identity map.  Hidden weight i is seeded by its
+    position alone, so same-shaped conditioners start equal; in a flow they
+    diverge from the first step, as each coupling sees a different input.
     """
 
     def __init__(self, dims, hidden_sizes=(32,), activation=relu,
@@ -200,7 +211,7 @@ class MADE(Layer):
         if dims < 2:
             raise ValueError(f"MADE needs dims >= 2, got {dims}")
         self.dims = int(dims)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
+        self.hidden_sizes = _hidden_sizes(hidden_sizes)
         self.activation = activation
         init = kernel_initializer or glorot_uniform
         degrees = _made_degrees(self.dims, self.hidden_sizes)
@@ -210,7 +221,7 @@ class MADE(Layer):
             mask = (degrees[i][:, None] <= degrees[i + 1][None, :])
             self._masks.append(self.add_buffer(f"mask{i}", mask))
             self.add_param(f"w{i}", init((widths[i], widths[i + 1]),
-                                         self.layer_index * 1000 + i))
+                                         mix("made", i)))
             self.add_param(f"b{i}", np.zeros(widths[i + 1]))
         out_mask = (degrees[-1][:, None] < degrees[0][None, :])
         self._out_mask = self.add_buffer("mask_out", out_mask)
@@ -242,17 +253,18 @@ class MADE(Layer):
 
 class DenseConditioner(Layer):
     """Plain MLP conditioner: hidden stack plus a zero-initialized affine
-    head split into (shift, raw log-scale)."""
+    head split into (shift, raw log-scale).  Hidden weights are seeded by
+    position, as in :class:`MADE`."""
 
     def __init__(self, dims, hidden_sizes=(32,), activation=relu, name=None):
         super().__init__(name)
         self.dims = int(dims)
-        self.hidden_sizes = tuple(int(h) for h in hidden_sizes)
+        self.hidden_sizes = _hidden_sizes(hidden_sizes)
         self.activation = activation
         widths = [self.dims, *self.hidden_sizes]
         for i in range(len(self.hidden_sizes)):
             self.add_param(f"w{i}", glorot_uniform(
-                (widths[i], widths[i + 1]), self.layer_index * 1000 + i))
+                (widths[i], widths[i + 1]), mix("dense-conditioner", i)))
             self.add_param(f"b{i}", np.zeros(widths[i + 1]))
         self.add_param("w_out", np.zeros((widths[-1], 2 * self.dims)))
         self.add_param("b_out", np.zeros(2 * self.dims))

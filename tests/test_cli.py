@@ -78,7 +78,15 @@ class TestExitCodes:
          "build_deep_gp(4, 0): num_inducing must be >= 1, got 0"),
         (["predict", "--task", "deep-gp", "--hidden-units", "0"],
          "build_deep_gp(0, 8): units must be >= 1, got 0"),
-    ], ids=["hidden", "num_inducing", "predict_hidden_units"])
+        (["train-lstm", "--vocab", "0"],
+         "build_lstm(16, 0): units must be >= 1, got 0"),
+        (["train-lstm", "--seq-len", "1"], "seq_len must be >= 2, got 1"),
+        (["sample", "--task", "lstm", "--seq-len", "1"],
+         "seq_len must be >= 2, got 1"),
+        (["train-flow", "--conditioner-hidden", "0"],
+         "build_flow(4, 0, dims=2): hidden widths must be >= 1, got [0]"),
+    ], ids=["hidden", "num_inducing", "predict_hidden_units", "lstm_vocab",
+            "lstm_seq_len", "sample_lstm_seq_len", "flow_conditioner_hidden"])
     def test_bad_model_size_is_usage_error(self, capsys, tmp_path, argv,
                                            message):
         ckpt = tmp_path / "m.ckpt"

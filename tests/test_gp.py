@@ -12,7 +12,6 @@ from uncertain.layers import (
     Sequential,
     SparseGaussianProcess,
     SquaredExponential,
-    reset_layer_indices,
 )
 from uncertain.tensor import (
     Tape,
@@ -567,7 +566,6 @@ class TestRandomFourierFeatures:
 
 class TestDeepGP:
     def _stack(self):
-        reset_layer_indices()
         return Sequential([
             SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8),
             SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8),
@@ -579,8 +577,8 @@ class TestDeepGP:
         x = np.linspace(-1, 1, 6)[:, None]
         model(Tensor(x), seed=0)  # build all layers
         # nudge the variational state off the KL-zero point so every term is live
-        for layer in model.layers:
-            rng = np.random.default_rng(layer.layer_index)
+        for position, layer in enumerate(model.layers):
+            rng = np.random.default_rng(position)
             layer.inducing_mean.data[...] += 0.3 * rng.standard_normal(
                 layer.inducing_mean.shape)
 

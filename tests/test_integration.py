@@ -9,7 +9,6 @@ from uncertain.layers import (
     NormalOutput,
     VariationalConv2D,
     collect_losses,
-    reset_layer_indices,
 )
 from uncertain.tensor import Tensor, as_tensor, relu, reshape, tensor_mean
 from uncertain.training import ElboConfig, adam_init, adam_update, elbo_step
@@ -44,7 +43,6 @@ class TinyBayesianCnn(Layer):
 
 class TestBayesianCnn:
     def test_classifier_trains_and_carries_kl(self):
-        reset_layer_indices()
         images, labels = make_blob_images(64, seed=0)
         model = TinyBayesianCnn()
         cfg = ElboConfig(num_train_examples=64, batch_size=32,
@@ -65,7 +63,6 @@ class TestBayesianCnn:
         assert len(collect_losses(model)) == 2  # conv kernel + bias KLs
 
     def test_trained_model_beats_chance(self):
-        reset_layer_indices()
         images, labels = make_blob_images(64, seed=1)
         model = TinyBayesianCnn()
         cfg = ElboConfig(num_train_examples=64, batch_size=64,
@@ -103,7 +100,6 @@ class StochasticAutoencoder(Layer):
 
 class TestStochasticAutoencoder:
     def test_reconstruction_improves(self):
-        reset_layer_indices()
         rng = np.random.default_rng(3)
         # 4-d data on a 1-d manifold
         t = rng.uniform(-1, 1, (96, 1))
@@ -127,7 +123,6 @@ class TestStochasticAutoencoder:
         assert np.mean(losses[-15:]) < np.mean(losses[:15])
 
     def test_encoder_kl_uses_module_formula(self):
-        reset_layer_indices()
         model = StochasticAutoencoder()
         x = Tensor(np.random.default_rng(4).normal(size=(8, 4)))
         model(x, seed=0)
@@ -138,7 +133,6 @@ class TestStochasticAutoencoder:
         assert losses[0].item() == direct.item()
 
     def test_reconstruction_likelihood_is_queryable(self):
-        reset_layer_indices()
         model = StochasticAutoencoder()
         x = Tensor(np.random.default_rng(5).normal(size=(8, 4)))
         out = model(x, seed=0)

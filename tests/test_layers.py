@@ -8,7 +8,6 @@ from uncertain.layers import (
     Sequential,
     VariationalDense,
     collect_losses,
-    reset_layer_indices,
 )
 from uncertain.tensor import Tensor
 
@@ -183,9 +182,41 @@ class TestState:
         with pytest.raises(ShapeError):
             d.load_state_dict(state)
 
-    def test_layer_indices_reset(self):
-        reset_layer_indices()
-        a = Dense(1)
-        reset_layer_indices()
-        b = Dense(1)
-        assert a.layer_index == b.layer_index
+    def test_rebuild_reproduces_without_reset(self):
+        def build():
+            model = Sequential([VariationalDense(4, "relu"), Dense(1)])
+            out = model(x, seed=3).data
+            return out, model.state_dict()
+
+        x = Tensor(np.random.default_rng(5).normal(size=(3, 2)))
+        first_out, first_state = build()
+        Dense(4)(x, seed=3)  # an unrelated layer built in between
+        second_out, second_state = build()
+        assert first_out.tobytes() == second_out.tobytes()
+        assert first_state.keys() == second_state.keys()
+        for name, values in first_state.items():
+            assert values.tobytes() == second_state[name].tobytes(), name
+
+
+class TestPaths:
+    def test_root_path_is_empty(self):
+        assert Dense(1).path == ""
+
+    def test_add_child_repaths_the_subtree(self):
+        inner = Dense(2)
+        mid = Sequential([inner])
+        assert inner.path == "layer0"
+        outer = Sequential([Dense(3), mid])
+        assert mid.path == "layer1"
+        assert inner.path == "layer1/layer0"
+        assert outer.path == ""
+
+    def test_siblings_draw_from_different_streams(self):
+        a, b = Dense(3), Dense(3)
+        Sequential([a, b])
+        assert a.rng(0, "site").random() != b.rng(0, "site").random()
+
+    def test_streams_follow_the_path_not_the_object(self):
+        a = Sequential([Dense(3)]).layers[0]
+        b = Sequential([Dense(3)]).layers[0]
+        assert a.rng(0, "site").random() == b.rng(0, "site").random()

@@ -22,6 +22,12 @@ from uncertain.layers import (
 from uncertain.tensor import Tape, Tensor, softplus_inverse, tensor_mean
 
 
+@pytest.mark.parametrize("head", [NormalOutput, CategoricalOutput])
+def test_empty_projection_rejected(head):
+    with pytest.raises(ValueError, match="units must be >= 1, got 0"):
+        head(units=0)
+
+
 class TestNormalOutput:
     def test_standard_normal_from_packed_input(self):
         head = NormalOutput()

@@ -301,6 +301,18 @@ class TestMADE:
         with pytest.raises(ValueError):
             MADE(1)
 
+    @pytest.mark.parametrize("conditioner", [MADE, DenseConditioner])
+    def test_empty_hidden_width_rejected(self, conditioner):
+        with pytest.raises(ValueError, match="hidden widths must be >= 1"):
+            conditioner(2, hidden_sizes=(8, 0))
+
+    @pytest.mark.parametrize("conditioner", [MADE, DenseConditioner])
+    def test_hidden_weights_seeded_by_position(self, conditioner):
+        # same-shaped conditioners start equal wherever they sit
+        a, b = conditioner(3, hidden_sizes=(6,)), conditioner(3, hidden_sizes=(6,))
+        CouplingLayer(alternating_mask(3), b)
+        assert a._params["w0"].data.tobytes() == b._params["w0"].data.tobytes()
+
 
 class TestDiscretize:
     def test_total_pmf_is_one(self):

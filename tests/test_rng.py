@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from uncertain.rng import _seed_sequence_keys, mix, rng_from, rng_streams
+from uncertain.rng import mix, rng_from, rng_streams
 
 # values of mix(...) before string salts were cached; any change to the
 # hashing would silently move every random stream in the package
@@ -40,14 +40,13 @@ def test_rng_streams_equal_per_seed_generators():
         assert got.integers(0, 2**62, 4).tobytes() == want.integers(0, 2**62, 4).tobytes()
 
 
-def test_batched_keys_equal_seed_sequence_state():
-    edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
-    rng = np.random.default_rng(11)
-    wide = rng.integers(0, 2**64 - 1, size=3000, dtype=np.uint64, endpoint=True)
-    narrow = rng.integers(0, 2**32, size=1000, dtype=np.uint64)
-    keys = edges + [int(k) for k in wide] + [int(k) for k in narrow]
-    got = _seed_sequence_keys(np.array(keys, dtype=np.uint64))
-    want = np.array([np.random.SeedSequence(k).generate_state(2, np.uint64)
-                     for k in keys])
-    assert got.dtype == np.uint64
-    np.testing.assert_array_equal(got, want)
+@pytest.mark.parametrize("parts", [part for part, _ in PINNED])
+def test_rng_from_is_philox_keyed_by_mix(parts):
+    # numpy's documented constructor: the key (mix, 0) with no SeedSequence
+    want = np.random.Generator(np.random.Philox(key=mix(*parts)))
+    got = rng_from(*parts)
+    for field in ("counter", "key"):
+        assert (got.bit_generator.state["state"][field].tobytes()
+                == want.bit_generator.state["state"][field].tobytes())
+    assert got.standard_normal(8).tobytes() == want.standard_normal(8).tobytes()
+    assert got.integers(0, 2**62, 4).tobytes() == want.integers(0, 2**62, 4).tobytes()

@@ -58,9 +58,9 @@ def built(factory, dim, batch):
     layer = factory()
     x = np.random.default_rng(0).uniform(-1.0, 1.0, (batch, dim))
     layer(Tensor(x), seed=3)
-    for sub in [layer] + list(getattr(layer, "layers", [])):
+    for position, sub in enumerate(getattr(layer, "layers", [layer])):
         if isinstance(sub, SparseGaussianProcess):
-            perturb_gp(sub, sub.layer_index)
+            perturb_gp(sub, position)
     return layer
 
 

@@ -19,7 +19,6 @@ from uncertain.layers import (
     NormalOutput,
     Sequential,
     VariationalDense,
-    reset_layer_indices,
 )
 import uncertain.tensor as tensor_module
 from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
@@ -133,7 +132,6 @@ class TestCheckpoint:
 
 class TestElboStep:
     def test_deterministic_model_gives_plain_nll(self):
-        reset_layer_indices()
         model = Sequential([Dense(3, "tanh"), Dense(2), NormalOutput()])
         rng = np.random.default_rng(0)
         x = Tensor(rng.normal(size=(6, 2)))
@@ -185,7 +183,6 @@ class TestElboStep:
     def test_one_over_n_scaling_is_unbiased_for_full_objective(self):
         # enumerate every single-example batch: N * mean(step losses) must
         # equal the full-data negative ELBO computed directly
-        reset_layer_indices()
         n = 6
         rng = np.random.default_rng(4)
         x = rng.normal(size=(n, 2))
@@ -228,7 +225,6 @@ def loss_seed(cfg, step, sample=0):
 
 class TestFit:
     def _model(self):
-        reset_layer_indices()
         return Sequential([VariationalDense(8, "relu"), Dense(1)])
 
     def _run(self, steps=40, model=None, log_fn=None):
