@@ -12,6 +12,12 @@ Distribution return value marks the parameter as variational and is how
 Bayesian layers differ from their deterministic counterparts.  Regularizers
 are callables from a parameter RandomVariable to a scalar tensor.
 
+Building: a layer creates its parameters on its first call, and never while
+a ``Tape`` is recording: a parameter created there is not watched and would
+silently get no gradient, so :meth:`Layer.add_param` raises ``LayerError``.
+``training.fit`` makes that first call before its first step; call a model
+once yourself before recording your own tape.
+
 Randomness: a layer derives every sample from (call seed, its ``path``, a
 per-site salt).  The path is the chain of child names from the root, such as
 ``layer1/conditioner``, and ``""`` for a root; :meth:`Layer.add_child` sets
@@ -40,6 +46,7 @@ from ..errors import LayerError, NotReversibleError, ShapeError
 from ..rng import mix, rng_from, rng_streams
 from ..tensor import (
     Tensor,
+    active_tape,
     as_tensor,
     broadcast_to,
     matmul,
@@ -94,6 +101,9 @@ class Layer:
 
     # -- registry ----------------------------------------------------------
     def add_param(self, name, values, trainable=True) -> Tensor:
+        if active_tape() is not None:  # it would never be watched
+            raise LayerError(f"{self.path or self.name}/{name} created while "
+                             "a Tape records; call the model once before")
         t = values if isinstance(values, Tensor) else Tensor(values)
         self._params[name] = t
         if trainable:
@@ -180,7 +190,12 @@ class Layer:
                 yield f"{child_name}/{name}", t
 
     def trainable_variables(self) -> dict[str, Tensor]:
-        return dict(self.named_state(trainable_only=True))
+        """Trainable tensors by path; one that two paths reach (a shared
+        kernel, say) is listed once, under the first."""
+        unique = {}
+        for name, t in self.named_state(trainable_only=True):
+            unique.setdefault(id(t), (name, t))
+        return dict(unique.values())
 
     def state_dict(self) -> dict[str, np.ndarray]:
         return {name: t.data.copy() for name, t in self.named_state()}

@@ -23,26 +23,25 @@ _SCALE_FLOOR = 1e-5
 class _Head(Layer):
     """Optional projection plumbing shared by the output heads."""
 
+    width_per_unit = 1  # distribution parameters per unit of the projection
+
     def __init__(self, units=None, name=None):
         super().__init__(name)
         if units is not None and units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = None if units is None else int(units)
-        self.projection = None
+        self.projection = None if units is None else self.add_child(
+            "projection", Dense(self.units * self.width_per_unit))
 
-    def _project(self, x, width_per_unit, seed):
+    def _project(self, x, seed):
         """Project to units*width parameters, or pass the input through."""
         x = as_tensor(x)
-        if self.units is None:
-            return x
         if self.projection is None:
-            self.projection = self.add_child(
-                "projection", Dense(self.units * width_per_unit))
-        flat = x if x.ndim == 2 else reshape(
-            x, (-1, x.shape[-1]))
+            return x
+        flat = x if x.ndim == 2 else reshape(x, (-1, x.shape[-1]))
         out = self.projection(flat, seed=seed)
         if x.ndim != 2:
-            out = reshape(out, x.shape[:-1] + (self.units * width_per_unit,))
+            out = reshape(out, x.shape[:-1] + (self.projection.units,))
         return out
 
 
@@ -53,8 +52,10 @@ class NormalOutput(_Head):
     blowing up when the optimizer drives the raw scale far negative.
     """
 
+    width_per_unit = 2
+
     def call(self, x, seed):
-        params = self._project(x, 2, seed)
+        params = self._project(x, seed)
         width = params.shape[-1]
         if width % 2:
             raise ShapeError(
@@ -72,7 +73,7 @@ class CategoricalOutput(_Head):
     """Categorical head over the logits on the last axis."""
 
     def call(self, x, seed):
-        logits = self._project(x, 1, seed)
+        logits = self._project(x, seed)
         dist = Categorical(logits)
         return dist.sample(self.rng(seed, "sample"))
 
@@ -85,13 +86,14 @@ class MixtureLogisticOutput(_Head):
     """
 
     def __init__(self, units=None, num_components=5, num_bins=256, name=None):
-        super().__init__(units, name)
         self.num_components = int(num_components)
         self.num_bins = int(num_bins)
+        self.width_per_unit = 3 * self.num_components  # sizes the projection
+        super().__init__(units, name)
 
     def call(self, x, seed):
         k = self.num_components
-        params = self._project(x, 3 * k, seed)
+        params = self._project(x, seed)
         if self.units is not None:
             params = reshape(params, params.shape[:-1] + (self.units, 3 * k))
         if params.shape[-1] != 3 * k:

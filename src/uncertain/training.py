@@ -69,48 +69,50 @@ class ElboConfig:
         return float(self.kl_scale)
 
 
-def _unique_params(model: Layer) -> dict[str, Tensor]:
-    """Trainable variables, deduplicated when one tensor has two paths."""
-    seen: set[int] = set()
-    out = {}
-    for name, tensor in model.trainable_variables().items():
-        if id(tensor) in seen:
-            continue
-        seen.add(id(tensor))
-        out[name] = tensor
-    return out
-
-
-def _blame_non_finite(model: Layer) -> str:
-    for child_name, child in getattr(model, "_children", {}).items():
-        inner = _blame_non_finite(child)
-        if inner:
-            return f"{child_name}/{inner}"
-    for loss in getattr(model, "_losses", []):
-        if not np.all(np.isfinite(loss.data)):
-            return model.name
+def _blame_non_finite(layer: Layer) -> str:
+    """``path (name)`` of the first layer, children before their parent,
+    whose last call left a non-finite loss; "" when none did."""
+    for child in layer._children.values():
+        blame = _blame_non_finite(child)
+        if blame:
+            return blame
+    if any(not np.all(np.isfinite(loss.data)) for loss in layer._losses):
+        return f"{layer.path} ({layer.name})" if layer.path else layer.name
     return ""
+
+
+def _check_children_registered(layer: Layer):
+    """Raise when a layer holds a Layer, directly or in a list or tuple
+    attribute, that is not one of its registered children: such a layer is
+    never trained, gives no KL term and shares its parent's random streams."""
+    registered = {id(child) for child in layer._children.values()}
+    for attr, value in vars(layer).items():
+        for item in value if isinstance(value, (list, tuple)) else (value,):
+            if isinstance(item, Layer) and id(item) not in registered:
+                raise TrainingError(
+                    f"{layer.path or layer.name}.{attr} holds an unregistered "
+                    f"{type(item).__name__}; register it with add_child")
+    for child in layer._children.values():
+        _check_children_registered(child)
 
 
 def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
               likelihood=None, params=None, replaces=None):
     """One ELBO evaluation with gradients.
 
-    The model's output must be a RandomVariable or a Distribution (its
-    ``log_prob`` is the likelihood) unless a
-    ``likelihood(output, y) -> per-element log prob`` is supplied.  Returns
-    (loss Tensor, kl value, gradient map, params); the loss is tracked on
-    this step's tape, ``loss.tape``.  ``replaces``, a finished step's tape,
-    is released when this step records its first op.  Raises
-    :class:`TrainingError` when the loss or a parameter's gradient is not
-    finite.
+    The model must be built (``fit`` builds it): a layer that creates a
+    parameter on this step's tape raises :class:`LayerError`.  ``params``
+    defaults to ``model.trainable_variables()``.  The model's output must
+    be a RandomVariable or a Distribution (its ``log_prob`` is the
+    likelihood) unless a ``likelihood(output, y) -> per-element log prob``
+    is supplied.  Returns (loss Tensor, kl value, gradient map); the loss
+    is tracked on this step's tape, ``loss.tape``.  ``replaces``, a
+    finished step's tape, is released when this step records its first op.
+    Raises :class:`TrainingError` when the loss or a parameter's gradient
+    is not finite.
     """
     if params is None:
-        params = _unique_params(model)
-        if not params:
-            # lazily-built layers create parameters on their first call
-            model(batch_x, seed=mix(cfg.seed, "build"))
-            params = _unique_params(model)
+        params = model.trainable_variables()
     tape = Tape(replaces=replaces)
     with tape:
         for p in params.values():
@@ -154,7 +156,7 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
                 f"non-finite gradient at step {step} for parameter {name!r} "
                 f"(loss {loss.item()!r} is finite)"
             )
-    return loss, kl_value, grads, params
+    return loss, kl_value, grads
 
 
 def adam_init():
@@ -192,6 +194,12 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     input per step (a flow is fed its base Distribution, and its output
     density scores the data batch given as targets).
 
+    Before the first step, ``fit`` builds the model by calling it on the
+    first row (through ``batch_fn`` at step -1) with seed
+    ``mix(cfg.seed, "build")``, raises :class:`TrainingError` if a layer
+    holds a sub-layer it did not register with ``add_child``, and then
+    trains every one of ``model.trainable_variables()``.
+
     Each step's tape, with the forward arrays it saved, is released when the
     next step records its first op, and the last one when the loop ends, so
     the rest of the next step reuses that memory.  Released at the end of
@@ -201,21 +209,19 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     """
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if not _unique_params(model):
-        # lazily-built layers must create their parameters before the first
-        # step's tape watches them
-        probe = (batch_fn(features[:1], -1) if batch_fn is not None
-                 else Tensor(features[:1]))
-        model(probe, seed=mix(cfg.seed, "build"))
+    probe = (batch_fn(features[:1], -1) if batch_fn is not None
+             else Tensor(features[:1]))
+    model(probe, seed=mix(cfg.seed, "build"))
+    _check_children_registered(model)
+    params = model.trainable_variables()
     state = adam_init()
-    params = None
     trace = []
     held = None
     for step, idx in enumerate(batch_indices(
             cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
         bx = features[idx]
         batch_x = batch_fn(bx, step) if batch_fn is not None else Tensor(bx)
-        loss, kl, grads, params = elbo_step(
+        loss, kl, grads = elbo_step(
             model, batch_x, Tensor(targets[idx]), cfg, step,
             likelihood=likelihood, params=params, replaces=held)
         held = loss.tape

@@ -10,6 +10,7 @@ from uncertain.layers import (
     VariationalConv2D,
     collect_losses,
 )
+from uncertain.rng import mix
 from uncertain.tensor import Tensor, as_tensor, relu, reshape, tensor_mean
 from uncertain.training import ElboConfig, adam_init, adam_update, elbo_step
 
@@ -47,13 +48,14 @@ class TestBayesianCnn:
         model = TinyBayesianCnn()
         cfg = ElboConfig(num_train_examples=64, batch_size=32,
                          learning_rate=0.02, max_steps=60, seed=0)
+        model(Tensor(images[:1]), seed=mix(cfg.seed, "build"))
         state = adam_init()
-        params = None
+        params = model.trainable_variables()
         losses = []
         for step in range(cfg.max_steps):
             rng = np.random.default_rng(step)
             idx = rng.integers(0, 64, 32)
-            loss, kl, grads, params = elbo_step(
+            loss, kl, grads = elbo_step(
                 model, Tensor(images[idx]), Tensor(labels[idx]), cfg, step,
                 params=params)
             adam_update(params, grads, state, cfg.learning_rate)
@@ -67,10 +69,11 @@ class TestBayesianCnn:
         model = TinyBayesianCnn()
         cfg = ElboConfig(num_train_examples=64, batch_size=64,
                          learning_rate=0.05, max_steps=80, seed=1)
+        model(Tensor(images[:1]), seed=mix(cfg.seed, "build"))
         state = adam_init()
-        params = None
+        params = model.trainable_variables()
         for step in range(cfg.max_steps):
-            _, _, grads, params = elbo_step(
+            _, _, grads = elbo_step(
                 model, Tensor(images), Tensor(labels), cfg, step, params=params)
             adam_update(params, grads, state, cfg.learning_rate)
         test_images, test_labels = make_blob_images(64, seed=2)
@@ -109,14 +112,15 @@ class TestStochasticAutoencoder:
         cfg = ElboConfig(num_train_examples=96, batch_size=48,
                          learning_rate=0.01, max_steps=150, seed=3,
                          kl_scale=1.0 / 96.0)
+        model(Tensor(data[:1]), seed=mix(cfg.seed, "build"))
         state = adam_init()
-        params = None
+        params = model.trainable_variables()
         losses = []
         for step in range(cfg.max_steps):
             batch = rng.integers(0, 96, 48)
             x = Tensor(data[batch])
-            loss, kl, grads, params = elbo_step(model, x, x, cfg, step,
-                                                params=params)
+            loss, kl, grads = elbo_step(model, x, x, cfg, step,
+                                        params=params)
             adam_update(params, grads, state, cfg.learning_rate)
             losses.append(loss.item())
             assert np.isfinite(kl)

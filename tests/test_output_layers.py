@@ -178,8 +178,8 @@ class TestTrainingEquivalence:
         def gradient(loss_builder):
             layer = Dense(1, kernel_initializer=lambda s, _: Tensor(w0.copy()),
                           bias_initializer=lambda s, _: Tensor(b0.copy()))
+            layer(Tensor(x), seed=0)
             with Tape() as tape:
-                layer(Tensor(x), seed=0)
                 for p in layer._params.values():
                     tape.watch(p)
                 out = layer(Tensor(x), seed=0)
@@ -205,8 +205,8 @@ class TestTrainingEquivalence:
         labels = Tensor(rng.integers(0, 3, 5).astype(np.float64))
 
         head = CategoricalOutput(units=3)
+        head(Tensor(x), seed=0)
         with Tape() as tape:
-            head(Tensor(x), seed=0)
             proj = head.projection._params["kernel"]
             tape.watch(proj)
             rv = head(Tensor(x), seed=0)

@@ -12,12 +12,16 @@ from uncertain.errors import (
     CheckpointError,
     ConfigError,
     DataError,
+    LayerError,
     TrainingError,
 )
 from uncertain.layers import (
     Dense,
+    Layer,
     NormalOutput,
     Sequential,
+    SparseGaussianProcess,
+    SquaredExponential,
     VariationalDense,
 )
 import uncertain.tensor as tensor_module
@@ -137,7 +141,8 @@ class TestElboStep:
         x = Tensor(rng.normal(size=(6, 2)))
         y = Tensor(rng.normal(size=(6, 1)))
         cfg = ElboConfig(num_train_examples=6, batch_size=6, seed=1)
-        loss, kl, grads, _ = elbo_step(model, x, y, cfg, step=0)
+        model(x, seed=0)
+        loss, kl, grads = elbo_step(model, x, y, cfg, step=0)
         assert kl == 0.0
         out = model(x, seed=loss_seed(cfg, 0))
         nll = -out.log_prob(y).data.mean()
@@ -156,7 +161,7 @@ class TestElboStep:
             else:
                 p.data[...] = softplus_inverse(np.ones(p.shape))
         cfg = ElboConfig(num_train_examples=4, batch_size=4, seed=0)
-        _, kl, _, _ = elbo_step(
+        _, kl, _ = elbo_step(
             model, x, y, cfg, step=0,
             likelihood=lambda out, t: Normal(as_tensor(out), 1.0).log_prob(t))
         assert kl == 0.0
@@ -164,6 +169,7 @@ class TestElboStep:
     def test_missing_likelihood_raises(self):
         model = Dense(2)
         x = Tensor(np.zeros((2, 2)))
+        model(x, seed=0)
         cfg = ElboConfig(num_train_examples=2, batch_size=2)
         with pytest.raises(TrainingError, match="likelihood"):
             elbo_step(model, x, Tensor(np.zeros((2, 2))), cfg, step=0)
@@ -175,7 +181,7 @@ class TestElboStep:
         model(x, seed=0)
         model.layers[0]._params["kernel_rho"].data[...] = -np.inf  # KL -> inf
         cfg = ElboConfig(num_train_examples=3, batch_size=3)
-        with pytest.raises(TrainingError, match="culprit"):
+        with pytest.raises(TrainingError, match=r"layer: layer0 \(culprit\)"):
             elbo_step(model, x, y, cfg, step=0,
                       likelihood=lambda out, t: Normal(as_tensor(out), 1.0)
                       .log_prob(t))
@@ -193,7 +199,7 @@ class TestElboStep:
         likelihood = lambda out, t: Normal(as_tensor(out), 1.0).log_prob(t)
         step_losses = []
         for i in range(n):
-            loss, _, _, _ = elbo_step(
+            loss, _, _ = elbo_step(
                 model, Tensor(x[i:i + 1]), Tensor(y[i:i + 1]), cfg, step=0,
                 likelihood=likelihood)
             step_losses.append(loss.item())
@@ -211,8 +217,8 @@ class TestElboStep:
         likelihood = lambda out, t: Normal(as_tensor(out), 1.0).log_prob(t)
         cfg1 = ElboConfig(num_train_examples=4, batch_size=4, mc_samples=1)
         cfg4 = ElboConfig(num_train_examples=4, batch_size=4, mc_samples=4)
-        loss1, _, _, _ = elbo_step(model, x, y, cfg1, 0, likelihood=likelihood)
-        loss4, _, _, _ = elbo_step(model, x, y, cfg4, 0, likelihood=likelihood)
+        loss1, _, _ = elbo_step(model, x, y, cfg1, 0, likelihood=likelihood)
+        loss4, _, _ = elbo_step(model, x, y, cfg4, 0, likelihood=likelihood)
         assert loss1.item() != loss4.item()
         assert np.isfinite(loss4.item())
 
@@ -332,6 +338,88 @@ class TestFit:
         with pytest.raises(ConfigError, match=key):
             ElboConfig(**{"num_train_examples": 4, "batch_size": 2,
                           **overrides})
+
+
+class EagerWeightModel(Layer):
+    """A weight made in ``__init__`` ahead of a head built on first call."""
+
+    def __init__(self):
+        super().__init__()
+        self.gain = self.add_param("gain", np.ones(1))
+        self.head = self.add_child("head", NormalOutput(units=1))
+
+    def call(self, x, seed):
+        return self.head(as_tensor(x) * self.gain, seed=seed)
+
+
+class Unregistered(Layer):
+    """Sub-layers kept as plain attributes instead of through add_child."""
+
+    def __init__(self, as_list=False):
+        super().__init__()
+        if as_list:
+            self.parts = [VariationalDense(8, "relu"), Dense(1)]
+        else:
+            self.hidden = VariationalDense(8, "relu")
+            self.out = Dense(1)
+
+    def call(self, x, seed):
+        hidden, out = getattr(self, "parts", None) or (self.hidden, self.out)
+        return out(hidden(x, seed=seed), seed=seed)
+
+
+class TestBuild:
+    """``fit`` builds every model once, off the tape, and trains every
+    parameter the build created."""
+
+    def _fit(self, model, steps=50):
+        x, y = toy_regression(32, seed=0)
+        cfg = ElboConfig(num_train_examples=32, batch_size=8,
+                         learning_rate=0.02, max_steps=steps, seed=1)
+        return fit(model, x, y, cfg,
+                   likelihood=lambda out, t: Normal(as_tensor(out), 0.1)
+                   .log_prob(t))
+
+    def test_lone_sparse_gp_trains_its_variational_state(self):
+        # the kernel's parameters exist at construction, the rest on the
+        # first call: all of them must be trained
+        layer = SparseGaussianProcess(1, 8)
+        self._fit(layer)
+        assert np.any(layer.inducing_mean.data != 0.0)
+        initial_raw = np.eye(8) * tensor_module.softplus_inverse(1.0)
+        assert np.any(layer.scale_raw.data[0] != initial_raw)
+
+    def test_head_behind_an_eager_weight_is_trained(self):
+        model = EagerWeightModel()
+        self._fit(model, steps=20)
+        assert np.all(model.head.projection.bias.data != 0.0)
+
+    def test_parameter_created_on_a_tape_raises(self):
+        model = Sequential([Dense(2)])
+        with Tape():
+            with pytest.raises(LayerError, match="layer0/kernel"):
+                model(Tensor(np.ones((3, 2))), seed=0)
+        assert model.trainable_variables() == {}
+
+    def test_shared_kernel_is_listed_once(self):
+        kernel = SquaredExponential()
+        model = Sequential([SparseGaussianProcess(2, 4, kernel=kernel),
+                            SparseGaussianProcess(1, 4, kernel=kernel)])
+        model(Tensor(np.linspace(-1.0, 1.0, 6)[:, None]), seed=0)
+        params = model.trainable_variables()
+        assert len({id(t) for t in params.values()}) == len(params)
+        hypers = [name for name in params if "kernel_log" in name]
+        assert hypers == ["layer0/kernel_log_amplitude",
+                          "layer0/kernel_log_lengthscale"]
+
+    @pytest.mark.parametrize("make, where", [
+        (lambda: Unregistered(), "unregistered.hidden"),
+        (lambda: Unregistered(as_list=True), "unregistered.parts"),
+        (lambda: Sequential([Unregistered()]), "layer0.hidden"),
+    ], ids=["attribute", "list", "nested"])
+    def test_unregistered_sub_layer_raises(self, make, where):
+        with pytest.raises(TrainingError, match=where):
+            self._fit(make(), steps=20)
 
 
 class TestConfigFile:

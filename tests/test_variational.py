@@ -298,6 +298,7 @@ class TestVariationalLSTMCell:
     def test_unroll_takes_each_step_with_one_node(self):
         cell = VariationalLSTMCell(3)
         xs0 = np.random.default_rng(3).normal(size=(2, 5, 4))
+        cell.build(4)
         with Tape() as tape:
             xs = tape.watch(Tensor(xs0))
             hs, _ = unroll(cell, xs, seed=0)
