@@ -4,6 +4,11 @@ Subcommands: train-bnn, train-deep-gp, train-flow, train-lstm, predict,
 sample.  Every run is reproducible from (--config, --seed); per-step loss
 lines go to stdout as ``step=<k> loss=<v> kl=<v>``.  Exit codes: 0 success,
 1 runtime failure, 2 usage error.
+
+Each demo's model sizes, with their defaults, live in one table, ``_SIZES``.
+A size is a config key and a flag of ``train-<demo>`` and of ``predict`` or
+``sample`` (which must be given the sizes that trained the checkpoint);
+:func:`_sizes` resolves it: flag, then config file, then default.
 """
 from __future__ import annotations
 
@@ -37,13 +42,19 @@ def _resolve(args, cfg, key, cast, default):
     return config_get(cfg, key, cast, default)
 
 
+# each demo's model-size keys and their defaults, in builder argument order
+_SIZES = {
+    "bnn": {"hidden": 16},
+    "deep-gp": {"hidden_units": 4, "num_inducing": 8},
+    "flow": {"num_couplings": 4, "conditioner_hidden": 32},
+    "lstm": {"units": 16, "vocab": 8, "seq_len": 12},
+}
+
 # every key a subcommand reads through _resolve or config_get
 _CONFIG_KEYS = frozenset({
-    "batch_size", "conditioner_hidden", "data_noise", "features", "hidden",
-    "hidden_units", "kl_scale", "learning_rate", "mc_samples",
-    "num_couplings", "num_examples", "num_inducing", "obs_noise", "seed",
-    "seq_len", "steps", "targets", "units", "vocab",
-})
+    "batch_size", "data_noise", "features", "kl_scale", "learning_rate",
+    "mc_samples", "num_examples", "obs_noise", "seed", "steps", "targets",
+}).union(*_SIZES.values())
 
 
 class UsageError(ConfigError):
@@ -64,14 +75,23 @@ def _load_config(args):
     return values
 
 
+def _sizes(args, cfg, demo):
+    """The demo's model sizes as a tuple in ``_SIZES`` order."""
+    sizes = {key: _resolve(args, cfg, key, int, default)
+             for key, default in _SIZES[demo].items()}
+    if sizes.get("seq_len", 2) < 2:  # teacher forcing: an input and a target
+        raise UsageError(f"seq_len must be >= 2, got {sizes['seq_len']}")
+    return tuple(sizes.values())
+
+
 def _elbo_config(args, cfg, n, defaults):
     return ElboConfig(
         num_train_examples=n,
         batch_size=min(_resolve(args, cfg, "batch_size", int,
-                                defaults.get("batch_size", 32)), n),
+                                defaults["batch_size"]), n),
         learning_rate=_resolve(args, cfg, "learning_rate", float,
-                               defaults.get("learning_rate", 1e-2)),
-        max_steps=_resolve(args, cfg, "steps", int, defaults.get("steps", 1000)),
+                               defaults["learning_rate"]),
+        max_steps=_resolve(args, cfg, "steps", int, defaults["steps"]),
         mc_samples=_resolve(args, cfg, "mc_samples", int, 1),
         kl_scale=config_get(cfg, "kl_scale", str, "one_over_N"),
         seed=_resolve(args, cfg, "seed", int, 0),
@@ -203,18 +223,21 @@ def gaussian_likelihood(noise):
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _fit_and_save(args, model, x, y, cfg, **fit_kwargs):
+    fit(model, x, y, cfg, log_fn=_print_step, **fit_kwargs)
+    save_checkpoint(args.checkpoint, model.state_dict())
+    return 0
+
+
 def run_train_bnn(args):
     cfg_file = _load_config(args)
     x, y = _regression_data(args, cfg_file)
     cfg = _elbo_config(args, cfg_file, x.shape[0],
                        {"steps": 1500, "learning_rate": 0.02, "batch_size": 32})
-    hidden = _resolve(args, cfg_file, "hidden", int, 16)
     noise = config_get(cfg_file, "obs_noise", float, 0.1)
-    model = build_bnn(hidden)
-    fit(model, x, y, cfg, likelihood=gaussian_likelihood(noise),
-        log_fn=_print_step)
-    save_checkpoint(args.checkpoint, model.state_dict())
-    return 0
+    model = build_bnn(*_sizes(args, cfg_file, "bnn"))
+    return _fit_and_save(args, model, x, y, cfg,
+                         likelihood=gaussian_likelihood(noise))
 
 
 def run_train_deep_gp(args):
@@ -222,15 +245,11 @@ def run_train_deep_gp(args):
     x, y = _regression_data(args, cfg_file)
     cfg = _elbo_config(args, cfg_file, x.shape[0],
                        {"steps": 300, "learning_rate": 0.02, "batch_size": 32})
-    hidden_units = _resolve(args, cfg_file, "hidden_units", int, 4)
-    num_inducing = _resolve(args, cfg_file, "num_inducing", int, 8)
     noise = config_get(cfg_file, "obs_noise", float, 0.1)
-    model = build_deep_gp(hidden_units, num_inducing)
+    model = build_deep_gp(*_sizes(args, cfg_file, "deep-gp"))
     model(Tensor(x), seed=mix(cfg.seed, "build"))  # places inducing inputs
-    fit(model, x, y, cfg, likelihood=gaussian_likelihood(noise),
-        log_fn=_print_step)
-    save_checkpoint(args.checkpoint, model.state_dict())
-    return 0
+    return _fit_and_save(args, model, x, y, cfg,
+                         likelihood=gaussian_likelihood(noise))
 
 
 def run_train_flow(args):
@@ -243,29 +262,15 @@ def run_train_flow(args):
         data = toy_flow_data(n, _resolve(args, cfg_file, "seed", int, 0))
     cfg = _elbo_config(args, cfg_file, data.shape[0],
                        {"steps": 400, "learning_rate": 0.005, "batch_size": 128})
-    num_couplings = _resolve(args, cfg_file, "num_couplings", int, 4)
-    hidden = _resolve(args, cfg_file, "conditioner_hidden", int, 32)
-    model = build_flow(num_couplings, hidden, dims=data.shape[1])
+    model = build_flow(*_sizes(args, cfg_file, "flow"), dims=data.shape[1])
     base = Normal(np.zeros(data.shape[1]), np.ones(data.shape[1]))
-    fit(model, data, data, cfg, batch_fn=lambda _bx, _step: base,
-        log_fn=_print_step)
-    save_checkpoint(args.checkpoint, model.state_dict())
-    return 0
-
-
-def _seq_len(args, cfg_file):
-    """Tokens per sequence; teacher forcing needs an input and a target."""
-    seq_len = _resolve(args, cfg_file, "seq_len", int, 12)
-    if seq_len < 2:
-        raise UsageError(f"seq_len must be >= 2, got {seq_len}")
-    return seq_len
+    return _fit_and_save(args, model, data, data, cfg,
+                         batch_fn=lambda _bx, _step: base)
 
 
 def run_train_lstm(args):
     cfg_file = _load_config(args)
-    vocab = _resolve(args, cfg_file, "vocab", int, 8)
-    seq_len = _seq_len(args, cfg_file)
-    units = _resolve(args, cfg_file, "units", int, 16)
+    units, vocab, seq_len = _sizes(args, cfg_file, "lstm")
     model = build_lstm(units, vocab)  # rejects a bad size before data exists
     n = config_get(cfg_file, "num_examples", int, 128)
     seed = _resolve(args, cfg_file, "seed", int, 0)
@@ -279,10 +284,8 @@ def run_train_lstm(args):
     def likelihood(out, y):
         return out.log_prob(reshape(y, (-1,)))
 
-    fit(model, inputs, targets, cfg, likelihood=likelihood,
-        log_fn=_print_step)
-    save_checkpoint(args.checkpoint, model.state_dict())
-    return 0
+    return _fit_and_save(args, model, inputs, targets, cfg,
+                         likelihood=likelihood)
 
 
 def _rebuild_for_predict(args, cfg_file):
@@ -290,13 +293,12 @@ def _rebuild_for_predict(args, cfg_file):
     seed = _resolve(args, cfg_file, "seed", int, 0)
     x, _ = _regression_data(args, cfg_file)
     if task == "bnn":
-        model = build_bnn(_resolve(args, cfg_file, "hidden", int, 16))
+        build = build_bnn
     elif task == "deep-gp":
-        model = build_deep_gp(
-            _resolve(args, cfg_file, "hidden_units", int, 4),
-            _resolve(args, cfg_file, "num_inducing", int, 8))
+        build = build_deep_gp
     else:
         raise UncertainError(f"predict does not support task {task!r}")
+    model = build(*_sizes(args, cfg_file, task))
     model(Tensor(x[:1]), seed=mix(seed, "build"))
     model.load_state_dict(load_checkpoint(args.checkpoint))
     return model, seed
@@ -322,9 +324,7 @@ def run_sample(args):
     cfg_file = _load_config(args)
     seed = _resolve(args, cfg_file, "seed", int, 0)
     if args.task == "flow":
-        num_couplings = _resolve(args, cfg_file, "num_couplings", int, 4)
-        hidden = _resolve(args, cfg_file, "conditioner_hidden", int, 32)
-        model = build_flow(num_couplings, hidden)
+        model = build_flow(*_sizes(args, cfg_file, "flow"))
         model.load_state_dict(load_checkpoint(args.checkpoint))
         base = Normal(np.zeros(2), np.ones(2))
         print("x0,x1")
@@ -334,9 +334,7 @@ def run_sample(args):
             print(f"{_FMT % out[0]},{_FMT % out[1]}")
         return 0
     if args.task == "lstm":
-        vocab = _resolve(args, cfg_file, "vocab", int, 8)
-        units = _resolve(args, cfg_file, "units", int, 16)
-        seq_len = _seq_len(args, cfg_file)
+        units, vocab, seq_len = _sizes(args, cfg_file, "lstm")
         model = build_lstm(units, vocab)
         dummy = np.zeros((1, seq_len - 1, vocab))
         model(Tensor(dummy), seed=mix(seed, "build"))
@@ -397,6 +395,12 @@ def _add_common(sub):
     sub.add_argument("--steps", type=int, help="training steps")
 
 
+def _add_sizes(sub, demo):
+    for key, default in _SIZES[demo].items():
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
+                         help=f"default {default}")
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="uncertain",
@@ -404,37 +408,17 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("train-bnn", help="Bayesian net on 1-D regression")
-    _add_common(p)
-    p.add_argument("--hidden", type=int, help="hidden units per layer")
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=run_train_bnn)
-
-    p = sub.add_parser("train-deep-gp", help="three sparse GP layers stacked")
-    _add_common(p)
-    p.add_argument("--hidden-units", dest="hidden_units", type=int)
-    p.add_argument("--num-inducing", dest="num_inducing", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=run_train_deep_gp)
-
-    p = sub.add_parser("train-flow", help="coupling flow density estimation")
-    _add_common(p)
-    p.add_argument("--num-couplings", dest="num_couplings", type=int)
-    p.add_argument("--conditioner-hidden", dest="conditioner_hidden", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=run_train_flow)
-
-    p = sub.add_parser("train-lstm", help="Bayesian LSTM on token sequences")
-    _add_common(p)
-    p.add_argument("--units", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.set_defaults(func=run_train_lstm)
+    for demo, help_text, func in (
+            ("bnn", "Bayesian net on 1-D regression", run_train_bnn),
+            ("deep-gp", "three sparse GP layers stacked", run_train_deep_gp),
+            ("flow", "coupling flow density estimation", run_train_flow),
+            ("lstm", "Bayesian LSTM on token sequences", run_train_lstm)):
+        p = sub.add_parser(f"train-{demo}", help=help_text)
+        _add_common(p)
+        _add_sizes(p, demo)
+        p.add_argument("--learning-rate", dest="learning_rate", type=float)
+        p.add_argument("--batch-size", dest="batch_size", type=int)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("predict", help="mean and stddev bands on a grid")
     _add_common(p)
@@ -443,20 +427,16 @@ def build_parser():
                    help="lo:hi:count (default -3:3:61)")
     p.add_argument("--mc-samples", dest="mc_samples", type=_positive_int,
                    default=100)
-    p.add_argument("--hidden", type=int)
-    p.add_argument("--hidden-units", dest="hidden_units", type=int)
-    p.add_argument("--num-inducing", dest="num_inducing", type=int)
+    _add_sizes(p, "bnn")
+    _add_sizes(p, "deep-gp")
     p.set_defaults(func=run_predict)
 
     p = sub.add_parser("sample", help="draw from a trained flow or LSTM")
     _add_common(p)
     p.add_argument("--task", choices=("flow", "lstm"), default="flow")
     p.add_argument("--num", type=int, default=16)
-    p.add_argument("--num-couplings", dest="num_couplings", type=int)
-    p.add_argument("--conditioner-hidden", dest="conditioner_hidden", type=int)
-    p.add_argument("--units", type=int)
-    p.add_argument("--vocab", type=int)
-    p.add_argument("--seq-len", dest="seq_len", type=int)
+    _add_sizes(p, "flow")
+    _add_sizes(p, "lstm")
     p.set_defaults(func=run_sample)
 
     return parser

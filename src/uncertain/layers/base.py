@@ -93,21 +93,18 @@ class Layer:
     def __init__(self, name=None):
         self.name = name or type(self).__name__.lower()
         self.path = ""  # chain of child names from the root; set by add_child
-        self._params: dict[str, Tensor] = {}
-        self._trainable: set[str] = set()
+        self._params: dict[str, Tensor] = {}  # trained; buffers are not
         self._buffers: dict[str, Tensor] = {}
         self._children: dict[str, Layer] = {}
         self._losses: list[Tensor] = []
 
     # -- registry ----------------------------------------------------------
-    def add_param(self, name, values, trainable=True) -> Tensor:
+    def add_param(self, name, values) -> Tensor:
         if active_tape() is not None:  # it would never be watched
             raise LayerError(f"{self.path or self.name}/{name} created while "
                              "a Tape records; call the model once before")
         t = values if isinstance(values, Tensor) else Tensor(values)
         self._params[name] = t
-        if trainable:
-            self._trainable.add(name)
         return t
 
     def add_buffer(self, name, values) -> Tensor:
@@ -178,10 +175,7 @@ class Layer:
     # -- state -------------------------------------------------------------
     def named_state(self, trainable_only=False):
         """Yield (path, tensor) over params (and buffers) of the whole tree."""
-        for name, t in self._params.items():
-            if trainable_only and name not in self._trainable:
-                continue
-            yield name, t
+        yield from self._params.items()
         if not trainable_only:
             for name, t in self._buffers.items():
                 yield name, t

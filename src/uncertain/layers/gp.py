@@ -100,7 +100,7 @@ class _GPLayer(Layer):
     lengthscale and no mean function."""
 
     def __init__(self, units, mean_fn=None, kernel=None, amplitude=1.0,
-                 lengthscale=1.0, train_kernel=True, name=None):
+                 lengthscale=1.0, name=None):
         super().__init__(name)
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
@@ -108,7 +108,7 @@ class _GPLayer(Layer):
         self.mean_fn = mean_fn
         self.kernel = kernel or SquaredExponential(amplitude, lengthscale)
         for k, v in self.kernel.variables().items():
-            self.add_param(f"kernel_{k}", v, trainable=train_kernel)
+            self.add_param(f"kernel_{k}", v)
 
     def _mean(self, x):
         shape = x.shape[:-1] + (self.units,)
@@ -134,9 +134,8 @@ class GaussianProcess(_GPLayer):
     def __init__(self, units, mean_fn=None, kernel=None,
                  conditional_inputs=None, conditional_outputs=None,
                  observation_noise=1e-3, amplitude=1.0, lengthscale=1.0,
-                 train_kernel=True, train_noise=False, name=None):
-        super().__init__(units, mean_fn, kernel, amplitude, lengthscale,
-                         train_kernel, name)
+                 train_noise=False, name=None):
+        super().__init__(units, mean_fn, kernel, amplitude, lengthscale, name)
         if (conditional_inputs is None) != (conditional_outputs is None):
             raise ValueError(
                 "conditional_inputs and conditional_outputs come together"
@@ -158,8 +157,8 @@ class GaussianProcess(_GPLayer):
                 )
             self.conditional_inputs = self.add_buffer("conditional_inputs", cx.data)
             self.conditional_outputs = self.add_buffer("conditional_outputs", cy.data)
-        self.log_noise = self.add_param(
-            "log_noise", math.log(observation_noise), trainable=train_noise)
+        add = self.add_param if train_noise else self.add_buffer
+        self.log_noise = add("log_noise", math.log(observation_noise))
 
     def predictive(self, x):
         """Posterior (or prior) predictive as a MultivariateNormal."""
@@ -220,14 +219,11 @@ class SparseGaussianProcess(_GPLayer):
     sample_axis = True
 
     def __init__(self, units, num_inducing, mean_fn=None, kernel=None,
-                 amplitude=1.0, lengthscale=1.0, train_kernel=True,
-                 train_inducing=True, name=None):
-        super().__init__(units, mean_fn, kernel, amplitude, lengthscale,
-                         train_kernel, name)
+                 amplitude=1.0, lengthscale=1.0, name=None):
+        super().__init__(units, mean_fn, kernel, amplitude, lengthscale, name)
         if num_inducing < 1:
             raise ValueError(f"num_inducing must be >= 1, got {num_inducing}")
         self.num_inducing = int(num_inducing)
-        self.train_inducing = train_inducing
         self.inducing_inputs = None
         self.inducing_mean = None  # m_v, one column per unit
         self.scale_raw = None      # raw L_v, [units, M, M]
@@ -242,8 +238,7 @@ class SparseGaussianProcess(_GPLayer):
         strata = np.stack([rng.permutation(m) for _ in range(x.shape[1])],
                           axis=1)
         z0 = (strata + 0.5) / m * span + lo
-        self.inducing_inputs = self.add_param("inducing_inputs", z0,
-                                              trainable=self.train_inducing)
+        self.inducing_inputs = self.add_param("inducing_inputs", z0)
         self.inducing_mean = self.add_param("whitened_mean",
                                             np.zeros((m, self.units)))
         raw0 = softplus_inverse(1.0) * np.eye(m)
@@ -295,9 +290,8 @@ class RandomFourierFeatures(_GPLayer):
 
     def __init__(self, units, num_features, kernel_initializer=None,
                  kernel_regularizer="default", amplitude=1.0, lengthscale=1.0,
-                 kernel=None, train_kernel=True, name=None):
-        super().__init__(units, None, kernel, amplitude, lengthscale,
-                         train_kernel, name)
+                 kernel=None, name=None):
+        super().__init__(units, None, kernel, amplitude, lengthscale, name)
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1, got {num_features}")
         self.num_features = int(num_features)

@@ -86,6 +86,9 @@ class MixtureLogisticOutput(_Head):
     """
 
     def __init__(self, units=None, num_components=5, num_bins=256, name=None):
+        if num_components < 1:
+            raise ValueError(
+                f"num_components must be >= 1, got {num_components}")
         self.num_components = int(num_components)
         self.num_bins = int(num_bins)
         self.width_per_unit = 3 * self.num_components  # sizes the projection

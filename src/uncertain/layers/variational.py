@@ -16,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 
 from ..distributions import Distribution, Normal, RandomVariable
-from ..errors import ShapeError
+from ..errors import LayerError, ShapeError
 from ..tensor import (
     Tensor,
+    active_tape,
     as_tensor,
     concat,
     conv2d,
@@ -224,6 +225,12 @@ class VariationalLSTMCell(Layer):
     sequence.  Call :meth:`start_sequence` at each sequence boundary (or use
     :func:`unroll`); the per-call loss clearing of plain layers happens there
     instead of in ``__call__``.
+
+    A draw belongs to the tape that recorded it, or to none: a step taken
+    while another ``Tape`` records raises ``LayerError``, since the stale
+    draw would give the weights no gradient.  So every tape (each training
+    step's included) starts its sequences with :meth:`start_sequence` or
+    :func:`unroll`; the first step of a cell that never drew draws itself.
     """
 
     def __init__(self, units, kernel_initializer=None,
@@ -242,6 +249,7 @@ class VariationalLSTMCell(Layer):
             "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
             bias_regularizer)
         self._samples = None
+        self._drawn_on = None  # the Tape recording when _samples was drawn
 
     def build(self, input_dim, seed=0):
         if self.kernel.mu is None:
@@ -258,6 +266,7 @@ class VariationalLSTMCell(Layer):
         u = self.recurrent.sample(seed)
         b = self.bias.sample(seed)
         self._samples = (w.value, u.value, b.value)
+        self._drawn_on = active_tape()
         self.kernel.regularize(w)
         self.recurrent.regularize(u)
         self.bias.regularize(b)
@@ -276,6 +285,10 @@ class VariationalLSTMCell(Layer):
             )
         if self._samples is None:
             self.start_sequence(x_t.shape[1], seed)
+        elif active_tape() not in (None, self._drawn_on):
+            raise LayerError(
+                f"{self.path or self.name}: weights drawn on another tape; "
+                "call start_sequence or unroll on this tape first")
         if state is None:
             state = self.init_state(x_t.shape[0])
         h, c = state

@@ -82,11 +82,14 @@ def _blame_non_finite(layer: Layer) -> str:
 
 
 def _check_children_registered(layer: Layer):
-    """Raise when a layer holds a Layer, directly or in a list or tuple
-    attribute, that is not one of its registered children: such a layer is
-    never trained, gives no KL term and shares its parent's random streams."""
+    """Raise when a layer holds a Layer, directly or as a value of a list,
+    tuple or dict attribute, that is not one of its registered children: such
+    a layer is never trained, gives no KL term and shares its parent's random
+    streams."""
     registered = {id(child) for child in layer._children.values()}
     for attr, value in vars(layer).items():
+        if isinstance(value, dict):
+            value = list(value.values())
         for item in value if isinstance(value, (list, tuple)) else (value,):
             if isinstance(item, Layer) and id(item) not in registered:
                 raise TrainingError(
@@ -264,11 +267,6 @@ def config_get(values: dict, key, cast, default):
     if key not in values:
         return default
     try:
-        if cast is bool:
-            lowered = values[key].lower()
-            if lowered not in ("true", "false", "0", "1"):
-                raise ValueError(f"not a boolean: {values[key]!r}")
-            return lowered in ("true", "1")
         return cast(values[key])
     except ValueError as exc:
         raise ConfigError(f"config key {key!r}: {exc}") from None

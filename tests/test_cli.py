@@ -332,7 +332,20 @@ class TestConfigIntegration:
             source = fh.read()
         read = set(re.findall(
             r'(?:_resolve\(args, \w+|config_get\(\w+), "(\w+)"', source))
+        read |= set().union(*cli._SIZES.values())  # read by _sizes
         assert read == cli._CONFIG_KEYS
+
+    def test_every_size_is_a_flag_of_train_and_of_predict_or_sample(self):
+        from uncertain import cli
+
+        parser = cli.build_parser()
+        for demo, sizes in cli._SIZES.items():
+            query = "predict" if demo in ("bnn", "deep-gp") else "sample"
+            for key in sizes:
+                flag = "--" + key.replace("_", "-")
+                for command in (f"train-{demo}", query):
+                    args = parser.parse_args([command, flag, "3"])
+                    assert getattr(args, key) == 3, (command, flag)
 
     def test_malformed_config_is_runtime_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -237,6 +237,14 @@ class TestExactGP:
         gp(Tensor(x), seed=0)
         assert gp.losses == []  # exact integration has no regularizer
 
+    @pytest.mark.parametrize("train_noise", [False, True])
+    def test_noise_is_trained_only_on_request(self, train_noise):
+        gp = GaussianProcess(1, conditional_inputs=np.zeros((2, 1)),
+                             conditional_outputs=np.ones((2, 1)),
+                             train_noise=train_noise)
+        assert "log_noise" in gp.state_dict()
+        assert ("log_noise" in gp.trainable_variables()) == train_noise
+
     def test_noise_free_interpolation(self):
         x0 = np.array([[0.4]])
         y0 = np.array([[2.5]])

@@ -141,6 +141,11 @@ class TestMixtureLogisticOutput:
         assert rv.value.shape == (4, 2)
         assert np.all((rv.value.data >= 0) & (rv.value.data <= 255))
 
+    @pytest.mark.parametrize("units", [None, 2])
+    def test_no_components_is_rejected(self, units):
+        with pytest.raises(ValueError, match="num_components must be >= 1"):
+            MixtureLogisticOutput(units=units, num_components=0)
+
 
 class TestLossDiscipline:
     @pytest.mark.parametrize("factory", [

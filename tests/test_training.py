@@ -368,6 +368,17 @@ class Unregistered(Layer):
         return out(hidden(x, seed=seed), seed=seed)
 
 
+class UnregisteredDict(Layer):
+    """Sub-layers kept as the values of a dict attribute."""
+
+    def __init__(self):
+        super().__init__()
+        self.parts = {"hidden": VariationalDense(4, "relu"), "out": Dense(1)}
+
+    def call(self, x, seed):
+        return self.parts["out"](self.parts["hidden"](x, seed=seed), seed=seed)
+
+
 class TestBuild:
     """``fit`` builds every model once, off the tape, and trains every
     parameter the build created."""
@@ -420,6 +431,10 @@ class TestBuild:
     def test_unregistered_sub_layer_raises(self, make, where):
         with pytest.raises(TrainingError, match=where):
             self._fit(make(), steps=20)
+
+    def test_sub_layers_in_a_dict_attribute_raise(self):
+        with pytest.raises(TrainingError, match=r"unregistereddict\.parts"):
+            self._fit(UnregisteredDict(), steps=5)
 
 
 class TestConfigFile:

@@ -4,9 +4,12 @@ import pytest
 from scipy.special import expit
 
 from uncertain.distributions import Normal, kl_divergence
+from uncertain.errors import LayerError
 from uncertain.layers import (
     Dense,
     FlipoutDense,
+    Layer,
+    NormalOutput,
     RandomFourierFeatures,
     VariationalConv2D,
     VariationalDense,
@@ -14,11 +17,13 @@ from uncertain.layers import (
     unroll,
 )
 from uncertain.rng import mix
+from uncertain.training import ElboConfig, fit
 from uncertain.tensor import (
     Tape,
     Tensor,
     as_tensor,
     conv2d,
+    slice_last,
     softplus_inverse,
     tensor_mean,
     tensor_sum,
@@ -315,6 +320,60 @@ class TestVariationalLSTMCell:
         with pytest.raises(ShapeError, match="hidden state"):
             cell(Tensor(np.zeros((2, 2))),
                  (Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))))
+
+
+class StepLoop(Layer):
+    """The Bayesian-LSTM loop stepped by hand, one input column per time
+    step, with a normal head on the last hidden state."""
+
+    def __init__(self, start_sequence):
+        super().__init__()
+        self.start_sequence = start_sequence
+        self.cell = self.add_child("cell", VariationalLSTMCell(3))
+        self.head = self.add_child("head", NormalOutput(units=1))
+
+    def call(self, x, seed):
+        x = as_tensor(x)
+        if self.start_sequence:
+            self.cell.start_sequence(1, seed)
+        state = self.cell.init_state(x.shape[0])
+        for t in range(x.shape[1]):
+            state = self.cell(slice_last(x, t, t + 1), state, seed=seed)
+        return self.head(state[0], seed=seed)
+
+
+class TestLSTMDrawPerTape:
+    """A weight draw serves only the tape that recorded it."""
+
+    def _fit(self, model):
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(16, 4))
+        y = x.sum(axis=1, keepdims=True)
+        cfg = ElboConfig(num_train_examples=16, batch_size=8,
+                         learning_rate=0.05, max_steps=20, seed=0)
+        fit(model, x, y, cfg)
+
+    def test_stepping_a_draw_from_another_tape_raises(self):
+        with pytest.raises(LayerError, match="cell: .*start_sequence"):
+            self._fit(StepLoop(start_sequence=False))
+
+    def test_a_draw_per_step_trains_the_cell(self):
+        model = StepLoop(start_sequence=True)
+        model(Tensor(np.zeros((1, 4))), seed=0)
+        before = {k: v.data.copy() for k, v in model.cell._params.items()}
+        self._fit(model)
+        for name, value in model.cell._params.items():
+            assert not np.array_equal(value.data, before[name]), name
+
+    def test_a_draw_without_a_tape_serves_steps_without_one(self):
+        cell = VariationalLSTMCell(2)
+        cell.start_sequence(3, seed=0)
+        state = cell.init_state(1)
+        for _ in range(3):
+            state = cell(Tensor(np.ones((1, 3))), state)
+        with Tape():
+            with pytest.raises(LayerError, match="start_sequence"):
+                cell(Tensor(np.ones((1, 3))), state)
 
 
 class TestElboGradients:
