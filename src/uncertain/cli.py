@@ -324,14 +324,19 @@ def run_sample(args):
     cfg_file = _load_config(args)
     seed = _resolve(args, cfg_file, "seed", int, 0)
     if args.task == "flow":
-        model = build_flow(*_sizes(args, cfg_file, "flow"))
-        model.load_state_dict(load_checkpoint(args.checkpoint))
-        base = Normal(np.zeros(2), np.ones(2))
-        print("x0,x1")
+        state = load_checkpoint(args.checkpoint)
+        if "layer0/mask" not in state:
+            raise UncertainError(
+                f"{args.checkpoint} holds no flow: it has no 'layer0/mask'")
+        dims = state["layer0/mask"].shape[0]  # the trained data's columns
+        model = build_flow(*_sizes(args, cfg_file, "flow"), dims=dims)
+        model.load_state_dict(state)
+        base = Normal(np.zeros(dims), np.ones(dims))
+        print(",".join(f"x{i}" for i in range(dims)))
         for s in range(args.num):
             rv = base.sample(mix(seed, "sample", s))
             out = as_tensor(model(rv, seed=0)).data
-            print(f"{_FMT % out[0]},{_FMT % out[1]}")
+            print(",".join(_FMT % value for value in out))
         return 0
     if args.task == "lstm":
         units, vocab, seq_len = _sizes(args, cfg_file, "lstm")

@@ -167,6 +167,7 @@ class Tape:
 
     def __init__(self, replaces: "Tape | None" = None):
         self.nodes: list[Node] | None = []
+        self.leaves: list[tuple] = []  # (node id, shape) in watch order
         self.replaces = replaces
 
     def __enter__(self):
@@ -186,6 +187,7 @@ class Tape:
             return t
         t.tape = self
         t.node_id = self._record("leaf", (), None)
+        self.leaves.append((t.node_id, t.shape))
         return t
 
     def _record(self, op, parent_ids, backward) -> int:
@@ -198,11 +200,14 @@ class Tape:
         :class:`TapeError`."""
         self.nodes = None
 
-    def backward(self, root: Tensor, leaves_only: bool = True):
+    def backward(self, root: Tensor, leaves_only: bool = True, out=None):
         """Adjoints of a scalar root as ``{node_id: Tensor}``.
 
         Missing ids have zero gradient.  With ``leaves_only`` the map is
-        restricted to watched leaves.
+        restricted to watched leaves.  Given a flat float64 vector ``out``
+        as long as the watched leaves' sizes summed, the leaves' adjoints
+        are written into it instead, one after another in watch order, with
+        zeros for a leaf the root does not reach, and ``out`` is returned.
         """
         if self.nodes is None:
             raise TapeError("backward on a released tape")
@@ -212,6 +217,13 @@ class Tape:
             raise TapeError(
                 f"backward root must be a scalar, got shape {list(root.shape)}"
             )
+        if out is not None:
+            size = sum(math.prod(shape) for _, shape in self.leaves)
+            if out.shape != (size,):
+                raise TapeError(
+                    f"out has shape {list(out.shape)}, expected [{size}] for "
+                    f"{len(self.leaves)} watched leaves"
+                )
         adjoints: dict[int, np.ndarray] = {root.node_id: np.ones(())}
         for nid in range(root.node_id, -1, -1):
             adj = adjoints.get(nid)
@@ -227,6 +239,15 @@ class Tape:
                     adjoints[pid] = adjoints[pid] + contrib
                 else:
                     adjoints[pid] = contrib
+        if out is not None:
+            offset = 0
+            for nid, shape in self.leaves:
+                size = math.prod(shape)
+                adj = adjoints.get(nid)
+                out[offset:offset + size].reshape(shape)[...] = (
+                    0.0 if adj is None else adj)
+                offset += size
+            return out
         if leaves_only:
             return {
                 nid: Tensor(a)

@@ -99,6 +99,24 @@ def _check_children_registered(layer: Layer):
         _check_children_registered(child)
 
 
+def pack_parameters(params: dict) -> np.ndarray:
+    """Copy ``params`` into one contiguous float64 vector, one after another
+    in dict order, and make each parameter's ``data`` a reshaped view of its
+    slice; returns the vector.
+
+    The vector is what Adam updates, so code that changes a packed parameter
+    must write into ``p.data[...]``: rebinding ``p.data`` detaches the
+    parameter from the vector, and training then never moves it.
+    """
+    flat = np.concatenate([p.data.ravel() for p in params.values()]
+                          or [np.zeros(0)])
+    offset = 0
+    for p in params.values():
+        p.data = flat[offset:offset + p.size].reshape(p.shape)
+        offset += p.size
+    return flat
+
+
 def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
               likelihood=None, params=None, replaces=None):
     """One ELBO evaluation with gradients.
@@ -108,14 +126,16 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
     defaults to ``model.trainable_variables()``.  The model's output must
     be a RandomVariable or a Distribution (its ``log_prob`` is the
     likelihood) unless a ``likelihood(output, y) -> per-element log prob``
-    is supplied.  Returns (loss Tensor, kl value, gradient map); the loss
-    is tracked on this step's tape, ``loss.tape``.  ``replaces``, a
-    finished step's tape, is released when this step records its first op.
-    Raises :class:`TrainingError` when the loss or a parameter's gradient
-    is not finite.
+    is supplied.  Returns (loss Tensor, kl value, gradient): the loss is
+    tracked on this step's tape, ``loss.tape``, and the gradient is a flat
+    float64 vector laid out as :func:`pack_parameters` lays out ``params``.
+    ``replaces``, a finished step's tape, is released when this step
+    records its first op.  Raises :class:`TrainingError` when the loss or a
+    parameter's gradient is not finite.
     """
     if params is None:
         params = model.trainable_variables()
+    grad = np.empty(sum(p.size for p in params.values()))
     tape = Tape(replaces=replaces)
     with tape:
         for p in params.values():
@@ -151,42 +171,33 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
                 f"non-finite loss at step {step}; first offending layer: "
                 f"{blame} (log-lik={log_lik.item()!r})"
             )
-        grads = tape.backward(loss) if loss.node_id is not None else {}
-    for name, p in params.items():
-        grad = grads.get(p.node_id)
-        if grad is not None and not np.isfinite(grad.data).all():
-            raise TrainingError(
-                f"non-finite gradient at step {step} for parameter {name!r} "
-                f"(loss {loss.item()!r} is finite)"
-            )
-    return loss, kl_value, grads
+        if loss.node_id is None:
+            grad[...] = 0.0
+        else:
+            tape.backward(loss, out=grad)
+    finite = np.isfinite(grad)
+    if not finite.all():
+        ends = np.cumsum([p.size for p in params.values()])
+        first = int(np.searchsorted(ends, np.argmin(finite), side="right"))
+        raise TrainingError(
+            f"non-finite gradient at step {step} for parameter "
+            f"{list(params)[first]!r} (loss {loss.item()!r} is finite)"
+        )
+    return loss, kl_value, grad
 
 
-def adam_init():
-    return {"t": 0, "m": {}, "v": {}}
-
-
-def adam_update(params: dict, grads: dict, state: dict, lr,
+def adam_update(flat, grad, m, v, t, lr,
                 beta1=ADAM_BETA1, beta2=ADAM_BETA2, eps=ADAM_EPS):
-    """Standard Adam with bias correction; updates parameter data in place."""
-    state["t"] += 1
-    t = state["t"]
-    for name, p in params.items():
-        grad_t = grads.get(p.node_id)
-        g = grad_t.data if grad_t is not None else np.zeros(p.shape)
-        m = state["m"].get(name)
-        v = state["v"].get(name)
-        if m is None:
-            m = np.zeros(p.shape)
-            v = np.zeros(p.shape)
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        state["m"][name] = m
-        state["v"][name] = v
-        m_hat = m / (1.0 - beta1 ** t)
-        v_hat = v / (1.0 - beta2 ** t)
-        p.data[...] = p.data - lr * m_hat / (np.sqrt(v_hat) + eps)
-    return state
+    """Adam step ``t`` (from 1) with bias correction, in place on the flat
+    vectors: the parameters ``flat`` (see :func:`pack_parameters`) and the
+    moment estimates ``m`` and ``v``, which start at zero."""
+    m *= beta1
+    m += (1.0 - beta1) * grad
+    v *= beta2
+    v += (1.0 - beta2) * grad * grad
+    m_hat = m / (1.0 - beta1 ** t)
+    v_hat = v / (1.0 - beta2 ** t)
+    flat -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
 def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
@@ -201,7 +212,9 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     first row (through ``batch_fn`` at step -1) with seed
     ``mix(cfg.seed, "build")``, raises :class:`TrainingError` if a layer
     holds a sub-layer it did not register with ``add_child``, and then
-    trains every one of ``model.trainable_variables()``.
+    trains every one of ``model.trainable_variables()``, packed by
+    :func:`pack_parameters` into one vector that each step's gradient and
+    Adam update work on whole.  Adam's moments start at zero on each call.
 
     Each step's tape, with the forward arrays it saved, is released when the
     next step records its first op, and the last one when the loop ends, so
@@ -217,18 +230,20 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     model(probe, seed=mix(cfg.seed, "build"))
     _check_children_registered(model)
     params = model.trainable_variables()
-    state = adam_init()
+    flat = pack_parameters(params)
+    m = np.zeros_like(flat)
+    v = np.zeros_like(flat)
     trace = []
     held = None
     for step, idx in enumerate(batch_indices(
             cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
         bx = features[idx]
         batch_x = batch_fn(bx, step) if batch_fn is not None else Tensor(bx)
-        loss, kl, grads = elbo_step(
+        loss, kl, grad = elbo_step(
             model, batch_x, Tensor(targets[idx]), cfg, step,
             likelihood=likelihood, params=params, replaces=held)
         held = loss.tape
-        adam_update(params, grads, state, cfg.learning_rate)
+        adam_update(flat, grad, m, v, step + 1, cfg.learning_rate)
         trace.append((step, loss.item(), kl))
         if log_fn is not None:
             log_fn(step, loss.item(), kl)

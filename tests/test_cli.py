@@ -239,6 +239,41 @@ class TestOtherTasks:
         for row in rows:
             float(row["x0"]), float(row["x1"])
 
+    def test_flow_on_three_columns_samples_three(self, capsys, tmp_path):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "three.csv"
+        rows = rng.normal(size=(40, 3))
+        data.write_text("x0,x1,x2\n" + "".join(
+            ",".join(repr(float(v)) for v in row) + "\n" for row in rows))
+        config = tmp_path / "three.cfg"
+        config.write_text("features = x0,x1,x2\nbatch_size = 8\n")
+        ckpt = tmp_path / "flow3.ckpt"
+        code, _, err = run_cli(
+            ["train-flow", "--steps", "3", "--data", str(data), "--config",
+             str(config), "--checkpoint", str(ckpt)], capsys)
+        assert code == 0, err
+        code, out, err = run_cli(
+            ["sample", "--task", "flow", "--checkpoint", str(ckpt),
+             "--num", "4"], capsys)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == "x0,x1,x2"
+        assert len(lines) == 5
+        for line in lines[1:]:
+            assert np.all(np.isfinite([float(v) for v in line.split(",")]))
+            assert len(line.split(",")) == 3
+
+    def test_sample_flow_from_a_non_flow_checkpoint_fails(self, capsys,
+                                                          tmp_path):
+        ckpt = tmp_path / "bnn.ckpt"
+        code, _, _ = run_cli(
+            ["train-bnn", "--steps", "2", "--checkpoint", str(ckpt)], capsys)
+        assert code == 0
+        code, _, err = run_cli(
+            ["sample", "--task", "flow", "--checkpoint", str(ckpt)], capsys)
+        assert code == 1
+        assert "no 'layer0/mask'" in err
+
     def test_lstm_trains_and_samples(self, capsys, tmp_path):
         ckpt = tmp_path / "lstm.ckpt"
         code, _, _ = run_cli(

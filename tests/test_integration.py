@@ -12,7 +12,12 @@ from uncertain.layers import (
 )
 from uncertain.rng import mix
 from uncertain.tensor import Tensor, as_tensor, relu, reshape, tensor_mean
-from uncertain.training import ElboConfig, adam_init, adam_update, elbo_step
+from uncertain.training import (
+    ElboConfig,
+    adam_update,
+    elbo_step,
+    pack_parameters,
+)
 
 
 def make_blob_images(n, seed):
@@ -49,16 +54,17 @@ class TestBayesianCnn:
         cfg = ElboConfig(num_train_examples=64, batch_size=32,
                          learning_rate=0.02, max_steps=60, seed=0)
         model(Tensor(images[:1]), seed=mix(cfg.seed, "build"))
-        state = adam_init()
         params = model.trainable_variables()
+        flat = pack_parameters(params)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
         losses = []
         for step in range(cfg.max_steps):
             rng = np.random.default_rng(step)
             idx = rng.integers(0, 64, 32)
-            loss, kl, grads = elbo_step(
+            loss, kl, grad = elbo_step(
                 model, Tensor(images[idx]), Tensor(labels[idx]), cfg, step,
                 params=params)
-            adam_update(params, grads, state, cfg.learning_rate)
+            adam_update(flat, grad, m, v, step + 1, cfg.learning_rate)
             losses.append(loss.item())
             assert np.isfinite(kl)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
@@ -70,12 +76,13 @@ class TestBayesianCnn:
         cfg = ElboConfig(num_train_examples=64, batch_size=64,
                          learning_rate=0.05, max_steps=80, seed=1)
         model(Tensor(images[:1]), seed=mix(cfg.seed, "build"))
-        state = adam_init()
         params = model.trainable_variables()
+        flat = pack_parameters(params)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
         for step in range(cfg.max_steps):
-            _, _, grads = elbo_step(
+            _, _, grad = elbo_step(
                 model, Tensor(images), Tensor(labels), cfg, step, params=params)
-            adam_update(params, grads, state, cfg.learning_rate)
+            adam_update(flat, grad, m, v, step + 1, cfg.learning_rate)
         test_images, test_labels = make_blob_images(64, seed=2)
         rv = model(Tensor(test_images), seed=999)
         logits = (rv.distribution.logits.data
@@ -113,15 +120,16 @@ class TestStochasticAutoencoder:
                          learning_rate=0.01, max_steps=150, seed=3,
                          kl_scale=1.0 / 96.0)
         model(Tensor(data[:1]), seed=mix(cfg.seed, "build"))
-        state = adam_init()
         params = model.trainable_variables()
+        flat = pack_parameters(params)
+        m, v = np.zeros_like(flat), np.zeros_like(flat)
         losses = []
         for step in range(cfg.max_steps):
             batch = rng.integers(0, 96, 48)
             x = Tensor(data[batch])
-            loss, kl, grads = elbo_step(model, x, x, cfg, step,
-                                        params=params)
-            adam_update(params, grads, state, cfg.learning_rate)
+            loss, kl, grad = elbo_step(model, x, x, cfg, step,
+                                       params=params)
+            adam_update(flat, grad, m, v, step + 1, cfg.learning_rate)
             losses.append(loss.item())
             assert np.isfinite(kl)
         assert np.mean(losses[-15:]) < np.mean(losses[:15])

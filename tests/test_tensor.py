@@ -627,6 +627,38 @@ _UNARY_DOMAIN = {
 }
 
 
+class TestBackwardIntoFlat:
+    """``backward(root, out=flat)`` lays the watched leaves' adjoints out one
+    after another in watch order, as the node-id map holds them."""
+
+    def _record(self):
+        rng = np.random.default_rng(2)
+        tape = Tape()
+        with tape:
+            a = tape.watch(Tensor(rng.normal(size=(2, 3))))
+            idle = tape.watch(Tensor(np.ones(4)))  # the root never reads it
+            s = tape.watch(Tensor(0.7))
+            b = tape.watch(Tensor(rng.normal(size=(3, 1))))
+            root = tensor_sum(square(matmul(a, b) * s)) + tensor_sum(exp(b))
+        return tape, root, (a, idle, s, b)
+
+    def test_matches_the_map_in_watch_order_with_zeros(self):
+        tape, root, leaves = self._record()
+        grads = tape.backward(root)
+        flat = np.full(2 * 3 + 4 + 1 + 3, np.nan)
+        assert tape.backward(root, out=flat) is flat
+        want = [grads[t.node_id].data.ravel() if t.node_id in grads
+                else np.zeros(t.size) for t in leaves]
+        assert leaves[1].node_id not in grads
+        assert np.array_equal(flat, np.concatenate(want))
+
+    @pytest.mark.parametrize("shape", [(13,), (15,), (14, 1)])
+    def test_wrong_length_raises(self, shape):
+        tape, root, _ = self._record()
+        with pytest.raises(TapeError, match=r"expected \[14\]"):
+            tape.backward(root, out=np.zeros(shape))
+
+
 class TestGradientProperty:
     """Analytic gradients match h=1e-5 central differences on random inputs."""
 

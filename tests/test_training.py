@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 
 from uncertain.checkpoint import load_checkpoint, save_checkpoint
-from uncertain.data import load_csv, toy_regression
+from uncertain.cli import build_flow
+from uncertain.data import (
+    batch_indices,
+    load_csv,
+    toy_flow_data,
+    toy_regression,
+)
 from uncertain.distributions import Normal
 from uncertain.errors import (
     CheckpointError,
@@ -24,15 +30,19 @@ from uncertain.layers import (
     SquaredExponential,
     VariationalDense,
 )
+from uncertain.rng import mix
 import uncertain.tensor as tensor_module
 from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
 from uncertain.training import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     ElboConfig,
-    adam_init,
     adam_update,
     config_get,
     elbo_step,
     fit,
+    pack_parameters,
     parse_config,
 )
 
@@ -40,29 +50,33 @@ from uncertain.training import (
 class TestAdam:
     def test_zero_gradient_keeps_parameters(self):
         p = Tensor([1.0, -2.0])
-        state = adam_init()
-        adam_update({"p": p}, {}, state, lr=0.1)
+        flat = pack_parameters({"p": p})
+        adam_update(flat, np.zeros(2), np.zeros(2), np.zeros(2), 1, lr=0.1)
         assert np.array_equal(p.data, [1.0, -2.0])
 
     def test_first_step_moves_by_lr_times_sign(self):
+        p = Tensor([3.0, -4.0])
+        flat = pack_parameters({"p": p})
         with Tape() as tape:
-            p = tape.watch(Tensor([3.0, -4.0]))
-            grads = tape.backward(tensor_sum(p * Tensor([2.0, -7.0])))
+            tape.watch(p)
+            grad = tape.backward(tensor_sum(p * Tensor([2.0, -7.0])),
+                                 out=np.empty(2))
         before = p.data.copy()
-        adam_update({"p": p}, grads, adam_init(), lr=0.05)
+        adam_update(flat, grad, np.zeros(2), np.zeros(2), 1, lr=0.05)
         step = p.data - before
         np.testing.assert_allclose(step, [-0.05, 0.05], rtol=1e-6)
 
     def test_quadratic_bowl_converges(self):
         target = np.array([1.5, -0.7, 0.2])
         p = Tensor(np.zeros(3))
-        state = adam_init()
-        for _ in range(2000):
+        flat = pack_parameters({"p": p})
+        grad, m, v = np.empty(3), np.zeros(3), np.zeros(3)
+        for t in range(1, 2001):
             with Tape() as tape:
                 tape.watch(p)
                 diff = p - Tensor(target)
-                grads = tape.backward(tensor_sum(diff * diff))
-            adam_update({"p": p}, grads, state, lr=0.05)
+                tape.backward(tensor_sum(diff * diff), out=grad)
+            adam_update(flat, grad, m, v, t, lr=0.05)
         assert np.abs(p.data - target).max() < 1e-6
 
 
@@ -306,12 +320,11 @@ class TestFit:
         real_backward = Tape.backward
         poisoned = []
 
-        def backward_with_nan(tape, root, leaves_only=True):
-            grads = real_backward(tape, root, leaves_only)
-            nid = max(grads)  # the last watched leaf: the output bias
-            grads[nid].data[...] = np.nan
-            poisoned.append(nid)
-            return grads
+        def backward_with_nan(tape, root, leaves_only=True, out=None):
+            grad = real_backward(tape, root, leaves_only, out)
+            grad[-1] = np.nan  # the last watched leaf: the output bias
+            poisoned.append(tape.leaves[-1][0])
+            return grad
 
         monkeypatch.setattr(Tape, "backward", backward_with_nan)
         with pytest.raises(TrainingError, match="step 0") as excinfo:
@@ -435,6 +448,176 @@ class TestBuild:
     def test_sub_layers_in_a_dict_attribute_raise(self):
         with pytest.raises(TrainingError, match=r"unregistereddict\.parts"):
             self._fit(UnregisteredDict(), steps=5)
+
+
+def looped_adam_fit(model, features, targets, cfg, likelihood=None,
+                    batch_fn=None):
+    """Reference for ``fit``: Adam as a loop over parameters with per-name
+    moment dicts, on gradients read from ``Tape.backward``'s node-id map,
+    and no parameter packed.  ``fit`` must match it bitwise: every Adam op
+    is elementwise."""
+    probe = (batch_fn(features[:1], -1) if batch_fn is not None
+             else Tensor(features[:1]))
+    model(probe, seed=mix(cfg.seed, "build"))
+    params = model.trainable_variables()
+    state = {"t": 0, "m": {}, "v": {}}
+    trace = []
+    for step, idx in enumerate(batch_indices(
+            cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
+        bx = features[idx]
+        batch_x = batch_fn(bx, step) if batch_fn is not None else Tensor(bx)
+        loss, kl, _ = elbo_step(model, batch_x, Tensor(targets[idx]), cfg,
+                                step, likelihood=likelihood, params=params)
+        grads = loss.tape.backward(loss)
+        state["t"] += 1
+        t = state["t"]
+        beta1, beta2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+        for name, p in params.items():
+            grad_t = grads.get(p.node_id)
+            g = grad_t.data if grad_t is not None else np.zeros(p.shape)
+            m = state["m"].get(name)
+            v = state["v"].get(name)
+            if m is None:
+                m = np.zeros(p.shape)
+                v = np.zeros(p.shape)
+            m = beta1 * m + (1.0 - beta1) * g
+            v = beta2 * v + (1.0 - beta2) * g * g
+            state["m"][name] = m
+            state["v"][name] = v
+            m_hat = m / (1.0 - beta1 ** t)
+            v_hat = v / (1.0 - beta2 ** t)
+            p.data[...] = p.data - cfg.learning_rate * m_hat / (
+                np.sqrt(v_hat) + eps)
+        trace.append((step, loss.item(), kl))
+    return trace
+
+
+class GainWithIdleLeaf(Layer):
+    """A scalar gain, and a weight that no output depends on."""
+
+    def __init__(self):
+        super().__init__()
+        self.gain = self.add_param("gain", np.asarray(1.5))
+        self.idle = self.add_param("idle", np.arange(6.0).reshape(2, 3))
+
+    def call(self, x, seed):
+        return as_tensor(x) * self.gain
+
+
+def regression_case():
+    x, y = toy_regression(32, seed=0)
+    cfg = ElboConfig(num_train_examples=32, batch_size=8,
+                     learning_rate=0.02, max_steps=40, seed=3)
+    return (lambda: Sequential([VariationalDense(8, "relu"),
+                                GainWithIdleLeaf(), Dense(1)]),
+            x, y, cfg,
+            dict(likelihood=lambda out, t: Normal(as_tensor(out), 0.1)
+                 .log_prob(t)))
+
+
+def flow_case():
+    data = toy_flow_data(64, seed=0)
+    cfg = ElboConfig(num_train_examples=64, batch_size=16,
+                     learning_rate=0.005, max_steps=40, seed=0)
+    base = Normal(np.zeros(2), np.ones(2))
+    return (lambda: build_flow(4, 8), data, data, cfg,
+            dict(batch_fn=lambda _bx, _step: base))
+
+
+def packed_buffer(model):
+    """The one vector that every trainable parameter of ``model`` views,
+    checked to hold them one after another in listing order."""
+    params = model.trainable_variables()
+    first = next(iter(params.values()))
+    flat = first.data.base
+    assert flat is not None and flat.ndim == 1
+    assert flat.size == sum(p.size for p in params.values())
+    offset = 0
+    for name, p in params.items():
+        assert p.data.base is flat, name
+        assert np.shares_memory(p.data, flat), name
+        assert np.array_equal(flat[offset:offset + p.size], p.data.ravel())
+        offset += p.size
+    return flat
+
+
+class TestFlatParameters:
+    """``fit`` packs the parameters into one vector and runs Adam on it whole,
+    bitwise as the per-parameter loop did."""
+
+    @pytest.mark.parametrize("case, leaves", [(flow_case, 24),
+                                              (regression_case, 8)],
+                             ids=["flow", "idle_leaf"])
+    def test_fit_matches_per_parameter_loop_bitwise(self, case, leaves):
+        make, x, y, cfg, kwargs = case()
+        packed, looped = make(), make()
+        trace = fit(packed, x, y, cfg, **kwargs)
+        want = looped_adam_fit(looped, x, y, cfg, **kwargs)
+        assert len(packed.trainable_variables()) == leaves
+        assert trace == want
+        got_state, want_state = packed.state_dict(), looped.state_dict()
+        assert got_state.keys() == want_state.keys()
+        for name in got_state:
+            assert np.array_equal(got_state[name], want_state[name]), name
+
+    def test_leaf_without_gradient_stays_and_others_move(self):
+        make, x, y, cfg, kwargs = regression_case()
+        model = make()
+        model(Tensor(x[:1]), seed=mix(cfg.seed, "build"))
+        before = model.state_dict()
+        fit(model, x, y, cfg, **kwargs)
+        after = model.state_dict()
+        assert np.array_equal(after["layer1/idle"], before["layer1/idle"])
+        moved = [k for k in before
+                 if not np.array_equal(after[k], before[k])]
+        assert sorted(moved) == sorted(
+            k for k in model.trainable_variables() if k != "layer1/idle")
+
+    def test_parameters_view_the_buffer_after_a_step(self):
+        make, x, y, cfg, kwargs = flow_case()
+        cfg.max_steps = 1
+        model = make()
+        fit(model, x, y, cfg, **kwargs)
+        packed_buffer(model)
+
+    def test_load_state_dict_writes_into_the_buffer(self):
+        make, x, y, cfg, kwargs = regression_case()
+        cfg.max_steps = 1
+        model, other = make(), make()
+        fit(model, x, y, cfg, **kwargs)
+        flat = packed_buffer(model)
+        other(Tensor(x[:1]), seed=7)
+        model.load_state_dict(other.state_dict())
+        assert packed_buffer(model) is flat
+        for name, values in other.state_dict().items():
+            assert np.array_equal(model.state_dict()[name], values), name
+
+    def test_second_fit_continues_training(self):
+        make, x, y, cfg, kwargs = flow_case()
+        cfg.max_steps = 20
+        model = make()
+        model(kwargs["batch_fn"](x[:1], -1), seed=mix(cfg.seed, "build"))
+        initial = model.state_dict()
+        first = fit(model, x, y, cfg, **kwargs)
+        trained = model.state_dict()
+        second = fit(model, x, y, cfg, **kwargs)
+        packed_buffer(model)
+        # the same as resuming from a checkpoint of the first call
+        resumed = make()
+        resumed(kwargs["batch_fn"](x[:1], -1), seed=mix(cfg.seed, "build"))
+        resumed.load_state_dict(trained)
+        assert fit(resumed, x, y, cfg, **kwargs) == second
+        assert second[0][1] != first[0][1]
+        final = model.state_dict()
+        for name, values in resumed.state_dict().items():
+            assert np.array_equal(final[name], values), name
+        # a leaf the first call moved moves again in the second (8 of the
+        # 24 get no gradient: the odd couplings' conditioners see zeros)
+        trains = [name for name in model.trainable_variables()
+                  if not np.array_equal(trained[name], initial[name])]
+        assert len(trains) >= 16
+        for name in trains:
+            assert not np.array_equal(final[name], trained[name]), name
 
 
 class TestConfigFile:
