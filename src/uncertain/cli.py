@@ -22,7 +22,7 @@ from . import layers
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_csv, one_hot, toy_flow_data, toy_regression, toy_sequences
 from .distributions import Normal
-from .errors import ConfigError, UncertainError
+from .errors import ConfigError, ShapeError, UncertainError
 from .rng import mix, rng_from
 from .tensor import Tensor, as_tensor, matmul, reshape
 from .training import ElboConfig, config_get, fit, parse_config
@@ -174,10 +174,13 @@ def build_deep_gp(hidden_units, num_inducing):
 
 @_model_builder
 def build_flow(num_couplings, hidden, dims=2):
+    # the coupling mask alone keeps the Jacobian triangular, so each
+    # conditioner sees every anchored coordinate (RealNVP); MADE's masks
+    # would leave an odd coupling's active output unconditioned
     couplings = [
         layers.CouplingLayer(
             layers.alternating_mask(dims, parity=i % 2),
-            layers.MADE(dims, hidden_sizes=(hidden,)),
+            layers.DenseConditioner(dims, hidden_sizes=(hidden,)),
         )
         for i in range(num_couplings)
     ]
@@ -288,6 +291,18 @@ def run_train_lstm(args):
                          likelihood=likelihood)
 
 
+def _restore(model, path, state=None):
+    """Load checkpoint ``path`` (``state``, when already read) into
+    ``model``; entries or shapes that do not fit the model are an error
+    naming the file."""
+    if state is None:
+        state = load_checkpoint(path)
+    try:
+        model.load_state_dict(state)
+    except (KeyError, ShapeError) as exc:
+        raise UncertainError(f"{path}: {exc.args[0]}") from exc
+
+
 def _rebuild_for_predict(args, cfg_file):
     task = args.task
     seed = _resolve(args, cfg_file, "seed", int, 0)
@@ -300,7 +315,7 @@ def _rebuild_for_predict(args, cfg_file):
         raise UncertainError(f"predict does not support task {task!r}")
     model = build(*_sizes(args, cfg_file, task))
     model(Tensor(x[:1]), seed=mix(seed, "build"))
-    model.load_state_dict(load_checkpoint(args.checkpoint))
+    _restore(model, args.checkpoint)
     return model, seed
 
 
@@ -330,7 +345,7 @@ def run_sample(args):
                 f"{args.checkpoint} holds no flow: it has no 'layer0/mask'")
         dims = state["layer0/mask"].shape[0]  # the trained data's columns
         model = build_flow(*_sizes(args, cfg_file, "flow"), dims=dims)
-        model.load_state_dict(state)
+        _restore(model, args.checkpoint, state)
         base = Normal(np.zeros(dims), np.ones(dims))
         print(",".join(f"x{i}" for i in range(dims)))
         for s in range(args.num):
@@ -343,7 +358,7 @@ def run_sample(args):
         model = build_lstm(units, vocab)
         dummy = np.zeros((1, seq_len - 1, vocab))
         model(Tensor(dummy), seed=mix(seed, "build"))
-        model.load_state_dict(load_checkpoint(args.checkpoint))
+        _restore(model, args.checkpoint)
         for s in range(args.num):
             rng = rng_from(seed, "sample", s)
             model.cell.start_sequence(vocab, mix(seed, "sample-weights", s))

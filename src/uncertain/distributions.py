@@ -1,8 +1,8 @@
-"""Distributions and the RandomVariable wrapper.
+"""Distributions and the RandomVariable they sample.
 
-A RandomVariable is a realized sample bound to its distribution; numerical
-ops see the sample tensor, so stochastic values compose with deterministic
-layers unchanged.  Sampling always takes an explicit seed (or an existing
+A RandomVariable is a Tensor, the realized sample, bound to its
+distribution, so stochastic values compose with deterministic layers
+unchanged.  Sampling always takes an explicit seed (or an existing
 Generator) and Normal/MultivariateNormal sampling is reparameterized, so
 gradients flow from a sample back to the distribution parameters.
 
@@ -47,18 +47,20 @@ def _as_rng(seed) -> np.random.Generator:
     return rng_from(seed)
 
 
-class RandomVariable:
-    """A sample tensor bound to the distribution it was drawn from."""
+class RandomVariable(Tensor):
+    """A sample tensor bound to the distribution it was drawn from.
+
+    It is its sample: it shares the sample Tensor's array and tape node, so
+    every op sees the sample.  ``value`` is that plain sample Tensor.
+    """
 
     __slots__ = ("distribution", "value")
 
     def __init__(self, distribution, value: Tensor):
+        value = as_tensor(value)
+        self.data, self.tape, self.node_id = value.data, value.tape, value.node_id
         self.distribution = distribution
-        self.value = as_tensor(value)
-
-    @property
-    def shape(self):
-        return self.value.shape
+        self.value = value
 
     def log_prob(self, x):
         return self.distribution.log_prob(x)
@@ -66,40 +68,6 @@ class RandomVariable:
     def __repr__(self):
         return (f"RandomVariable({type(self.distribution).__name__}, "
                 f"shape={self.shape})")
-
-    # numerical ops operate on the sample tensor
-    def __add__(self, other):
-        return self.value + other
-
-    def __radd__(self, other):
-        return as_tensor(other) + self.value
-
-    def __sub__(self, other):
-        return self.value - other
-
-    def __rsub__(self, other):
-        return as_tensor(other) - self.value
-
-    def __mul__(self, other):
-        return self.value * other
-
-    def __rmul__(self, other):
-        return as_tensor(other) * self.value
-
-    def __truediv__(self, other):
-        return self.value / other
-
-    def __rtruediv__(self, other):
-        return as_tensor(other) / self.value
-
-    def __neg__(self):
-        return -self.value
-
-    def __matmul__(self, other):
-        return matmul(self.value, other)
-
-    def __rmatmul__(self, other):
-        return matmul(other, self.value)
 
 
 class Distribution:
@@ -372,7 +340,7 @@ class TransformedDistribution(Distribution):
 
     def sample(self, seed, sample_shape=()):
         rv = self.base.sample(seed, sample_shape)
-        return RandomVariable(self, as_tensor(self.transform(rv.value)))
+        return RandomVariable(self, self.transform(rv.value))
 
     def _base_log_prob(self, x):
         lp = self.base.log_prob(x)

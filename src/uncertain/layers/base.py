@@ -23,7 +23,10 @@ per-site salt).  The path is the chain of child names from the root, such as
 ``layer1/conditioner``, and ``""`` for a root; :meth:`Layer.add_child` sets
 it.  A layer's streams therefore depend on where it sits in its model, not
 on what else the process built, and a model rebuilt from the same
-constructor calls reproduces its streams bitwise.
+constructor calls reproduces its streams bitwise.  Two root layers composed
+by hand, as in ``b(a(x, seed=5), seed=5)``, both have path ``""``: same-shaped
+ones start from equal parameters and draw equal noise.  Register them as
+children of one model (``Sequential([a, b])``) to give them distinct paths.
 
 Monte-Carlo sample axis: ``layer(x, seed=seeds)`` with a sequence of S seeds
 draws S samples in one call and returns them along a new leading axis of
@@ -195,10 +198,15 @@ class Layer:
         return {name: t.data.copy() for name, t in self.named_state()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
+        """Copy ``state`` in; its entry names must be exactly the model's."""
         own = dict(self.named_state())
         missing = sorted(set(own) - set(state))
-        if missing:
-            raise KeyError(f"state is missing entries: {missing}")
+        unexpected = sorted(set(state) - set(own))
+        problems = [f"is missing entries: {missing}"] if missing else []
+        if unexpected:
+            problems.append(f"has unexpected entries: {unexpected}")
+        if problems:
+            raise KeyError("state " + "; ".join(problems))
         for name, t in own.items():
             values = np.asarray(state[name], dtype=np.float64)
             if values.shape != t.shape:

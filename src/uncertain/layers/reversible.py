@@ -61,9 +61,8 @@ class ReversibleLayer(Layer):
         if isinstance(x, Distribution):
             return TransformedDistribution(x, self)
         if isinstance(x, RandomVariable):
-            value = as_tensor(self.call(x.value, seed))
-            return RandomVariable(
-                TransformedDistribution(x.distribution, self), value)
+            return RandomVariable(TransformedDistribution(x.distribution, self),
+                                  self.call(x.value, seed))
         return self.call(x, seed)
 
     def reverse(self, y):

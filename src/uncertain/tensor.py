@@ -118,15 +118,9 @@ class Tensor:
 
 
 def as_tensor(x) -> Tensor:
-    """Coerce scalars, arrays, and RandomVariables to a Tensor.
-
-    RandomVariables are realized through their sample value, matching the
-    convention that numerical ops see the sample.
-    """
+    """Coerce scalars and arrays to a Tensor; a Tensor passes through."""
     if isinstance(x, Tensor):
         return x
-    if hasattr(x, "value") and hasattr(x, "distribution"):
-        return x.value
     return Tensor(x)
 
 
@@ -200,11 +194,11 @@ class Tape:
         :class:`TapeError`."""
         self.nodes = None
 
-    def backward(self, root: Tensor, leaves_only: bool = True, out=None):
-        """Adjoints of a scalar root as ``{node_id: Tensor}``.
+    def backward(self, root: Tensor, out=None):
+        """Adjoints of a scalar root at the watched leaves as
+        ``{node_id: Tensor}``.
 
-        Missing ids have zero gradient.  With ``leaves_only`` the map is
-        restricted to watched leaves.  Given a flat float64 vector ``out``
+        Missing ids have zero gradient.  Given a flat float64 vector ``out``
         as long as the watched leaves' sizes summed, the leaves' adjoints
         are written into it instead, one after another in watch order, with
         zeros for a leaf the root does not reach, and ``out`` is returned.
@@ -248,13 +242,11 @@ class Tape:
                     0.0 if adj is None else adj)
                 offset += size
             return out
-        if leaves_only:
-            return {
-                nid: Tensor(a)
-                for nid, a in adjoints.items()
-                if self.nodes[nid].op == "leaf"
-            }
-        return {nid: Tensor(a) for nid, a in adjoints.items()}
+        return {
+            nid: Tensor(a)
+            for nid, a in adjoints.items()
+            if self.nodes[nid].op == "leaf"
+        }
 
 
 def _apply(op, out_data, parents, backward):
@@ -335,7 +327,7 @@ def div(a, b):
 
 
 def _unary(op, a, out, grad):
-    a = as_tensor(a) if not isinstance(a, Tensor) else a
+    a = as_tensor(a)
 
     def backward(adj):
         return (grad(adj, a.data, out),)

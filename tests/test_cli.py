@@ -7,12 +7,13 @@ import sys
 import numpy as np
 import pytest
 
+from uncertain import cli
 from uncertain.checkpoint import load_checkpoint
-from uncertain.cli import build_bnn, build_deep_gp, main
-from uncertain.data import toy_regression
+from uncertain.cli import build_bnn, build_deep_gp, build_flow, main
+from uncertain.data import toy_flow_data, toy_regression
 from uncertain.layers import gp as gp_module
 from uncertain.rng import mix
-from uncertain.tensor import Tensor, as_tensor
+from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
 
 
 def run_cli(argv, capsys):
@@ -289,6 +290,106 @@ class TestOtherTasks:
             tokens = [int(t) for t in line.split(",")]
             assert len(tokens) == 6
             assert all(0 <= t < 8 for t in tokens)
+
+
+class TestCheckpointMismatch:
+    """A checkpoint that does not fit the model is one ``error:`` line
+    naming the file, with exit 1, not a traceback."""
+
+    @pytest.mark.parametrize("train, query, names", [
+        (["train-bnn"], ["predict", "--task", "deep-gp"],
+         ["is missing entries", "layer0/whitened_mean",
+          "has unexpected entries", "layer0/kernel_mu"]),
+        (["train-flow"], ["sample", "--task", "flow", "--num-couplings", "2"],
+         ["has unexpected entries", "layer2/mask", "layer3/conditioner/w_out"]),
+        (["train-lstm"], ["sample", "--task", "lstm", "--units", "4"],
+         ["'cell/kernel_mu' has shape"]),
+    ], ids=["bnn_into_deep_gp", "fewer_couplings", "smaller_lstm"])
+    def test_mismatch_is_runtime_error(self, capsys, tmp_path, train, query,
+                                       names):
+        ckpt = str(tmp_path / "m.ckpt")
+        code, _, _ = run_cli(train + ["--steps", "2", "--checkpoint", ckpt],
+                             capsys)
+        assert code == 0
+        code, out, err = run_cli(query + ["--checkpoint", ckpt], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: {ckpt}: state ")
+        assert err.count("\n") == 1
+        for name in names:
+            assert name in err
+
+
+class TestEveryParameterTrains:
+    """Every trainable parameter of each CLI demo moves within 50 steps at
+    the CLI defaults: a parameter that never gets a gradient is capacity
+    the demo pays for and does not use."""
+
+    @pytest.mark.parametrize("demo", ["bnn", "deep-gp", "flow", "lstm"])
+    def test_every_parameter_moves(self, capsys, tmp_path, monkeypatch,
+                                   demo):
+        models = []
+        real_fit = cli.fit
+
+        def recording_fit(model, *args, **kwargs):
+            models.append(model)
+            return real_fit(model, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "fit", recording_fit)
+        states = []
+        for steps in ("0", "50"):
+            ckpt = tmp_path / f"{demo}-{steps}.ckpt"
+            code, _, err = run_cli([f"train-{demo}", "--steps", steps,
+                                    "--checkpoint", str(ckpt)], capsys)
+            assert code == 0, err
+            states.append(load_checkpoint(ckpt))
+        before, after = states
+        names = list(models[-1].trainable_variables())
+        assert names
+        unmoved = [n for n in names if np.array_equal(before[n], after[n])]
+        assert unmoved == []
+
+
+class TestFlowDemoConditioning:
+    """The flow demo's couplings condition every coordinate on the other."""
+
+    @pytest.mark.parametrize("parity", [0, 1])
+    def test_active_output_depends_on_anchored_input(self, parity):
+        flow = build_flow(2, 8)
+        rng = np.random.default_rng(parity)
+        for p in flow.trainable_variables().values():
+            p.data[...] = 0.5 * rng.standard_normal(p.shape)
+        coupling = flow.layers[parity]
+        anchored = int(np.flatnonzero(coupling.mask.data)[0])
+        active = 1 - anchored
+        x0 = rng.standard_normal((1, 2))
+        jac = np.empty((2, 2))
+        for i in range(2):
+            with Tape() as tape:
+                x = tape.watch(Tensor(x0))
+                y = coupling(x, seed=0)
+                out = tensor_sum(y * Tensor(np.eye(2)[i]))
+                jac[i] = tape.backward(out)[x.node_id].data[0]
+        assert jac[anchored, anchored] == 1.0
+        assert jac[anchored, active] == 0.0
+        assert abs(jac[active, anchored]) > 1e-3
+
+    def test_fits_the_column_swapped_banana(self, capsys, tmp_path):
+        # the banana with x0 curved around a standard-normal x1: a coupling
+        # that cannot condition x0 on x1 ends near 2.28 (MADE conditioners),
+        # one that can near 1.62, at CLI defaults
+        data = tmp_path / "swapped.csv"
+        rows = toy_flow_data(2000, 0)[:, ::-1]
+        data.write_text("x0,x1\n" + "".join(
+            f"{a!r},{b!r}\n" for a, b in rows.tolist()))
+        code, out, err = run_cli(
+            ["train-flow", "--data", str(data),
+             "--checkpoint", str(tmp_path / "flow.ckpt")], capsys)
+        assert code == 0, err
+        losses = [float(line.split()[1].split("=")[1])
+                  for line in out.strip().splitlines()]
+        assert len(losses) == 400
+        assert np.mean(losses[-50:]) < 1.9
 
 
 def deep_gp_losses(capsys, tmp_path, seed, steps=None):

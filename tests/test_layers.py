@@ -174,6 +174,18 @@ class TestState:
         with pytest.raises(KeyError, match="kernel"):
             d.load_state_dict({"bias": np.zeros(2)})
 
+    def test_load_unexpected_key(self):
+        d = Dense(2)
+        d(Tensor(np.zeros((1, 2))), seed=0)
+        state = d.state_dict()
+        state["extra/kernel"] = np.zeros((2, 2))
+        before = d.kernel.data.copy()
+        state["kernel"] = before + 1.0
+        with pytest.raises(KeyError,
+                           match=r"unexpected entries: \['extra/kernel'\]"):
+            d.load_state_dict(state)
+        assert np.array_equal(d.kernel.data, before)  # nothing was loaded
+
     def test_load_shape_mismatch(self):
         d = Dense(2)
         d(Tensor(np.zeros((1, 2))), seed=0)

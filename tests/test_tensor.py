@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import solve_triangular as scipy_solve_triangular
 
 from uncertain import backend
+from uncertain.distributions import Normal, RandomVariable
 from uncertain.errors import DomainError, ShapeError, TapeError
 from uncertain.tensor import (
     ELEMENTWISE_BINARY,
@@ -14,6 +15,7 @@ from uncertain.tensor import (
     Tensor,
     _solve_lower,
     add,
+    as_tensor,
     broadcast_to,
     concat,
     conv2d,
@@ -833,23 +835,53 @@ class TestTapeDeterminism:
         assert first_val == second_val
         assert np.array_equal(first_grad, second_grad)
 
-    def test_every_reachable_adjoint_is_finite(self):
+    def test_every_watched_adjoint_is_finite(self):
         rng = np.random.default_rng(9)
         with Tape() as tape:
             x = tape.watch(Tensor(rng.uniform(0.5, 1.5, size=(4,))))
-            y = tensor_sum(mul(log(x), exp(x)))
-            all_adj = tape.backward(y, leaves_only=False)
-        assert all_adj[y.node_id].item() == 1.0
-        for adj in all_adj.values():
+            w = tape.watch(Tensor(rng.uniform(0.5, 1.5, size=(4,))))
+            y = tensor_sum(mul(log(x), exp(mul(x, w))))
+            adjoints = tape.backward(y)
+        assert set(adjoints) == {x.node_id, w.node_id}
+        for adj in adjoints.values():
+            assert adj.shape == (4,)
             assert np.all(np.isfinite(adj.data))
 
 
 class TestAsTensor:
-    def test_random_variable_duck_typing(self):
+    """A RandomVariable is a Tensor: the sample it was built from, with the
+    same array and tape node; nothing else is taken for one."""
+
+    def _rv(self, tape):
+        loc = tape.watch(Tensor([0.5, -1.0]))
+        value = mul(loc, 3.0)
+        return loc, RandomVariable(Normal(loc, 1.0), value), value
+
+    def test_random_variable_is_its_sample(self):
+        with Tape() as tape:
+            _, rv, value = self._rv(tape)
+        assert isinstance(rv, Tensor)
+        assert as_tensor(rv) is rv
+        assert rv.value is value
+        assert rv.data is value.data
+        assert rv.tape is tape and rv.node_id == value.node_id
+
+    def test_gradient_through_rv_equals_gradient_through_value(self):
+        grads = []
+        for through_value in (False, True):
+            with Tape() as tape:
+                loc, rv, _ = self._rv(tape)
+                x = rv.value if through_value else rv
+                y = tensor_sum(square(x) + 2.0 * x)
+                grads.append(tape.backward(y)[loc.node_id].data)
+        assert np.array_equal(grads[0], grads[1])
+        assert np.array_equal(grads[0], [15.0, -12.0])  # 3 * (2 * 3 loc + 2)
+
+    def test_duck_typed_random_variable_is_rejected(self):
         class FakeRV:
             def __init__(self):
                 self.value = Tensor([1.0, 2.0])
                 self.distribution = object()
 
-        out = add(FakeRV(), Tensor([1.0, 1.0]))
-        assert np.array_equal(out.data, [2.0, 3.0])
+        with pytest.raises(TypeError):
+            add(FakeRV(), Tensor([1.0, 1.0]))

@@ -320,8 +320,8 @@ class TestFit:
         real_backward = Tape.backward
         poisoned = []
 
-        def backward_with_nan(tape, root, leaves_only=True, out=None):
-            grad = real_backward(tape, root, leaves_only, out)
+        def backward_with_nan(tape, root, out=None):
+            grad = real_backward(tape, root, out)
             grad[-1] = np.nan  # the last watched leaf: the output bias
             poisoned.append(tape.leaves[-1][0])
             return grad
@@ -545,7 +545,7 @@ class TestFlatParameters:
     """``fit`` packs the parameters into one vector and runs Adam on it whole,
     bitwise as the per-parameter loop did."""
 
-    @pytest.mark.parametrize("case, leaves", [(flow_case, 24),
+    @pytest.mark.parametrize("case, leaves", [(flow_case, 16),
                                               (regression_case, 8)],
                              ids=["flow", "idle_leaf"])
     def test_fit_matches_per_parameter_loop_bitwise(self, case, leaves):
