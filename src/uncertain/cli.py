@@ -454,7 +454,7 @@ def build_parser():
     p = sub.add_parser("sample", help="draw from a trained flow or LSTM")
     _add_common(p)
     p.add_argument("--task", choices=("flow", "lstm"), default="flow")
-    p.add_argument("--num", type=int, default=16)
+    p.add_argument("--num", type=_positive_int, default=16)
     _add_sizes(p, "flow")
     _add_sizes(p, "lstm")
     p.set_defaults(func=run_sample)

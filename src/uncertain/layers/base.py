@@ -12,11 +12,19 @@ Distribution return value marks the parameter as variational and is how
 Bayesian layers differ from their deterministic counterparts.  Regularizers
 are callables from a parameter RandomVariable to a scalar tensor.
 
-Building: a layer creates its parameters on its first call, and never while
-a ``Tape`` is recording: a parameter created there is not watched and would
-silently get no gradient, so :meth:`Layer.add_param` raises ``LayerError``.
-``training.fit`` makes that first call before its first step; call a model
-once yourself before recording your own tape.
+Building: :meth:`Layer.__call__` is the one call protocol.  It clears the
+losses, checks the seed and, for a class that declares ``input_rank``, the
+input's rank, then runs ``build(x, seed)`` once, on the first call, before
+``call``.  Those are the two things a custom layer declares beyond ``call``:
+``input_rank``, the rank of a one-seed input (None, the default, leaves the
+input unchecked and unconverted), and ``build``, which creates the
+parameters that depend on the first input.  A layer without its own
+``build`` is built from the start; ``built`` turns True only after a
+``build`` returns, so one that raises is retried on the next call.  No
+build succeeds while a ``Tape`` is recording: a parameter created there is
+not watched and would silently get no gradient, so :meth:`Layer.add_param`
+raises ``LayerError``.  ``training.fit`` makes that first call before its
+first step; call a model once yourself before recording your own tape.
 
 Randomness: a layer derives every sample from (call seed, its ``path``, a
 per-site salt).  The path is the chain of child names from the root, such as
@@ -92,9 +100,12 @@ class Layer:
 
     #: whether ``call`` takes a tuple of seeds (see the module docstring)
     sample_axis = False
+    #: rank of a one-seed input; None leaves the input unchecked
+    input_rank = None
 
     def __init__(self, name=None):
         self.name = name or type(self).__name__.lower()
+        self.built = type(self).build is Layer.build  # no build, none needed
         self.path = ""  # chain of child names from the root; set by add_child
         self._params: dict[str, Tensor] = {}  # trained; buffers are not
         self._buffers: dict[str, Tensor] = {}
@@ -129,12 +140,28 @@ class Layer:
         self._losses.append(value)
 
     # -- call protocol -----------------------------------------------------
+    def build(self, x, seed):
+        """Create the parameters from the first input; runs once, with an
+        int seed, before the first ``call``."""
+
     def call(self, x, seed):
         raise NotImplementedError
 
     def __call__(self, x, seed=0):
         self._losses = []
-        return self.call(x, self._check_seed(seed))
+        seed = self._check_seed(seed)
+        if self.input_rank is not None:
+            x = as_tensor(x)
+            self._check_rank(x, seed)
+        if not self.built:
+            if isinstance(seed, tuple):
+                raise LayerError(
+                    f"{self.name} ({type(self).__name__}) is not built; call "
+                    "it once with an int seed before passing a seed sequence"
+                )
+            self.build(x, seed)
+            self.built = True
+        return self.call(x, seed)
 
     def _check_seed(self, seed):
         """An int seed as given, or a seed sequence as a tuple of ints."""
@@ -149,14 +176,21 @@ class Layer:
             raise ValueError("a seed sequence needs at least one seed")
         return tuple(int(s) for s in seed)
 
-    def _build_seed(self, seed):
-        """Building draws from one seed, so an unbuilt layer rejects S."""
-        if isinstance(seed, tuple):
-            raise LayerError(
-                f"{self.name} ({type(self).__name__}) is not built; call it "
-                "once with an int seed before passing a seed sequence"
+    def _check_rank(self, x, seed):
+        """One seed takes rank ``input_rank``; S seeds take that shared
+        input or one with S as a new leading axis."""
+        rank = self.input_rank
+        if not isinstance(seed, tuple):
+            if x.ndim != rank:
+                raise ShapeError(f"{type(self).__name__} expects rank-{rank} "
+                                 f"input, got {list(x.shape)}")
+        elif x.ndim != rank and (x.ndim != rank + 1
+                                 or x.shape[0] != len(seed)):
+            raise ShapeError(
+                f"{type(self).__name__} with {len(seed)} seeds expects rank-"
+                f"{rank} input or rank {rank + 1} with leading axis "
+                f"{len(seed)}, got {list(x.shape)}"
             )
-        return seed
 
     @property
     def losses(self) -> list:
@@ -198,7 +232,8 @@ class Layer:
         return {name: t.data.copy() for name, t in self.named_state()}
 
     def load_state_dict(self, state: dict[str, np.ndarray]):
-        """Copy ``state`` in; its entry names must be exactly the model's."""
+        """Copy ``state`` in; its entry names and shapes must be exactly the
+        model's, and a mismatch raises before any entry is written."""
         own = dict(self.named_state())
         missing = sorted(set(own) - set(state))
         unexpected = sorted(set(state) - set(own))
@@ -207,39 +242,19 @@ class Layer:
             problems.append(f"has unexpected entries: {unexpected}")
         if problems:
             raise KeyError("state " + "; ".join(problems))
-        for name, t in own.items():
-            values = np.asarray(state[name], dtype=np.float64)
-            if values.shape != t.shape:
+        values = {name: np.asarray(state[name], dtype=np.float64)
+                  for name in own}
+        for name, t in own.items():  # check every shape before writing any
+            if values[name].shape != t.shape:
                 raise ShapeError(
-                    f"state entry {name!r} has shape {list(values.shape)}, "
-                    f"expected {list(t.shape)}"
+                    f"state entry {name!r} has shape "
+                    f"{list(values[name].shape)}, expected {list(t.shape)}"
                 )
-            t.data[...] = values
+        for name, t in own.items():
+            t.data[...] = values[name]
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def sample_lead(layer, x, seed) -> tuple:
-    """Leading output shape of a call: () for one seed, (S,) for S seeds.
-
-    One seed takes a rank-2 ``x`` [batch, features]; S seeds take that shared
-    ``x`` or a rank-3 ``x`` [S, batch, features].
-    """
-    if not isinstance(seed, tuple):
-        if x.ndim != 2:
-            raise ShapeError(
-                f"{type(layer).__name__} expects rank-2 input [batch, "
-                f"features], got {list(x.shape)}; flatten first"
-            )
-        return ()
-    if x.ndim != 2 and (x.ndim != 3 or x.shape[0] != len(seed)):
-        raise ShapeError(
-            f"{type(layer).__name__} with {len(seed)} seeds expects input "
-            f"[batch, features] or [{len(seed)}, batch, features], got "
-            f"{list(x.shape)}"
-        )
-    return (len(seed),)
 
 
 def collect_losses(model: Layer) -> list:
@@ -303,6 +318,7 @@ class Dense(Layer):
     """Feedforward layer: activation(x @ kernel + bias)."""
 
     sample_axis = True
+    input_rank = 2
 
     def __init__(self, units, activation=None, kernel_initializer=None,
                  bias_initializer=None, name=None):
@@ -313,11 +329,9 @@ class Dense(Layer):
         self.activation = resolve_activation(activation)
         self.kernel_initializer = kernel_initializer or glorot_uniform
         self.bias_initializer = bias_initializer or zeros_init
-        self.kernel = None
-        self.bias = None
 
-    def _build(self, input_dim, seed):
-        kernel = self.kernel_initializer((input_dim, self.units),
+    def build(self, x, seed):
+        kernel = self.kernel_initializer((x.shape[-1], self.units),
                                          rng_seed(seed, self, "kernel"))
         bias = self.bias_initializer((self.units,),
                                      rng_seed(seed, self, "bias"))
@@ -331,13 +345,10 @@ class Dense(Layer):
         self.bias = self.add_param("bias", bias)
 
     def call(self, x, seed):
-        x = as_tensor(x)
-        lead = sample_lead(self, x, seed)
-        if self.kernel is None:
-            self._build(x.shape[-1], self._build_seed(seed))
         out = self.activation(matmul(x, self.kernel) + self.bias)
-        if out.ndim == 2 and lead:  # a shared x gives every sample one output
-            out = broadcast_to(out, lead + out.shape)
+        if out.ndim == 2 and isinstance(seed, tuple):
+            # a shared x gives every sample one output
+            out = broadcast_to(out, (len(seed),) + out.shape)
         return out
 
 

@@ -48,7 +48,7 @@ from ..tensor import (
     triangular_solve,
     where,
 )
-from .base import Layer, sample_lead
+from .base import Layer
 from .variational import VariationalParameter
 
 _KZZ_FLOOR = 1e-10  # diagonal added to K_zz before its factorization
@@ -217,6 +217,7 @@ class SparseGaussianProcess(_GPLayer):
     """
 
     sample_axis = True
+    input_rank = 2
 
     def __init__(self, units, num_inducing, mean_fn=None, kernel=None,
                  amplitude=1.0, lengthscale=1.0, name=None):
@@ -224,12 +225,8 @@ class SparseGaussianProcess(_GPLayer):
         if num_inducing < 1:
             raise ValueError(f"num_inducing must be >= 1, got {num_inducing}")
         self.num_inducing = int(num_inducing)
-        self.inducing_inputs = None
-        self.inducing_mean = None  # m_v, one column per unit
-        self.scale_raw = None      # raw L_v, [units, M, M]
-        self._tril_mask = None
 
-    def _build(self, x, seed):
+    def build(self, x, seed):
         m = self.num_inducing
         rng = self.rng(seed, "inducing")
         lo = x.data.min(axis=0)
@@ -247,10 +244,6 @@ class SparseGaussianProcess(_GPLayer):
         self._tril_mask = np.tril(np.ones((m, m)), -1)
 
     def call(self, x, seed):
-        x = as_tensor(x)
-        sample_lead(self, x, seed)  # checks the input rank against the seeds
-        if self.inducing_inputs is None:
-            self._build(x, self._build_seed(seed))
         z = self.inducing_inputs
         m, units = self.num_inducing, self.units
         rows = x.shape[:-1]  # (batch,), or (S, batch) for a stacked input
@@ -288,6 +281,8 @@ class RandomFourierFeatures(_GPLayer):
     ``kernel_regularizer``; its KL is appended as the single loss.
     """
 
+    input_rank = 2
+
     def __init__(self, units, num_features, kernel_initializer=None,
                  kernel_regularizer="default", amplitude=1.0, lengthscale=1.0,
                  kernel=None, name=None):
@@ -295,27 +290,20 @@ class RandomFourierFeatures(_GPLayer):
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1, got {num_features}")
         self.num_features = int(num_features)
-        self.directions = None
-        self.phases = None
         self.readout = VariationalParameter("readout", kernel_initializer,
                                             kernel_regularizer)
 
-    def _build(self, input_dim, seed):
+    def build(self, x, seed):
         rng = self.rng(seed, "features")
         self.directions = self.add_buffer(
-            "directions", rng.standard_normal((input_dim, self.num_features)))
+            "directions", rng.standard_normal((x.shape[1], self.num_features)))
         self.phases = self.add_buffer(
             "phases", rng.uniform(0.0, 2.0 * math.pi, self.num_features))
         self.readout.build(self, (self.num_features, self.units), seed)
 
     def features(self, x):
         """The cosine feature map phi(x), shape [batch, num_features]."""
-        x = as_tensor(x)
-        if x.ndim != 2:
-            raise ShapeError(
-                f"RFF input must be rank 2 [batch, features], got {list(x.shape)}"
-            )
-        if self.directions is None:
+        if not self.built:
             raise RuntimeError("layer must be called once before features()")
         amp2 = exp(2.0 * self.kernel.log_amplitude)
         inv_ell = exp(-self.kernel.log_lengthscale)
@@ -323,14 +311,6 @@ class RandomFourierFeatures(_GPLayer):
         return gain * cos(matmul(x, self.directions) * inv_ell + self.phases)
 
     def call(self, x, seed):
-        x = as_tensor(x)
-        if self.directions is None:
-            if x.ndim != 2:
-                raise ShapeError(
-                    f"RFF input must be rank 2 [batch, features], "
-                    f"got {list(x.shape)}"
-                )
-            self._build(x.shape[1], seed)
         phi = self.features(x)
         w = self.readout.sample(seed)
         out = matmul(phi, w.value)

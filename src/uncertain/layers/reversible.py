@@ -44,6 +44,8 @@ from ..tensor import (
 )
 from .base import Layer, glorot_uniform, zeros_init
 
+_SCALE_BOUND = 3.0  # a coupling's log-scales lie in (-3, 3)
+
 
 class ReversibleLayer(Layer):
     """Layer with an exact inverse.
@@ -95,11 +97,11 @@ class CouplingLayer(ReversibleLayer):
         y = m*x + (1-m) * (x * exp(s(m*x)) + t(m*x))
 
     The conditioner maps the masked input to a (shift, raw log-scale) pair;
-    raw log-scales pass through tanh and a bound so exp stays tame.  The
+    raw log-scales pass through tanh times 3, so exp stays tame.  The
     log-det-Jacobian is the sum of the active log-scales.
     """
 
-    def __init__(self, mask, conditioner, scale_bound=3.0, name=None):
+    def __init__(self, mask, conditioner, name=None):
         super().__init__(name)
         mask = np.asarray(mask, dtype=np.float64)
         if mask.ndim != 1 or not set(np.unique(mask)) <= {0.0, 1.0}:
@@ -108,7 +110,6 @@ class CouplingLayer(ReversibleLayer):
             raise ValueError("mask must have both zeros and ones")
         self.mask = self.add_buffer("mask", mask)
         self.conditioner = self.add_child("conditioner", conditioner)
-        self.scale_bound = float(scale_bound)
 
     def _affine(self, x, seed):
         """One conditioner pass: (x, anchored part, active shift, scale)."""
@@ -121,7 +122,7 @@ class CouplingLayer(ReversibleLayer):
         anchored = x * self.mask
         shift, raw_scale = self.conditioner(anchored, seed=seed)
         active = 1.0 - self.mask
-        scale = tanh(raw_scale) * self.scale_bound * active
+        scale = tanh(raw_scale) * _SCALE_BOUND * active
         return x, anchored, shift * active, scale
 
     def call(self, x, seed):
@@ -303,11 +304,6 @@ class Discretize(Layer):
         self.high = int(high)
 
     def call(self, x, seed):
-        raise TypeError("Discretize consumes a RandomVariable input")
-
-    def __call__(self, x, seed=0):
-        self._losses = []
-        self._check_seed(seed)
         if not isinstance(x, RandomVariable):
             raise TypeError(
                 "Discretize needs a continuous RandomVariable input, got "

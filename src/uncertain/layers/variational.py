@@ -38,7 +38,6 @@ from .base import (
     normal_kl,
     resolve_activation,
     rng_seed,
-    sample_lead,
     trainable_normal,
 )
 
@@ -59,9 +58,6 @@ class VariationalParameter:
         self.name = name
         self.initializer = initializer or trainable_normal()
         self.regularizer = normal_kl() if regularizer == "default" else regularizer
-        self.layer = None
-        self.mu = None
-        self.rho = None
 
     def build(self, layer: Layer, shape, seed):
         init = self.initializer(shape, rng_seed(seed, layer, self.name))
@@ -98,6 +94,7 @@ class VariationalDense(Layer):
     """
 
     sample_axis = True
+    input_rank = 2
 
     def __init__(self, units, activation=None, kernel_initializer=None,
                  kernel_regularizer="default", bias_initializer=None,
@@ -113,18 +110,15 @@ class VariationalDense(Layer):
             "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
             bias_regularizer)
 
-    def _build(self, input_dim, seed):
-        self.kernel.build(self, (input_dim, self.units), seed)
+    def build(self, x, seed):
+        self.kernel.build(self, (x.shape[-1], self.units), seed)
         self.bias.build(self, (self.units,), seed)
 
     def call(self, x, seed):
-        x = as_tensor(x)
-        lead = sample_lead(self, x, seed)
-        if self.kernel.mu is None:
-            self._build(x.shape[-1], self._build_seed(seed))
         w = self.kernel.sample(seed)
         b = self.bias.sample(seed)
-        bias = reshape(b.value, lead + (1, self.units)) if lead else b.value
+        bias = (reshape(b.value, (len(seed), 1, self.units))
+                if isinstance(seed, tuple) else b.value)
         out = self.activation(matmul(x, w.value) + bias)
         self.kernel.regularize(w)
         self.bias.regularize(b)
@@ -147,10 +141,6 @@ class FlipoutDense(VariationalDense):
     sample_axis = False
 
     def call(self, x, seed):
-        x = as_tensor(x)
-        sample_lead(self, x, seed)
-        if self.kernel.mu is None:
-            self._build(x.shape[1], seed)
         batch = x.shape[0]
         if batch < 1:
             raise ShapeError("Flipout needs a batch of at least one example")
@@ -170,6 +160,8 @@ class FlipoutDense(VariationalDense):
 
 class VariationalConv2D(Layer):
     """2-D convolution with variational kernel and bias."""
+
+    input_rank = 4  # [batch, h, w, channels]
 
     def __init__(self, filters, kernel_size, stride=1, padding="same",
                  activation=None, kernel_initializer=None,
@@ -197,17 +189,12 @@ class VariationalConv2D(Layer):
             "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
             bias_regularizer)
 
+    def build(self, x, seed):
+        self.kernel.build(self, self.kernel_size + (x.shape[3], self.filters),
+                          seed)
+        self.bias.build(self, (self.filters,), seed)
+
     def call(self, x, seed):
-        x = as_tensor(x)
-        if x.ndim != 4:
-            raise ShapeError(
-                f"{type(self).__name__} expects rank-4 input [batch, h, w, c], "
-                f"got {list(x.shape)}"
-            )
-        if self.kernel.mu is None:
-            self.kernel.build(self, self.kernel_size + (x.shape[3], self.filters),
-                              seed)
-            self.bias.build(self, (self.filters,), seed)
         w = self.kernel.sample(seed)
         b = self.bias.sample(seed)
         out = conv2d(x, w.value, stride=self.stride, padding=self.padding)
@@ -252,10 +239,11 @@ class VariationalLSTMCell(Layer):
         self._drawn_on = None  # the Tape recording when _samples was drawn
 
     def build(self, input_dim, seed=0):
-        if self.kernel.mu is None:
+        if not self.built:
             self.kernel.build(self, (input_dim, 4 * self.units), seed)
             self.recurrent.build(self, (self.units, 4 * self.units), seed)
             self.bias.build(self, (4 * self.units,), seed)
+            self.built = True
 
     def start_sequence(self, input_dim, seed):
         """Sample weights for one sequence and append their KL losses."""

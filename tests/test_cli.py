@@ -41,11 +41,16 @@ class TestExitCodes:
         code, out, _ = run_cli(["--help"], capsys)
         assert code == 0
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_nonpositive_mc_samples_is_usage_error(self, capsys, count):
-        code, out, err = run_cli(["predict", "--mc-samples", count], capsys)
+    @pytest.mark.parametrize("argv", [
+        ["predict", "--mc-samples", "0"],
+        ["predict", "--mc-samples", "-3"],
+        ["sample", "--task", "flow", "--num", "-2"],
+        ["sample", "--task", "lstm", "--num", "0"],
+    ], ids=lambda argv: f"{argv[-2].lstrip('-')}={argv[-1]}")
+    def test_nonpositive_count_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(argv, capsys)
         assert code == 2
-        assert "--mc-samples" in err
+        assert argv[-2] in err
         assert out == ""
 
     @pytest.mark.parametrize("grid", ["--grid=-1:1:0", "--grid=-1:1:-2"])

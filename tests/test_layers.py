@@ -5,11 +5,16 @@ import pytest
 from uncertain.errors import LayerError, ShapeError
 from uncertain.layers import (
     Dense,
+    FlipoutDense,
+    Layer,
+    RandomFourierFeatures,
     Sequential,
+    SparseGaussianProcess,
+    VariationalConv2D,
     VariationalDense,
     collect_losses,
 )
-from uncertain.tensor import Tensor
+from uncertain.tensor import Tape, Tensor
 
 
 def make_identity_dense():
@@ -194,6 +199,18 @@ class TestState:
         with pytest.raises(ShapeError):
             d.load_state_dict(state)
 
+    def test_load_shape_mismatch_loads_nothing(self):
+        model = Sequential([Dense(3), Dense(2)])
+        model(Tensor(np.zeros((1, 2))), seed=0)
+        before = model.state_dict()
+        state = {name: values + 1.0 for name, values in before.items()}
+        state["layer1/kernel"] = np.zeros((5, 5))
+        with pytest.raises(ShapeError, match="layer1/kernel"):
+            model.load_state_dict(state)
+        after = model.state_dict()
+        for name, values in before.items():  # layer0 entries come first
+            assert after[name].tobytes() == values.tobytes(), name
+
     def test_rebuild_reproduces_without_reset(self):
         def build():
             model = Sequential([VariationalDense(4, "relu"), Dense(1)])
@@ -208,6 +225,87 @@ class TestState:
         assert first_state.keys() == second_state.keys()
         for name, values in first_state.items():
             assert values.tobytes() == second_state[name].tobytes(), name
+
+
+class Probe(Layer):
+    """Records the order of its build and call hooks."""
+
+    sample_axis = True
+
+    def __init__(self):
+        super().__init__()
+        self.events = []
+
+    def build(self, x, seed):
+        self.events.append(("build", seed))
+
+    def call(self, x, seed):
+        self.events.append(("call", seed))
+        return x
+
+
+# every layer that declares input_rank, with that rank
+RANKED = {
+    "dense": (lambda: Dense(2), 2),
+    "variational_dense": (lambda: VariationalDense(2), 2),
+    "flipout": (lambda: FlipoutDense(2), 2),
+    "variational_conv2d": (lambda: VariationalConv2D(2, 3), 4),
+    "sparse_gp": (lambda: SparseGaussianProcess(1, num_inducing=3), 2),
+    "rff": (lambda: RandomFourierFeatures(1, num_features=4), 2),
+}
+
+
+class TestCallProtocol:
+    def test_build_runs_once_with_the_first_seed_before_call(self):
+        layer = Probe()
+        assert not layer.built
+        x = Tensor(np.zeros((1, 2)))
+        layer(x, seed=7)
+        layer(x, seed=8)
+        layer(x, seed=(1, 2))
+        assert layer.built
+        assert layer.events == [("build", 7), ("call", 7), ("call", 8),
+                                ("call", (1, 2))]
+
+    def test_layer_without_build_is_built_from_the_start(self):
+        assert Sequential([Dense(2)]).built
+        assert not Dense(2).built
+
+    @pytest.mark.parametrize("name", RANKED)
+    def test_rank_rejected_first_call_creates_nothing(self, name):
+        factory, rank = RANKED[name]
+        layer = factory()
+        assert layer.input_rank == rank
+        before = list(layer.named_state())
+        with pytest.raises(ShapeError, match=type(layer).__name__):
+            layer(Tensor(np.zeros((2,) * (rank + 1))), seed=0)
+        assert not layer.built
+        assert list(layer.named_state()) == before
+        layer(Tensor(np.ones((2,) * rank)), seed=0)
+        assert layer.built
+
+    def test_failed_build_leaves_the_layer_unbuilt(self):
+        layer = Dense(2)
+        x = Tensor(np.zeros((1, 3)))
+        with Tape():  # a parameter created here would get no gradient
+            with pytest.raises(LayerError, match="created while"):
+                layer(x, seed=0)
+        assert not layer.built
+        assert dict(layer.named_state()) == {}
+        layer(x, seed=0)
+        assert layer.built
+        assert layer.kernel.shape == (3, 2)
+
+    def test_sequential_of_built_layers_takes_seeds_on_first_call(self):
+        x = Tensor(np.random.default_rng(4).normal(size=(5, 2)))
+        first, second = VariationalDense(3), Dense(2)
+        second(first(x, seed=0), seed=0)
+        model = Sequential([first, second])
+        seeds = (1, 2, 3)
+        out = model(x, seed=seeds)
+        assert out.shape == (3, 5, 2)
+        for s, seed in enumerate(seeds):
+            assert out.data[s].tobytes() == model(x, seed=seed).data.tobytes()
 
 
 class TestPaths:
