@@ -21,6 +21,11 @@ class NotPositiveDefiniteError(UncertainError, RuntimeError):
     """Cholesky factorization failed even after jitter escalation."""
 
 
+class JitterWarning(UserWarning):
+    """Cholesky succeeded only after adding a large jitter to the diagonal,
+    which perturbs the covariance it factors."""
+
+
 class NotReversibleError(UncertainError, TypeError):
     """A reverse computation was requested from a layer that has none."""
 

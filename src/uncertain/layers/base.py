@@ -20,7 +20,8 @@ input's rank, then runs ``build(x, seed)`` once, on the first call, before
 input unchecked and unconverted), and ``build``, which creates the
 parameters that depend on the first input.  A layer without its own
 ``build`` is built from the start; ``built`` turns True only after a
-``build`` returns, so one that raises is retried on the next call.  No
+``build`` returns, so one that raises is retried on the next call, and it
+leaves no parameter, buffer or child of its own registered.  No
 build succeeds while a ``Tape`` is recording: a parameter created there is
 not watched and would silently get no gradient, so :meth:`Layer.add_param`
 raises ``LayerError``.  ``training.fit`` makes that first call before its
@@ -48,6 +49,7 @@ built, raises ``LayerError`` naming itself when given a seed sequence.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 
 import numpy as np
@@ -159,9 +161,24 @@ class Layer:
                     f"{self.name} ({type(self).__name__}) is not built; call "
                     "it once with an int seed before passing a seed sequence"
                 )
-            self.build(x, seed)
+            with self._undone_on_error():
+                self.build(x, seed)
             self.built = True
         return self.call(x, seed)
+
+    @contextlib.contextmanager
+    def _undone_on_error(self):
+        """Unregister every parameter, buffer and child the block added if
+        it raises, so a failed build leaves nothing behind."""
+        registry = self._params, self._buffers, self._children
+        before = [dict(table) for table in registry]
+        try:
+            yield
+        except BaseException:
+            for table, entries in zip(registry, before):
+                table.clear()
+                table.update(entries)
+            raise
 
     def _check_seed(self, seed):
         """An int seed as given, or a seed sequence as a tuple of ints."""

@@ -240,9 +240,10 @@ class VariationalLSTMCell(Layer):
 
     def build(self, input_dim, seed=0):
         if not self.built:
-            self.kernel.build(self, (input_dim, 4 * self.units), seed)
-            self.recurrent.build(self, (self.units, 4 * self.units), seed)
-            self.bias.build(self, (4 * self.units,), seed)
+            with self._undone_on_error():
+                self.kernel.build(self, (input_dim, 4 * self.units), seed)
+                self.recurrent.build(self, (self.units, 4 * self.units), seed)
+                self.bias.build(self, (4 * self.units,), seed)
             self.built = True
 
     def start_sequence(self, input_dim, seed):

@@ -3,23 +3,32 @@
 Everything in the package computes on these: n-dimensional row-major float64
 arrays with an optional handle into the active :class:`Tape`.  Ops run
 eagerly on numpy; when a tape is active and at least one operand is tracked,
-the op appends a node carrying its adjoint rule.  ``Tape.backward`` then
-sweeps the append-only node list in reverse, which is already a topological
-order because parents are recorded before children.
+the op appends a node to the tape's list.  ``Tape.backward`` then sweeps
+that append-only list in reverse, which is already a topological order
+because parents are recorded before children, accumulating adjoints in a
+list indexed by node id.
 
 Design notes:
 
 * float64 everywhere; GP Cholesky factors and KL terms need the headroom.
+* a node is a plain tuple ``(op, parents, rule)``: the op name, one parent
+  node id per operand (None for an untracked one), and ``rule``, an
+  ``(adjoint, saved)`` pair or None for a leaf.  ``adjoint`` is a
+  module-level function and ``saved`` the forward arrays and shapes it
+  reads; ``adjoint(adj, *saved)`` returns one adjoint array (or None) per
+  operand.  No op builds a closure, so recording a node costs a few tuples.
 * a tape lives for one training step; long-lived parameter tensors are
-  re-watched on each new tape.  Its nodes, adjoint closures and tracked
-  tensors form a reference cycle, so ``Tape.release()`` drops the nodes,
-  freeing the saved forward arrays without the cyclic GC; a released tape
-  refuses ``backward``.  ``training.fit`` releases each step's tape.
+  re-watched on each new tape.  ``Tape.release()`` drops the nodes, freeing
+  the forward arrays they saved while the step's tensors still hold the
+  tape; a released tape refuses ``backward``.  ``training.fit`` releases
+  each step's tape.
 * tensors not attached to a tape are treated as constants.
 """
 from __future__ import annotations
 
 import math
+import operator
+import warnings
 
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -28,12 +37,14 @@ from scipy.special import erf as _erf, expit as _expit
 from .backend import conv2d_forward, conv2d_grad_input, conv2d_grad_kernel
 from .errors import (
     DomainError,
+    JitterWarning,
     NotPositiveDefiniteError,
     ShapeError,
     TapeError,
 )
 
 LOG_2PI = math.log(2.0 * math.pi)
+_FLOAT64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -42,11 +53,15 @@ class Tensor:
     __slots__ = ("data", "tape", "node_id")
 
     def __init__(self, values, tape=None, node_id=None):
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
-            # ascontiguousarray would promote 0-d scalars to shape (1,)
-            arr = np.ascontiguousarray(arr)
-        self.data = arr
+        # a C-contiguous float64 ndarray is stored as it is, which is what
+        # np.asarray would return for it
+        if (type(values) is not np.ndarray or values.dtype is not _FLOAT64
+                or not values.flags.c_contiguous):
+            values = np.asarray(values, dtype=np.float64)
+            if values.ndim and not values.flags.c_contiguous:
+                # ascontiguousarray would promote 0-d scalars to shape (1,)
+                values = np.ascontiguousarray(values)
+        self.data = values
         self.tape = tape
         self.node_id = node_id
 
@@ -128,21 +143,6 @@ def as_tensor(x) -> Tensor:
 # tape
 # ---------------------------------------------------------------------------
 
-class Node:
-    """One recorded op: kind, parent node ids, and its adjoint rule.
-
-    ``backward(adj)`` returns one adjoint array (or None) per parent; saved
-    forward values live in the closure.  Leaves carry ``backward=None``.
-    """
-
-    __slots__ = ("op", "parents", "backward")
-
-    def __init__(self, op, parents, backward):
-        self.op = op
-        self.parents = parents
-        self.backward = backward
-
-
 _TAPE_STACK: list["Tape"] = []
 
 
@@ -160,7 +160,7 @@ class Tape:
     """
 
     def __init__(self, replaces: "Tape | None" = None):
-        self.nodes: list[Node] | None = []
+        self.nodes: list[tuple] | None = []  # (op, parents, rule)
         self.leaves: list[tuple] = []  # (node id, shape) in watch order
         self.replaces = replaces
 
@@ -179,18 +179,15 @@ class Tape:
         """Register a leaf parameter on this tape (idempotent)."""
         if t.tape is self and t.node_id is not None:
             return t
+        self.nodes.append(("leaf", (), None))
         t.tape = self
-        t.node_id = self._record("leaf", (), None)
+        t.node_id = len(self.nodes) - 1
         self.leaves.append((t.node_id, t.shape))
         return t
 
-    def _record(self, op, parent_ids, backward) -> int:
-        self.nodes.append(Node(op, tuple(parent_ids), backward))
-        return len(self.nodes) - 1
-
     def release(self):
-        """Drop the nodes, freeing the forward arrays their adjoints saved
-        now rather than by the cyclic GC; ``backward`` then raises
+        """Drop the nodes, freeing the forward arrays they saved while the
+        step's tensors still hold this tape; ``backward`` then raises
         :class:`TapeError`."""
         self.nodes = None
 
@@ -218,60 +215,55 @@ class Tape:
                     f"out has shape {list(out.shape)}, expected [{size}] for "
                     f"{len(self.leaves)} watched leaves"
                 )
-        adjoints: dict[int, np.ndarray] = {root.node_id: np.ones(())}
+        nodes = self.nodes
+        adjoints = [None] * len(nodes)  # None: no adjoint reached the node
+        adjoints[root.node_id] = np.ones(())
         for nid in range(root.node_id, -1, -1):
-            adj = adjoints.get(nid)
+            adj = adjoints[nid]
             if adj is None:
                 continue
-            node = self.nodes[nid]
-            if node.backward is None:
+            _, parents, rule = nodes[nid]
+            if rule is None:
                 continue
-            for pid, contrib in zip(node.parents, node.backward(adj)):
+            adjoint, saved = rule
+            for pid, contrib in zip(parents, adjoint(adj, *saved)):
                 if pid is None or contrib is None:
                     continue
-                if pid in adjoints:
-                    adjoints[pid] = adjoints[pid] + contrib
-                else:
-                    adjoints[pid] = contrib
+                prev = adjoints[pid]
+                adjoints[pid] = contrib if prev is None else prev + contrib
         if out is not None:
             offset = 0
             for nid, shape in self.leaves:
                 size = math.prod(shape)
-                adj = adjoints.get(nid)
+                adj = adjoints[nid]
                 out[offset:offset + size].reshape(shape)[...] = (
                     0.0 if adj is None else adj)
                 offset += size
             return out
-        return {
-            nid: Tensor(a)
-            for nid, a in adjoints.items()
-            if self.nodes[nid].op == "leaf"
-        }
+        return {nid: Tensor(adjoints[nid]) for nid, _ in self.leaves
+                if adjoints[nid] is not None}
 
 
-def _apply(op, out_data, parents, backward):
-    """Wrap an op result, recording a node when the active tape tracks it."""
-    tape = active_tape()
-    if tape is None:
+def _apply(op, out_data, parents, rule):
+    """Wrap an op result, recording the node ``(op, parent ids, rule)`` when
+    the active tape tracks an operand; ``rule`` is ``(adjoint, saved)``."""
+    if not _TAPE_STACK:
         return Tensor(out_data)
-    pids = tuple(
-        p.node_id if (p.tape is tape and p.node_id is not None) else None
-        for p in parents
-    )
-    if all(pid is None for pid in pids):
+    tape = _TAPE_STACK[-1]
+    pids = tuple([p.node_id if p.tape is tape else None for p in parents])
+    if pids.count(None) == len(pids):
         return Tensor(out_data)
-    t = Tensor(out_data)
-    t.tape = tape
-    t.node_id = tape._record(op, pids, backward)
+    nodes = tape.nodes
+    nodes.append((op, pids, rule))
     if tape.replaces is not None:
         tape.replaces.release()
         tape.replaces = None
-    return t
+    return Tensor(out_data, tape, len(nodes) - 1)
 
 
-def _unbroadcast(adj: np.ndarray, shape) -> np.ndarray:
+def _unbroadcast(adj: np.ndarray, shape: tuple) -> np.ndarray:
     """Reduce an adjoint over broadcast axes back to the parent's shape."""
-    if adj.shape == tuple(shape):
+    if adj.shape == shape:
         return adj
     extra = adj.ndim - len(shape)
     if extra:
@@ -286,128 +278,80 @@ def _unbroadcast(adj: np.ndarray, shape) -> np.ndarray:
 # elementwise ops
 # ---------------------------------------------------------------------------
 
-def _binary(op, a, b, forward, grad_a, grad_b):
-    a, b = as_tensor(a), as_tensor(b)
-    try:
-        out = forward(a.data, b.data)
-    except ValueError:  # numpy's broadcast failure
-        raise ShapeError(
-            f"{op}: shapes {list(a.shape)} and {list(b.shape)} "
-            "are not broadcast-compatible"
-        ) from None
+def _binary(op, forward, adjoint):
+    """The tape op ``op``: ``forward(x, y)`` on two broadcast operands,
+    recorded with ``adjoint(adj, x, y)``."""
+    def binary(a, b):
+        a, b = as_tensor(a), as_tensor(b)
+        x, y = a.data, b.data
+        try:
+            out = forward(x, y)
+        except ValueError:  # numpy's broadcast failure
+            raise ShapeError(
+                f"{op}: shapes {list(a.shape)} and {list(b.shape)} "
+                "are not broadcast-compatible"
+            ) from None
+        return _apply(op, out, (a, b), (adjoint, (x, y)))
 
-    def backward(adj):
-        return (
-            _unbroadcast(grad_a(adj, a.data, b.data, out), a.shape),
-            _unbroadcast(grad_b(adj, a.data, b.data, out), b.shape),
-        )
-
-    return _apply(op, out, (a, b), backward)
-
-
-def add(a, b):
-    return _binary("add", a, b, lambda x, y: x + y,
-                   lambda adj, x, y, o: adj, lambda adj, x, y, o: adj)
+    binary.__name__ = binary.__qualname__ = op
+    return binary
 
 
-def sub(a, b):
-    return _binary("sub", a, b, lambda x, y: x - y,
-                   lambda adj, x, y, o: adj, lambda adj, x, y, o: -adj)
+def _unary(op, forward, adjoint):
+    """The tape op ``op``: ``forward(x)``, recorded with
+    ``adjoint(adj, x, out)``."""
+    def unary(a):
+        a = as_tensor(a)
+        x = a.data
+        out = forward(x)
+        return _apply(op, out, (a,), (adjoint, (x, out)))
+
+    unary.__name__ = unary.__qualname__ = op
+    return unary
 
 
-def mul(a, b):
-    return _binary("mul", a, b, lambda x, y: x * y,
-                   lambda adj, x, y, o: adj * y, lambda adj, x, y, o: adj * x)
-
-
-def div(a, b):
-    return _binary("div", a, b, lambda x, y: x / y,
-                   lambda adj, x, y, o: adj / y,
-                   lambda adj, x, y, o: -adj * x / (y * y))
-
-
-def _unary(op, a, out, grad):
-    a = as_tensor(a)
-
-    def backward(adj):
-        return (grad(adj, a.data, out),)
-
-    return _apply(op, out, (a,), backward)
-
-
-def neg(a):
-    a = as_tensor(a)
-    return _unary("neg", a, -a.data, lambda adj, x, o: -adj)
-
-
-def exp(a):
-    a = as_tensor(a)
-    return _unary("exp", a, np.exp(a.data), lambda adj, x, o: adj * o)
-
-
-def log(a):
-    a = as_tensor(a)
-    if np.any(a.data < 0):
+def _log(x):
+    if np.any(x < 0):
         raise DomainError("log of negative input")
     with np.errstate(divide="ignore"):
-        out = np.log(a.data)
-    return _unary("log", a, out, lambda adj, x, o: adj / x)
+        return np.log(x)
 
 
-def sqrt(a):
-    a = as_tensor(a)
-    if np.any(a.data < 0):
+def _sqrt(x):
+    if np.any(x < 0):
         raise DomainError("sqrt of negative input")
-    out = np.sqrt(a.data)
-    return _unary("sqrt", a, out, lambda adj, x, o: adj / (2.0 * o))
+    return np.sqrt(x)
 
 
-def square(a):
-    a = as_tensor(a)
-    return _unary("pow2", a, a.data * a.data, lambda adj, x, o: adj * 2.0 * x)
-
-
-def tanh(a):
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-    return _unary("tanh", a, out, lambda adj, x, o: adj * (1.0 - o * o))
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    out = _expit(a.data)
-    return _unary("sigmoid", a, out, lambda adj, x, o: adj * o * (1.0 - o))
-
-
-def softplus(a):
+def _softplus(x):
     # log1p(exp(-|x|)) + max(x, 0) never overflows and is exact at +/-inf
-    a = as_tensor(a)
-    out = np.log1p(np.exp(-np.abs(a.data))) + np.maximum(a.data, 0.0)
-    return _unary("softplus", a, out, lambda adj, x, o: adj * _expit(x))
+    return np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0)
 
 
-def relu(a):
-    a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-    return _unary("relu", a, out, lambda adj, x, o: adj * (x > 0.0))
+_ERF_SCALE = 2.0 / math.sqrt(math.pi)
 
+add = _binary("add", operator.add, lambda adj, x, y: (
+    _unbroadcast(adj, x.shape), _unbroadcast(adj, y.shape)))
+sub = _binary("sub", operator.sub, lambda adj, x, y: (
+    _unbroadcast(adj, x.shape), _unbroadcast(-adj, y.shape)))
+mul = _binary("mul", operator.mul, lambda adj, x, y: (
+    _unbroadcast(adj * y, x.shape), _unbroadcast(adj * x, y.shape)))
+div = _binary("div", operator.truediv, lambda adj, x, y: (
+    _unbroadcast(adj / y, x.shape), _unbroadcast(-adj * x / (y * y), y.shape)))
 
-def erf(a):
-    a = as_tensor(a)
-    out = _erf(a.data)
-    scale = 2.0 / math.sqrt(math.pi)
-    return _unary("erf", a, out,
-                  lambda adj, x, o: adj * scale * np.exp(-x * x))
-
-
-def sin(a):
-    a = as_tensor(a)
-    return _unary("sin", a, np.sin(a.data), lambda adj, x, o: adj * np.cos(x))
-
-
-def cos(a):
-    a = as_tensor(a)
-    return _unary("cos", a, np.cos(a.data), lambda adj, x, o: -adj * np.sin(x))
+neg = _unary("neg", operator.neg, lambda adj, x, o: (-adj,))
+exp = _unary("exp", np.exp, lambda adj, x, o: (adj * o,))
+log = _unary("log", _log, lambda adj, x, o: (adj / x,))
+sqrt = _unary("sqrt", _sqrt, lambda adj, x, o: (adj / (2.0 * o),))
+square = _unary("pow2", lambda x: x * x, lambda adj, x, o: (adj * 2.0 * x,))
+tanh = _unary("tanh", np.tanh, lambda adj, x, o: (adj * (1.0 - o * o),))
+sigmoid = _unary("sigmoid", _expit, lambda adj, x, o: (adj * o * (1.0 - o),))
+softplus = _unary("softplus", _softplus, lambda adj, x, o: (adj * _expit(x),))
+relu = _unary("relu", lambda x: np.maximum(x, 0.0),
+              lambda adj, x, o: (adj * (x > 0.0),))
+erf = _unary("erf", _erf, lambda adj, x, o: (adj * _ERF_SCALE * np.exp(-x * x),))
+sin = _unary("sin", np.sin, lambda adj, x, o: (adj * np.cos(x),))
+cos = _unary("cos", np.cos, lambda adj, x, o: (-adj * np.sin(x),))
 
 
 #: name -> callable, for generic sweeps over the elementwise op set
@@ -431,63 +375,60 @@ def softplus_inverse(y: np.ndarray) -> np.ndarray:
 # structural ops
 # ---------------------------------------------------------------------------
 
+def _where_adjoint(adj, mask, a_shape, b_shape):
+    return (_unbroadcast(np.where(mask, adj, 0.0), a_shape),
+            _unbroadcast(np.where(mask, 0.0, adj), b_shape))
+
+
 def where(mask, a, b):
     """Select elementwise by a constant boolean mask."""
     a, b = as_tensor(a), as_tensor(b)
     mask = np.asarray(mask, dtype=bool)
     out = np.where(mask, a.data, b.data)
+    return _apply("where", out, (a, b),
+                  (_where_adjoint, (mask, a.shape, b.shape)))
 
-    def backward(adj):
-        return (
-            _unbroadcast(np.where(mask, adj, 0.0), a.shape),
-            _unbroadcast(np.where(mask, 0.0, adj), b.shape),
-        )
 
-    return _apply("where", out, (a, b), backward)
+def _sum_adjoint(adj, shape, axis, keepdims):
+    if not keepdims and axis is not None:
+        expanded = list(adj.shape)
+        for ax in sorted(ax % len(shape) for ax in
+                         ((axis,) if isinstance(axis, (int, np.integer))
+                          else axis)):
+            expanded.insert(ax, 1)
+        adj = adj.reshape(expanded)
+    return (np.broadcast_to(adj, shape).copy(),)
 
 
 def tensor_sum(a, axis=None, keepdims=False):
     a = as_tensor(a)
     out = np.sum(a.data, axis=axis, keepdims=keepdims)
-    shape = a.shape
-    if axis is None:
-        axes = tuple(range(len(shape)))
-    elif isinstance(axis, int):
-        axes = (axis % len(shape),)
-    else:
-        axes = tuple(ax % len(shape) for ax in axis)
-
-    def backward(adj):
-        if not keepdims:
-            expanded = list(adj.shape)
-            for ax in sorted(axes):
-                expanded.insert(ax, 1)
-            adj = adj.reshape(expanded)
-        return (np.broadcast_to(adj, shape).copy(),)
-
-    return _apply("sum", out, (a,), backward)
+    return _apply("sum", out, (a,), (_sum_adjoint, (a.shape, axis, keepdims)))
 
 
 def tensor_mean(a, axis=None, keepdims=False):
     a = as_tensor(a)
     if axis is None:
         count = a.size
-    elif isinstance(axis, int):
+    elif isinstance(axis, (int, np.integer)):
         count = a.shape[axis]
     else:
         count = int(np.prod([a.shape[ax] for ax in axis]))
     return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / count)
 
 
+def _reshape_adjoint(adj, shape):
+    return (adj.reshape(shape),)
+
+
 def reshape(a, shape):
     a = as_tensor(a)
-    out = a.data.reshape(shape)
-    old = a.shape
+    return _apply("reshape", a.data.reshape(shape), (a,),
+                  (_reshape_adjoint, (a.shape,)))
 
-    def backward(adj):
-        return (adj.reshape(old),)
 
-    return _apply("reshape", out, (a,), backward)
+def _transpose_adjoint(adj, axes):
+    return (np.transpose(adj, np.argsort(axes)),)
 
 
 def transpose(a, axes=None):
@@ -495,26 +436,22 @@ def transpose(a, axes=None):
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     out = np.transpose(a.data, axes)
-    inverse = np.argsort(axes)
+    return _apply("transpose", out, (a,), (_transpose_adjoint, (axes,)))
 
-    def backward(adj):
-        return (np.transpose(adj, inverse),)
 
-    return _apply("transpose", out, (a,), backward)
+def _scatter_adjoint(adj, shape, at):
+    """The adjoint of ``a[at]``: zeros of ``a``'s shape with ``adj`` at ``at``."""
+    full = np.zeros(shape)
+    full[at] = adj
+    return (full,)
 
 
 def slice_last(a, start, stop):
     """Contiguous slice along the last axis."""
     a = as_tensor(a)
-    out = a.data[..., start:stop].copy()
-    shape = a.shape
-
-    def backward(adj):
-        full = np.zeros(shape)
-        full[..., start:stop] = adj
-        return (full,)
-
-    return _apply("slice_last", out, (a,), backward)
+    at = (Ellipsis, slice(start, stop))
+    out = a.data[at].copy()
+    return _apply("slice_last", out, (a,), (_scatter_adjoint, (a.shape, at)))
 
 
 def take(a, index, axis):
@@ -524,42 +461,39 @@ def take(a, index, axis):
     axis = axis % a.ndim
     at = (slice(None),) * axis + (index,)
     out = a.data[at].copy()
-    shape = a.shape
+    return _apply("take", out, (a,), (_scatter_adjoint, (a.shape, at)))
 
-    def backward(adj):
-        full = np.zeros(shape)
-        full[at] = adj
-        return (full,)
 
-    return _apply("take", out, (a,), backward)
+def _broadcast_to_adjoint(adj, shape):
+    return (_unbroadcast(adj, shape),)
 
 
 def broadcast_to(a, shape):
     """``a`` repeated over new leading axes (or stretched size-1 axes)."""
     a = as_tensor(a)
     out = np.broadcast_to(a.data, shape).copy()
-    old = a.shape
+    return _apply("broadcast_to", out, (a,), (_broadcast_to_adjoint, (a.shape,)))
 
-    def backward(adj):
-        return (_unbroadcast(adj, old),)
 
-    return _apply("broadcast_to", out, (a,), backward)
+def _concat_adjoint(adj, axis, offsets):
+    moved = np.moveaxis(adj, axis, 0)
+    return tuple(np.moveaxis(moved[start:stop], 0, axis)
+                 for start, stop in zip(offsets[:-1], offsets[1:]))
 
 
 def concat(parts, axis=-1):
     parts = [as_tensor(p) for p in parts]
     out = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
+    return _apply("concat", out, tuple(parts), (_concat_adjoint, (axis, offsets)))
 
-    def backward(adj):
-        moved = np.moveaxis(adj, axis, 0)
-        return tuple(
-            np.moveaxis(moved[offsets[i]:offsets[i + 1]], 0, axis)
-            for i in range(len(parts))
-        )
 
-    return _apply("concat", out, tuple(parts), backward)
+def _take_last_adjoint(adj, shape, idx):
+    full = np.zeros(shape)
+    flat = full.reshape(-1, shape[-1])
+    rows = np.arange(flat.shape[0])
+    np.add.at(flat, (rows, idx.reshape(-1)), adj.reshape(-1))
+    return (full,)
 
 
 def take_last(a, indices):
@@ -573,21 +507,17 @@ def take_last(a, indices):
             f"leading shape {list(a.shape[:-1])}"
         )
     out = np.take_along_axis(a.data, idx[..., None], axis=-1)[..., 0]
-    shape = a.shape
-
-    def backward(adj):
-        full = np.zeros(shape)
-        flat = full.reshape(-1, shape[-1])
-        rows = np.arange(flat.shape[0])
-        np.add.at(flat, (rows, idx.reshape(-1)), adj.reshape(-1))
-        return (full,)
-
-    return _apply("take_last", out, (a,), backward)
+    return _apply("take_last", out, (a,), (_take_last_adjoint, (a.shape, idx)))
 
 
 # ---------------------------------------------------------------------------
 # linear algebra
 # ---------------------------------------------------------------------------
+
+def _matmul_adjoint(adj, x, y):
+    return (_unbroadcast(adj @ y.swapaxes(-1, -2), x.shape),
+            _unbroadcast(x.swapaxes(-1, -2) @ adj, y.shape))
+
 
 def matmul(a, b):
     """Matrix product of rank-2 or rank-3 operands.
@@ -606,25 +536,35 @@ def matmul(a, b):
         raise ShapeError(
             f"matmul inner dimensions disagree: {list(a.shape)} vs {list(b.shape)}"
         )
+    x, y = a.data, b.data
     try:
-        out = a.data @ b.data
+        out = x @ y
     except ValueError:  # numpy's broadcast failure on the leading axis
         raise ShapeError(
             f"matmul leading axes disagree: {list(a.shape)} vs {list(b.shape)}"
         ) from None
-
-    def backward(adj):
-        return (
-            _unbroadcast(adj @ b.data.swapaxes(-1, -2), a.shape),
-            _unbroadcast(a.data.swapaxes(-1, -2) @ adj, b.shape),
-        )
-
-    return _apply("matmul", out, (a, b), backward)
+    return _apply("matmul", out, (a, b), (_matmul_adjoint, (x, y)))
 
 
 def _tracked(t, tape):
     """Whether ``t`` is recorded on ``tape``, so an op must give it an adjoint."""
     return tape is not None and t.tape is tape and t.node_id is not None
+
+def _se_kernel_adjoint(adj, xd, x2d, out, dist, inv_2ell2, x_tracked,
+                       x2_tracked):
+    a = adj * out
+    g_amp = np.sum(a) * 2.0
+    g_ell = np.sum(a * dist) * (inv_2ell2 * 2.0)
+    w = np.where(dist > 0.0, a, 0.0) * (inv_2ell2 * 2.0)
+    gx = gx2 = None
+    if x_tracked:
+        gx = w @ x2d - np.sum(w, axis=-1, keepdims=True) * xd
+        if gx.ndim == 3:  # every slice shares x
+            gx = gx.sum(axis=0)
+    if x2_tracked:
+        gx2 = (np.swapaxes(w, -1, -2) @ xd
+               - np.swapaxes(np.sum(w, axis=-2, keepdims=True), -1, -2) * x2d)
+    return gx, gx2, g_amp, g_ell
 
 
 def se_kernel(x, x2, log_amplitude, log_lengthscale):
@@ -657,25 +597,14 @@ def se_kernel(x, x2, log_amplitude, log_lengthscale):
     inv_2ell2 = np.exp(log_lengthscale.data * -2.0) * 0.5
     out = amp2 * np.exp(-dist * inv_2ell2)
     tape = active_tape()
-    x_tracked, x2_tracked = _tracked(x, tape), _tracked(x2, tape)
-
-    def backward(adj):
-        a = adj * out
-        g_amp = np.sum(a) * 2.0
-        g_ell = np.sum(a * dist) * (inv_2ell2 * 2.0)
-        w = np.where(dist > 0.0, a, 0.0) * (inv_2ell2 * 2.0)
-        gx = gx2 = None
-        if x_tracked:
-            gx = w @ x2d - np.sum(w, axis=-1, keepdims=True) * xd
-            if gx.ndim == 3:  # every slice shares x
-                gx = gx.sum(axis=0)
-        if x2_tracked:
-            gx2 = (np.swapaxes(w, -1, -2) @ xd
-                   - np.swapaxes(np.sum(w, axis=-2, keepdims=True), -1, -2) * x2d)
-        return gx, gx2, g_amp, g_ell
-
+    saved = (xd, x2d, out, dist, inv_2ell2, _tracked(x, tape), _tracked(x2, tape))
     return _apply("se_kernel", out, (x, x2, log_amplitude, log_lengthscale),
-                  backward)
+                  (_se_kernel_adjoint, saved))
+
+
+
+def _se_kernel_diag_adjoint(adj, amp2):
+    return (np.sum(adj) * amp2 * 2.0,)
 
 
 def se_kernel_diag(x, log_amplitude):
@@ -685,11 +614,14 @@ def se_kernel_diag(x, log_amplitude):
     log_amplitude = as_tensor(log_amplitude)
     amp2 = np.exp(log_amplitude.data * 2.0)
     out = amp2 * np.ones(as_tensor(x).shape[:-1])
+    return _apply("se_kernel_diag", out, (log_amplitude,),
+                  (_se_kernel_diag_adjoint, (amp2,)))
 
-    def backward(adj):
-        return (np.sum(adj) * amp2 * 2.0,)
 
-    return _apply("se_kernel_diag", out, (log_amplitude,), backward)
+def _diag_part_adjoint(adj, n):
+    full = np.zeros((n, n))
+    np.fill_diagonal(full, adj)
+    return (full,)
 
 
 def diag_part(a):
@@ -697,17 +629,12 @@ def diag_part(a):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"diag_part expects a square matrix, got {list(a.shape)}")
     out = np.diag(a.data).copy()
-    n = a.shape[0]
-
-    def backward(adj):
-        full = np.zeros((n, n))
-        np.fill_diagonal(full, adj)
-        return (full,)
-
-    return _apply("diag_part", out, (a,), backward)
+    return _apply("diag_part", out, (a,), (_diag_part_adjoint, (a.shape[0],)))
 
 
 _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
+#: a jitter at or above this level makes ``cholesky`` warn (JitterWarning)
+JITTER_WARN_LEVEL = 1e-4
 
 
 def chol_with_jitter(a: np.ndarray):
@@ -727,6 +654,15 @@ def _check_square(a, op):
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"{op} expects a square matrix, got {list(a.shape)}")
 
+def _cholesky_adjoint(adj, L):
+    lbar = np.tril(adj)
+    p = L.T @ lbar
+    phi = np.tril(p, -1) + 0.5 * np.diag(np.diag(p))
+    # S = L^{-T} phi L^{-1}
+    x = _solve_lower(L, phi, trans=1)
+    s = _solve_lower(L, x.T, trans=1).T
+    return (0.5 * (s + s.T),)
+
 
 def cholesky(a):
     """Lower Cholesky factor with jitter escalation, differentiable in ``a``.
@@ -736,18 +672,13 @@ def cholesky(a):
     """
     a = as_tensor(a)
     _check_square(a, "cholesky")
-    L, _ = chol_with_jitter(a.data)
+    L, jitter = chol_with_jitter(a.data)
+    if jitter >= JITTER_WARN_LEVEL:
+        warnings.warn(JitterWarning(
+            f"cholesky factored a {L.shape[0]}x{L.shape[0]} matrix only after "
+            f"adding jitter {jitter:g} to its diagonal"), stacklevel=2)
+    return _apply("cholesky", L, (a,), (_cholesky_adjoint, (L,)))
 
-    def backward(adj):
-        lbar = np.tril(adj)
-        p = L.T @ lbar
-        phi = np.tril(p, -1) + 0.5 * np.diag(np.diag(p))
-        # S = L^{-T} phi L^{-1}
-        x = _solve_lower(L, phi, trans=1)
-        s = _solve_lower(L, x.T, trans=1).T
-        return (0.5 * (s + s.T),)
-
-    return _apply("cholesky", L, (a,), backward)
 
 
 def solve_triangular(l, b, trans):
@@ -790,6 +721,14 @@ def _solve_lower(l, b, trans=0):
     return np.stack([solve_triangular(l, b_s, trans) for b_s in b])
 
 
+def _triangular_solve_adjoint(adj, l, x):
+    gb = _solve_lower(l, adj, trans=1)
+    gl = gb @ x.swapaxes(-1, -2)
+    if gl.ndim == 3:  # every slice shares l, so their terms add up
+        gl = gl.sum(axis=0)
+    return (-np.tril(gl), gb)
+
+
 def triangular_solve(l, b):
     """``x = l^-1 b`` for lower-triangular ``l`` and a matrix ``b``, or a
     stack of matrices ``b`` [S, n, k], each solved as on its own.
@@ -804,15 +743,8 @@ def triangular_solve(l, b):
             f"{list(b.shape)}"
         )
     x = _solve_lower(l.data, b.data)
-
-    def backward(adj):
-        gb = _solve_lower(l.data, adj, trans=1)
-        gl = gb @ x.swapaxes(-1, -2)
-        if gl.ndim == 3:  # every slice shares l, so their terms add up
-            gl = gl.sum(axis=0)
-        return (-np.tril(gl), gb)
-
-    return _apply("triangular_solve", x, (l, b), backward)
+    return _apply("triangular_solve", x, (l, b),
+                  (_triangular_solve_adjoint, (l.data, x)))
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +777,16 @@ def _same_pad(extent, k, stride):
     out = -(-extent // stride)
     total = max((out - 1) * stride + k - extent, 0)
     return total // 2, total - total // 2
+
+
+def _conv2d_adjoint(adj, xp, kernel, stride, top, left, h, w, x_tracked):
+    """``xp`` is the padded input, ``(top, left)`` where ``x`` starts in it."""
+    dx = None
+    if x_tracked:
+        dxp = conv2d_grad_input(adj, kernel, stride, xp.shape[1], xp.shape[2])
+        dx = dxp[:, top:top + h, left:left + w, :]
+    return (dx, conv2d_grad_kernel(xp, adj, kernel.shape[0], kernel.shape[1],
+                                   stride))
 
 
 def conv2d(x, kernel, stride=1, padding="same"):
@@ -882,13 +824,6 @@ def conv2d(x, kernel, stride=1, padding="same"):
     xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
     out = conv2d_forward(xp, kernel.data, stride)
     # an untracked x, such as the data batch of a model's first conv, needs no adjoint
-    x_tracked = _tracked(x, active_tape())
+    saved = (xp, kernel.data, stride, pt, pl, h, w, _tracked(x, active_tape()))
+    return _apply("conv2d", out, (x, kernel), (_conv2d_adjoint, saved))
 
-    def backward(adj):
-        dx = None
-        if x_tracked:
-            dxp = conv2d_grad_input(adj, kernel.data, stride, hp, wp)
-            dx = dxp[:, pt:pt + h, pl:pl + w, :]
-        return (dx, conv2d_grad_kernel(xp, adj, kh, kw, stride))
-
-    return _apply("conv2d", out, (x, kernel), backward)

@@ -12,6 +12,7 @@ from uncertain.layers import (
     SparseGaussianProcess,
     VariationalConv2D,
     VariationalDense,
+    VariationalLSTMCell,
     collect_losses,
 )
 from uncertain.tensor import Tape, Tensor
@@ -295,6 +296,26 @@ class TestCallProtocol:
         layer(x, seed=0)
         assert layer.built
         assert layer.kernel.shape == (3, 2)
+
+    @pytest.mark.parametrize("factory, shape", [
+        (VariationalDense, (1, 3)),
+        (lambda units, **kw: VariationalConv2D(units, 3, **kw), (1, 4, 4, 2)),
+    ], ids=["variational_dense", "variational_conv2d"])
+    def test_failed_build_registers_nothing(self, factory, shape):
+        # the kernel builds before the bias, whose initializer raises
+        layer = factory(2, bias_initializer=lambda s, seed: Tensor(np.zeros(s)))
+        with pytest.raises(TypeError, match="distribution initializer"):
+            layer(Tensor(np.zeros(shape)), seed=0)
+        assert not layer.built
+        assert layer.state_dict() == {}
+
+    def test_failed_lstm_build_registers_nothing(self):
+        cell = VariationalLSTMCell(
+            2, bias_initializer=lambda s, seed: Tensor(np.zeros(s)))
+        with pytest.raises(TypeError, match="distribution initializer"):
+            cell.build(3)
+        assert not cell.built
+        assert cell.state_dict() == {}
 
     def test_sequential_of_built_layers_takes_seeds_on_first_call(self):
         x = Tensor(np.random.default_rng(4).normal(size=(5, 2)))

@@ -1,0 +1,237 @@
+"""Every tape op, bit for bit against the numpy expressions that define it.
+
+Each op records a module-level adjoint function on the tape, so rewriting an
+op or its adjoint must keep every floating-point operation and its order.
+Here each op's forward value, and the adjoint a Tape gives each tracked
+operand, is compared byte for byte with that expression written out in
+numpy.  The adjoint reaching the op's output is exact: the root is
+``sum(op(...) * W)`` for a constant ``W`` of the output's shape, so the op
+receives ``1.0 * W``, which is ``W``.
+"""
+import math
+
+import numpy as np
+import pytest
+from scipy.special import erf as scipy_erf, expit
+
+from uncertain.tensor import (
+    ELEMENTWISE_BINARY,
+    ELEMENTWISE_UNARY,
+    Tape,
+    Tensor,
+    matmul,
+    mul,
+    reshape,
+    tensor_sum,
+    transpose,
+)
+
+
+def bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want, dtype=np.float64)
+    return (got.dtype == np.float64 and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+def reduce_to(g, shape):
+    """Sum ``g`` back to an operand's ``shape``: first over the leading axes
+    broadcasting added, then, keeping dims, over the stretched size-1 axes."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def run(op, *operands):
+    """``op`` on the operands, Tensors watched on a fresh tape and plain
+    Python numbers left as they are; the output's data, the adjoint ``W``
+    its consumer sent, and each watched operand's adjoint."""
+    with Tape() as tape:
+        args = [tape.watch(Tensor(v)) if isinstance(v, np.ndarray) else v
+                for v in operands]
+        out = op(*args)
+        w = np.random.default_rng(99).normal(size=out.shape)
+        root = tensor_sum(mul(out, Tensor(w)))
+    grads = tape.backward(root)
+    adjoints = [grads[a.node_id].data if isinstance(a, Tensor) else None
+                for a in args]
+    return out.data, w, adjoints
+
+
+def values(shape, seed, lo=-2.0, hi=2.0):
+    return np.random.default_rng(seed).uniform(lo, hi, size=shape)
+
+
+# name -> (forward(x), adjoint(G, x, out)) as each op defines them
+UNARY = {
+    "neg": (lambda x: -x, lambda g, x, o: -g),
+    "exp": (np.exp, lambda g, x, o: g * o),
+    "log": (np.log, lambda g, x, o: g / x),
+    "sqrt": (np.sqrt, lambda g, x, o: g / (2.0 * o)),
+    "pow2": (lambda x: x * x, lambda g, x, o: g * 2.0 * x),
+    "tanh": (np.tanh, lambda g, x, o: g * (1.0 - o * o)),
+    "sigmoid": (expit, lambda g, x, o: g * o * (1.0 - o)),
+    "softplus": (lambda x: np.log1p(np.exp(-np.abs(x))) + np.maximum(x, 0.0),
+                 lambda g, x, o: g * expit(x)),
+    "relu": (lambda x: np.maximum(x, 0.0), lambda g, x, o: g * (x > 0.0)),
+    "erf": (scipy_erf,
+            lambda g, x, o: g * (2.0 / math.sqrt(math.pi)) * np.exp(-x * x)),
+    "sin": (np.sin, lambda g, x, o: g * np.cos(x)),
+    "cos": (np.cos, lambda g, x, o: -g * np.sin(x)),
+}
+POSITIVE = {"log", "sqrt"}
+
+# name -> (forward(x, y), adjoint of x, adjoint of y), before reduce_to
+BINARY = {
+    "add": (lambda x, y: x + y, lambda g, x, y: g, lambda g, x, y: g),
+    "sub": (lambda x, y: x - y, lambda g, x, y: g, lambda g, x, y: -g),
+    "mul": (lambda x, y: x * y, lambda g, x, y: g * y, lambda g, x, y: g * x),
+    "div": (lambda x, y: x / y, lambda g, x, y: g / y,
+            lambda g, x, y: -g * x / (y * y)),
+}
+BINARY_SHAPES = [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 1), (1, 4)),
+                 ((2, 3, 4), (3, 1)), ((), (3,)), ((3,), ()), ((), ())]
+
+
+def test_every_elementwise_op_has_an_oracle():
+    assert set(UNARY) == set(ELEMENTWISE_UNARY)
+    assert set(BINARY) == set(ELEMENTWISE_BINARY)
+
+
+@pytest.mark.parametrize("shape", [(3, 4), ()], ids=["3x4", "0d"])
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_unary(name, shape):
+    forward, adjoint = UNARY[name]
+    lo = 0.1 if name in POSITIVE else -2.0
+    x = values(shape, 1, lo=lo)
+    out, g, (gx,) = run(ELEMENTWISE_UNARY[name], x)
+    want = forward(x)
+    assert bitwise(out, want)
+    assert bitwise(gx, adjoint(g, x, want))
+
+
+@pytest.mark.parametrize("name", sorted(UNARY))
+def test_unary_of_python_scalar(name):
+    forward, _ = UNARY[name]
+    out = ELEMENTWISE_UNARY[name](0.7)
+    assert out.node_id is None
+    assert bitwise(out.data, forward(np.float64(0.7)))
+
+
+@pytest.mark.parametrize("shapes", BINARY_SHAPES,
+                         ids=[f"{a}-{b}" for a, b in BINARY_SHAPES])
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_binary(name, shapes):
+    forward, adjoint_x, adjoint_y = BINARY[name]
+    x = values(shapes[0], 2)
+    y = values(shapes[1], 3, lo=0.5)  # keeps div away from 0
+    out, g, (gx, gy) = run(ELEMENTWISE_BINARY[name], x, y)
+    assert bitwise(out, forward(x, y))
+    assert bitwise(gx, reduce_to(adjoint_x(g, x, y), x.shape))
+    assert bitwise(gy, reduce_to(adjoint_y(g, x, y), y.shape))
+
+
+@pytest.mark.parametrize("name", sorted(BINARY))
+def test_binary_with_python_scalar(name):
+    forward, adjoint_x, adjoint_y = BINARY[name]
+    x, c = values((2, 3), 4, lo=0.5), 2.5
+    out, g, (gx, _) = run(ELEMENTWISE_BINARY[name], x, c)
+    assert bitwise(out, forward(x, np.float64(c)))
+    assert bitwise(gx, adjoint_x(g, x, np.float64(c)))
+    out, g, (_, gx) = run(ELEMENTWISE_BINARY[name], c, x)
+    assert bitwise(out, forward(np.float64(c), x))
+    assert bitwise(gx, adjoint_y(g, np.float64(c), x))
+
+
+SUM_CASES = [((2, 3, 4), None, False), ((2, 3, 4), None, True),
+             ((2, 3, 4), 0, False), ((2, 3, 4), -1, True),
+             ((2, 3, 4), (0, 2), False), ((2, 3, 4), (2, 0), True),
+             ((2, 3, 4), np.int64(1), False), ((), None, False)]
+
+
+@pytest.mark.parametrize("shape, axis, keepdims", SUM_CASES)
+def test_tensor_sum(shape, axis, keepdims):
+    x = values(shape, 5)
+    out, g, (gx,) = run(lambda t: tensor_sum(t, axis=axis, keepdims=keepdims), x)
+    assert bitwise(out, np.sum(x, axis=axis, keepdims=keepdims))
+    kept = np.sum(x, axis=axis, keepdims=True).shape
+    assert bitwise(gx, np.broadcast_to(g.reshape(kept), shape))
+
+
+RESHAPES = [((2, 6), (3, 4)), ((2, 6), (3, -1)), ((), (1, 1)), ((1,), ())]
+
+
+@pytest.mark.parametrize("shape, new", RESHAPES)
+def test_reshape(shape, new):
+    x = values(shape, 6)
+    out, g, (gx,) = run(lambda t: reshape(t, new), x)
+    assert bitwise(out, x.reshape(new))
+    assert bitwise(gx, g.reshape(shape))
+
+
+TRANSPOSES = [((2, 3), None), ((2, 3, 4), None), ((2, 3, 4), (1, 0, 2)),
+              ((2, 3, 4), (2, 0, 1))]
+
+
+@pytest.mark.parametrize("shape, axes", TRANSPOSES)
+def test_transpose(shape, axes):
+    x = values(shape, 7)
+    out, g, (gx,) = run(lambda t: transpose(t, axes), x)
+    order = tuple(reversed(range(len(shape)))) if axes is None else axes
+    assert bitwise(out, np.transpose(x, order))
+    assert bitwise(gx, np.transpose(g, np.argsort(order)))
+
+
+MATMULS = [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)), ((3, 4), (2, 4, 5)),
+           ((2, 3, 4), (2, 4, 5)), ((1, 3, 4), (2, 4, 5))]
+
+
+@pytest.mark.parametrize("shapes", MATMULS, ids=[f"{a}@{b}" for a, b in MATMULS])
+def test_matmul(shapes):
+    x, y = values(shapes[0], 8), values(shapes[1], 9)
+    out, g, (gx, gy) = run(matmul, x, y)
+    assert bitwise(out, x @ y)
+    assert bitwise(gx, reduce_to(g @ y.swapaxes(-1, -2), x.shape))
+    assert bitwise(gy, reduce_to(x.swapaxes(-1, -2) @ g, y.shape))
+
+
+def test_structural_ops_of_python_scalars():
+    assert bitwise(tensor_sum(2.5).data, np.float64(2.5))
+    assert bitwise(reshape(2.5, (1, 1)).data, [[2.5]])
+    assert bitwise(transpose(2.5).data, np.float64(2.5))
+
+
+class TestTensorStorage:
+    """A C-contiguous float64 array is stored as it is, as ``np.asarray``
+    would return it; anything else becomes a fresh C-contiguous float64
+    array."""
+
+    @pytest.mark.parametrize("arr", [np.arange(6.0).reshape(2, 3),
+                                     np.array(1.5), np.zeros(0)],
+                             ids=["2x3", "0d", "empty"])
+    def test_contiguous_float64_is_stored_as_is(self, arr):
+        assert Tensor(arr).data is arr
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(12.0).reshape(3, 4).T,
+        lambda: np.arange(12.0)[::2],
+        lambda: np.asfortranarray(np.arange(6.0).reshape(2, 3)),
+        lambda: np.arange(6).reshape(2, 3),
+        lambda: np.arange(6, dtype=np.float32),
+        lambda: [[1, 2], [3, 4]],
+        lambda: 3,
+    ], ids=["transposed", "strided", "fortran", "int", "float32", "list",
+            "int-scalar"])
+    def test_other_input_becomes_a_fresh_float64_array(self, make):
+        src = make()
+        data = Tensor(src).data
+        assert type(data) is np.ndarray
+        assert data.dtype == np.float64 and data.flags.c_contiguous
+        assert np.array_equal(data, np.asarray(src, dtype=np.float64))
+        if isinstance(src, np.ndarray):
+            assert not np.shares_memory(data, src)

@@ -1,5 +1,6 @@
 """Tensor core: forward semantics, adjoint rules, tape mechanics."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from scipy.linalg import solve_triangular as scipy_solve_triangular
 
 from uncertain import backend
 from uncertain.distributions import Normal, RandomVariable
-from uncertain.errors import DomainError, ShapeError, TapeError
+from uncertain.errors import DomainError, JitterWarning, ShapeError, TapeError
 from uncertain.tensor import (
     ELEMENTWISE_BINARY,
     ELEMENTWISE_UNARY,
@@ -17,6 +18,7 @@ from uncertain.tensor import (
     add,
     as_tensor,
     broadcast_to,
+    cholesky,
     concat,
     conv2d,
     diag_part,
@@ -798,6 +800,25 @@ class TestStructuralOps:
         x = Tensor([[1.0, 3.0], [5.0, 7.0]])
         assert tensor_mean(x).item() == 4.0
         assert np.array_equal(tensor_mean(x, axis=0).data, [3.0, 5.0])
+        assert np.array_equal(tensor_mean(x, axis=np.int64(1)).data, [2.0, 6.0])
+
+
+class TestCholeskyJitter:
+    """A Cholesky factor that needed jitter of 1e-4 or more warns, naming the
+    jitter and the matrix size; a smaller jitter stays silent."""
+
+    def test_large_jitter_warns(self):
+        a = np.diag([1.0, -5e-5])  # factors only once 1e-4 is added
+        with pytest.warns(JitterWarning, match=r"2x2 matrix .* jitter 0\.0001"):
+            L = cholesky(a)
+        assert np.array_equal(L.data, np.linalg.cholesky(a + 1e-4 * np.eye(2)))
+
+    def test_small_jitter_is_silent(self):
+        a = np.diag([1.0, -5e-6])  # factors once 1e-5 is added
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            L = cholesky(a)
+        assert np.array_equal(L.data, np.linalg.cholesky(a + 1e-5 * np.eye(2)))
 
 
 class TestTapeStructure:
@@ -807,8 +828,8 @@ class TestTapeStructure:
             y = tape.watch(Tensor([3.0, 4.0]))
             z = tensor_sum(square(add(mul(x, y), exp(x))))
             assert z.node_id == len(tape.nodes) - 1
-        for nid, node in enumerate(tape.nodes):
-            for pid in node.parents:
+        for nid, (_, parents, _) in enumerate(tape.nodes):
+            for pid in parents:
                 assert pid is None or pid < nid
 
     def test_storage_is_row_major(self):
