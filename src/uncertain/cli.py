@@ -203,8 +203,7 @@ class SequenceModel(layers.Layer):
                                    layers.CategoricalOutput(units=vocab))
 
     def call(self, x, seed):
-        x = as_tensor(x)
-        states, _ = layers.unroll(self.cell, x, seed)
+        states = self.cell(x, seed=seed)
         batch, steps, units = states.shape
         flat = reshape(states, (batch * steps, units))
         return self.head(flat, seed=seed)
@@ -361,15 +360,14 @@ def run_sample(args):
         _restore(model, args.checkpoint)
         for s in range(args.num):
             rng = rng_from(seed, "sample", s)
-            model.cell.start_sequence(vocab, mix(seed, "sample-weights", s))
-            state = model.cell.init_state(1)
+            weights = model.cell.draw(mix(seed, "sample-weights", s))
+            state = None
             token = int(rng.integers(0, vocab))
             sequence = [token]
             for _ in range(seq_len - 1):
                 x_t = Tensor(one_hot(np.array([token]), vocab))
-                h, c = model.cell(x_t, state)
-                state = (h, c)
-                rv = model.head(h, seed=int(rng.integers(0, 2**62)))
+                state = model.cell.step(x_t, state, weights)
+                rv = model.head(state[0], seed=int(rng.integers(0, 2**62)))
                 token = int(rv.value.data[0])
                 sequence.append(token)
             print(",".join(str(t) for t in sequence))

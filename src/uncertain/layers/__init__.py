@@ -4,7 +4,6 @@ from .base import (
     Dense,
     Layer,
     Sequential,
-    collect_losses,
     glorot_uniform,
     normal_kl,
     reset_layer_indices,
@@ -34,7 +33,6 @@ from .variational import (
     VariationalDense,
     VariationalLSTMCell,
     VariationalParameter,
-    unroll,
 )
 
 __all__ = [
@@ -60,12 +58,10 @@ __all__ = [
     "VariationalLSTMCell",
     "VariationalParameter",
     "alternating_mask",
-    "collect_losses",
     "glorot_uniform",
     "normal_kl",
     "propagate",
     "reset_layer_indices",
     "trainable_normal",
-    "unroll",
     "zeros_init",
 ]

@@ -3,7 +3,7 @@
 A layer maps tensors (or RandomVariables) to tensors (or RandomVariables),
 owns named parameters, and side-effects a list of scalar regularizer losses
 during each call: returning regularizers explicitly would break composition,
-so callers query ``layer.losses`` (or :func:`collect_losses`) after the call.
+so callers read ``layer.losses``, a fresh list, after the call.
 The loss list is cleared at the start of each call, which keeps repeated
 calls from double-counting KL terms.
 
@@ -18,11 +18,14 @@ input's rank, then runs ``build(x, seed)`` once, on the first call, before
 ``call``.  Those are the two things a custom layer declares beyond ``call``:
 ``input_rank``, the rank of a one-seed input (None, the default, leaves the
 input unchecked and unconverted), and ``build``, which creates the
-parameters that depend on the first input.  A layer without its own
-``build`` is built from the start; ``built`` turns True only after a
-``build`` returns, so one that raises is retried on the next call, and it
-leaves no parameter, buffer or child of its own registered.  No
-build succeeds while a ``Tape`` is recording: a parameter created there is
+parameters that depend on the first input.  No layer bypasses the protocol:
+``ReversibleLayer`` alone overrides ``__call__``, to pass a Distribution
+through, and ``VariationalLSTMCell`` takes a whole [batch, time, features]
+sequence, its ``draw`` and ``step`` public for stepping by hand.  A layer
+without its own ``build`` is built from the start; ``built`` turns True
+only after a ``build`` returns, so one that raises is retried on the next
+call, and it leaves no parameter, buffer or child of its own registered.
+No build succeeds while a ``Tape`` is recording: a parameter created there is
 not watched and would silently get no gradient, so :meth:`Layer.add_param`
 raises ``LayerError``.  ``training.fit`` makes that first call before its
 first step; call a model once yourself before recording your own tape.
@@ -272,11 +275,6 @@ class Layer:
 
     def __repr__(self):
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-def collect_losses(model: Layer) -> list:
-    """Flat list of regularizer scalars from the model's last call."""
-    return list(model.losses)
 
 
 # ---------------------------------------------------------------------------

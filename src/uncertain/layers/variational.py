@@ -7,9 +7,9 @@ is the one path each variational weight takes: a mean-field normal posterior
 (a trainable mean and a trainable pre-softplus scale), standard normal prior
 by default.  A call samples the weights by reparameterization, runs the
 deterministic computation on the sample, and then appends one KL loss per
-variational parameter.  Constructor signatures match the deterministic
-layers, so swapping a layer for its Bayesian version changes nothing else in
-the model.
+variational parameter; the LSTM draws and appends once per sequence, before
+its time steps.  Constructor signatures match the deterministic layers, so
+swapping a layer for its Bayesian version changes nothing else in the model.
 """
 from __future__ import annotations
 
@@ -205,20 +205,21 @@ class VariationalConv2D(Layer):
 
 
 class VariationalLSTMCell(Layer):
-    """LSTM cell whose input kernel, recurrent kernel and bias are variational.
+    """LSTM over a [batch, time, features] sequence whose input kernel,
+    recurrent kernel and bias are variational.
 
-    Weights sit outside the time plate: one sample is drawn per sequence and
-    reused at every step, and the three KL losses are appended once per
-    sequence.  Call :meth:`start_sequence` at each sequence boundary (or use
-    :func:`unroll`); the per-call loss clearing of plain layers happens there
-    instead of in ``__call__``.
+    Weights sit outside the time plate: a call draws one sample of each per
+    sequence, appends the three KL losses once, reuses the draw at every
+    step and returns the hidden states [batch, time, units].  To step by
+    hand, as when generating token by token, draw once with :meth:`draw`
+    and feed each step's output state to the next :meth:`step`.
 
-    A draw belongs to the tape that recorded it, or to none: a step taken
-    while another ``Tape`` records raises ``LayerError``, since the stale
-    draw would give the weights no gradient.  So every tape (each training
-    step's included) starts its sequences with :meth:`start_sequence` or
-    :func:`unroll`; the first step of a cell that never drew draws itself.
+    A draw gives the weights a gradient only on the tape that recorded it:
+    :meth:`step` raises ``LayerError`` when the active tape watches the
+    cell's parameters but the draw is not on that tape.
     """
+
+    input_rank = 3  # [batch, time, features]
 
     def __init__(self, units, kernel_initializer=None,
                  kernel_regularizer="default", recurrent_initializer=None,
@@ -235,59 +236,61 @@ class VariationalLSTMCell(Layer):
         self.bias = VariationalParameter(
             "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
             bias_regularizer)
-        self._samples = None
-        self._drawn_on = None  # the Tape recording when _samples was drawn
 
-    def build(self, input_dim, seed=0):
-        if not self.built:
-            with self._undone_on_error():
-                self.kernel.build(self, (input_dim, 4 * self.units), seed)
-                self.recurrent.build(self, (self.units, 4 * self.units), seed)
-                self.bias.build(self, (4 * self.units,), seed)
-            self.built = True
+    def build(self, x, seed):
+        self.kernel.build(self, (x.shape[-1], 4 * self.units), seed)
+        self.recurrent.build(self, (self.units, 4 * self.units), seed)
+        self.bias.build(self, (4 * self.units,), seed)
 
-    def start_sequence(self, input_dim, seed):
-        """Sample weights for one sequence and append their KL losses."""
+    def call(self, xs, seed):
+        weights = self.draw(seed)
+        batch, steps, _ = xs.shape
+        state, outputs = None, []
+        for t in range(steps):
+            state = self.step(take(xs, t, axis=1), state, weights)
+            outputs.append(reshape(state[0], (batch, 1, self.units)))
+        return concat(outputs, axis=1)
+
+    def draw(self, seed):
+        """Sample ``(kernel, recurrent, bias)`` for one sequence; the cell's
+        losses become the three KLs of this draw."""
         seed = self._check_seed(seed)
-        self.build(input_dim, seed)
+        if not self.built:
+            raise LayerError(f"{self.path or self.name}: draw on an unbuilt "
+                             "cell; call it on a sequence first")
         self._losses = []
         w = self.kernel.sample(seed)
         u = self.recurrent.sample(seed)
         b = self.bias.sample(seed)
-        self._samples = (w.value, u.value, b.value)
-        self._drawn_on = active_tape()
         self.kernel.regularize(w)
         self.recurrent.regularize(u)
         self.bias.regularize(b)
+        return w.value, u.value, b.value
 
-    def init_state(self, batch):
-        zeros = np.zeros((batch, self.units))
-        return Tensor(zeros), Tensor(zeros.copy())
-
-    def __call__(self, x_t, state=None, seed=0):
-        seed = self._check_seed(seed)
+    def step(self, x_t, state, weights):
+        """One time step on a [batch, features] input; ``state`` is the
+        previous ``(h, c)``, None for zeros.  Returns the new ``(h, c)``."""
         x_t = as_tensor(x_t)
         if x_t.ndim != 2:
             raise ShapeError(
                 f"LSTM step expects rank-2 input [batch, features], "
                 f"got {list(x_t.shape)}"
             )
-        if self._samples is None:
-            self.start_sequence(x_t.shape[1], seed)
-        elif active_tape() not in (None, self._drawn_on):
+        w, u, b = weights
+        tape = active_tape()
+        if (tape is not None and self.kernel.mu.tape is tape
+                and getattr(w, "tape", None) is not tape):
             raise LayerError(
-                f"{self.path or self.name}: weights drawn on another tape; "
-                "call start_sequence or unroll on this tape first")
+                f"{self.path or self.name}: weights drawn off the recording "
+                "tape would get no gradient; draw them on this tape")
         if state is None:
-            state = self.init_state(x_t.shape[0])
-        h, c = state
-        h, c = as_tensor(h), as_tensor(c)
+            state = (Tensor(np.zeros((x_t.shape[0], self.units))),) * 2
+        h, c = as_tensor(state[0]), as_tensor(state[1])
         if h.shape != (x_t.shape[0], self.units):
             raise ShapeError(
                 f"hidden state shape {list(h.shape)} does not match "
                 f"[batch={x_t.shape[0]}, units={self.units}]"
             )
-        w, u, b = self._samples
         z = matmul(x_t, w) + matmul(h, u) + b
         n = self.units
         gate_i = sigmoid(slice_last(z, 0, n))
@@ -297,26 +300,3 @@ class VariationalLSTMCell(Layer):
         c_next = gate_f * c + gate_i * gate_g
         h_next = gate_o * tanh(c_next)
         return h_next, c_next
-
-
-def unroll(cell: VariationalLSTMCell, xs, seed, state=None):
-    """Run a cell over a [batch, time, features] sequence.
-
-    Samples the weights once at the sequence start and returns the stacked
-    hidden states [batch, time, units] plus the final state.
-    """
-    xs = as_tensor(xs)
-    if xs.ndim != 3:
-        raise ShapeError(
-            f"unroll expects [batch, time, features], got {list(xs.shape)}"
-        )
-    batch, steps, dim = xs.shape
-    cell.start_sequence(dim, seed)
-    if state is None:
-        state = cell.init_state(batch)
-    outputs = []
-    for t in range(steps):
-        h, c = cell(take(xs, t, axis=1), state, seed=seed)
-        state = (h, c)
-        outputs.append(reshape(h, (batch, 1, cell.units)))
-    return concat(outputs, axis=1), state

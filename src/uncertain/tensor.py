@@ -177,6 +177,8 @@ class Tape:
 
     def watch(self, t: Tensor) -> Tensor:
         """Register a leaf parameter on this tape (idempotent)."""
+        if self.nodes is None:
+            raise TapeError("watch on a released tape")
         if t.tape is self and t.node_id is not None:
             return t
         self.nodes.append(("leaf", (), None))
@@ -187,8 +189,10 @@ class Tape:
 
     def release(self):
         """Drop the nodes, freeing the forward arrays they saved while the
-        step's tensors still hold this tape; ``backward`` then raises
-        :class:`TapeError`."""
+        step's tensors still hold this tape; ``backward`` and ``watch`` then
+        raise :class:`TapeError`, as does releasing a tape that records."""
+        if self in _TAPE_STACK:
+            raise TapeError("release of a tape that is recording")
         self.nodes = None
 
     def backward(self, root: Tensor, out=None):

@@ -20,7 +20,7 @@ import numpy as np
 from .data import batch_indices
 from .distributions import Distribution, RandomVariable
 from .errors import ConfigError, TrainingError
-from .layers.base import Layer, collect_losses
+from .layers.base import Layer
 from .rng import mix
 from .tensor import Tape, Tensor, tensor_mean
 
@@ -156,7 +156,7 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
             term = tensor_mean(lp)
             log_lik = term if log_lik is None else log_lik + term
         log_lik = log_lik * (1.0 / cfg.mc_samples)
-        kl_terms = collect_losses(model)
+        kl_terms = model.losses
         kl_value = 0.0
         loss = -log_lik
         if kl_terms:

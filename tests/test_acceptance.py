@@ -113,18 +113,8 @@ def _case_conv(rng, seed):
 def _case_lstm(rng, seed):
     cell = layers.VariationalLSTMCell(2)
     xs = rng.uniform(-1, 1, (2, 3, 2))
-    y = rng.normal(size=(2, 3, 2))
-    cell.build(2, seed=seed)
-
-    def loss_fn():
-        states, _ = layers.unroll(cell, Tensor(xs), seed=seed)
-        err = states - Tensor(y)
-        loss = tensor_mean(err * err)
-        for kl in cell.losses:
-            loss = loss + 0.1 * kl
-        return loss
-
-    return cell, loss_fn
+    cell(Tensor(xs), seed=seed)
+    return cell, _mse_plus_kl(cell, xs, rng.normal(size=(2, 3, 2)), seed)
 
 
 def _case_exact_gp(rng, seed):
@@ -347,11 +337,10 @@ def test_criterion_03_dropin_equivalence():
     cell = layers.VariationalLSTMCell(3, kernel_regularizer=None,
                                       recurrent_regularizer=None,
                                       bias_regularizer=None)
-    cell.build(2, seed=0)
-    _collapse(cell)
     x_t = rng.normal(size=(4, 2))
-    cell.start_sequence(2, seed=0)
-    h, c = cell(Tensor(x_t))
+    cell(Tensor(x_t[:, None]), seed=0)
+    _collapse(cell)
+    h, c = cell.step(Tensor(x_t), None, cell.draw(0))
     want_h, want_c = lstm_oracle_step(
         x_t, np.zeros((4, 3)), np.zeros((4, 3)),
         cell._params["kernel_mu"].data, cell._params["recurrent_mu"].data,

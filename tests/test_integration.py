@@ -8,7 +8,6 @@ from uncertain.layers import (
     Layer,
     NormalOutput,
     VariationalConv2D,
-    collect_losses,
 )
 from uncertain.rng import mix
 from uncertain.tensor import Tensor, as_tensor, relu, reshape, tensor_mean
@@ -68,7 +67,7 @@ class TestBayesianCnn:
             losses.append(loss.item())
             assert np.isfinite(kl)
         assert np.mean(losses[-10:]) < np.mean(losses[:10])
-        assert len(collect_losses(model)) == 2  # conv kernel + bias KLs
+        assert len(model.losses) == 2  # conv kernel + bias KLs
 
     def test_trained_model_beats_chance(self):
         images, labels = make_blob_images(64, seed=1)
@@ -138,7 +137,7 @@ class TestStochasticAutoencoder:
         model = StochasticAutoencoder()
         x = Tensor(np.random.default_rng(4).normal(size=(8, 4)))
         model(x, seed=0)
-        losses = collect_losses(model)
+        losses = model.losses
         assert len(losses) == 1
         code = model.encoder(model.encode_hidden(x, seed=0), seed=0)
         direct = kl_divergence(code.distribution, Normal(0.0, 1.0))

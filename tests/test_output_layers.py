@@ -17,7 +17,6 @@ from uncertain.layers import (
     NormalOutput,
     Sequential,
     VariationalDense,
-    collect_losses,
 )
 from uncertain.tensor import Tape, Tensor, softplus_inverse, tensor_mean
 
@@ -162,7 +161,7 @@ class TestLossDiscipline:
         body = VariationalDense(4)
         model = Sequential([body, NormalOutput(units=1)])
         model(Tensor(np.random.default_rng(1).normal(size=(2, 3))), seed=0)
-        assert len(collect_losses(model)) == 2
+        assert len(model.losses) == 2
 
     def test_stochastic_output_composes_downstream(self):
         # RandomVariables act as tensors, so layers after a head keep working

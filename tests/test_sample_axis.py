@@ -20,7 +20,6 @@ from uncertain.layers import (
     VariationalDense,
     VariationalLSTMCell,
     alternating_mask,
-    unroll,
 )
 from uncertain.rng import mix
 from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
@@ -148,11 +147,11 @@ class TestLoudFailures:
             layer(x, seed=SEEDS)
         assert layer.name in str(err.value)
 
-    def test_lstm_cell_and_unroll(self):
+    def test_lstm_cell_call_and_draw(self):
         cell = VariationalLSTMCell(3)
-        unroll(cell, Tensor(np.zeros((2, 4, 2))), seed=0)
-        for run in (lambda: cell(Tensor(np.zeros((2, 2))), seed=SEEDS),
-                    lambda: unroll(cell, Tensor(np.zeros((2, 4, 2))), SEEDS)):
+        cell(Tensor(np.zeros((2, 4, 2))), seed=0)
+        for run in (lambda: cell(Tensor(np.zeros((2, 4, 2))), seed=SEEDS),
+                    lambda: cell.draw(SEEDS)):
             with pytest.raises(LayerError, match=cell.name):
                 run()
 

@@ -601,6 +601,25 @@ class TestBackward:
             with tape:
                 pass
 
+    def test_released_tape_refuses_watch(self):
+        tape = Tape()
+        x = tape.watch(Tensor([1.0, 2.0]))
+        tape.release()
+        for t in (Tensor([3.0]), x):  # a new leaf and one it had watched
+            with pytest.raises(TapeError, match="released"):
+                tape.watch(t)
+
+    def test_recording_tape_refuses_release(self):
+        with Tape() as tape:
+            x = tape.watch(Tensor([1.0, 2.0]))
+            with pytest.raises(TapeError, match="recording"):
+                tape.release()
+            root = tensor_sum(square(x))  # the tape still records
+            assert set(tape.backward(root)) == {x.node_id}
+        tape.release()
+        with pytest.raises(TapeError, match="released"):
+            tape.backward(root)
+
     def test_ops_off_tape_stay_constant(self):
         with Tape() as tape:
             c = mul(Tensor([2.0]), Tensor([3.0]))

@@ -14,7 +14,6 @@ from uncertain.layers import (
     VariationalConv2D,
     VariationalDense,
     VariationalLSTMCell,
-    unroll,
 )
 from uncertain.rng import mix
 from uncertain.training import ElboConfig, fit
@@ -23,6 +22,7 @@ from uncertain.tensor import (
     Tensor,
     as_tensor,
     conv2d,
+    reshape,
     slice_last,
     softplus_inverse,
     tensor_mean,
@@ -249,28 +249,42 @@ def lstm_oracle_step(x, h, c, w, u, b, n):
     return h2, c2
 
 
+def built_cell(cell, features, seed=0):
+    """The cell after its first call, on a one-step sequence."""
+    cell(Tensor(np.zeros((1, 1, features))), seed=seed)
+    return cell
+
+
+def step_by_hand(cell, xs, seed):
+    """The per-step Bayesian-LSTM loop: one draw, then a step per column."""
+    weights = cell.draw(seed)
+    state, hs = None, []
+    for t in range(xs.shape[1]):
+        state = cell.step(xs[:, t], state, weights)
+        hs.append(state[0].data)
+    return np.stack(hs, axis=1), state
+
+
 class TestVariationalLSTMCell:
     def test_zero_weights_keep_state_at_zero(self):
-        cell = VariationalLSTMCell(3, kernel_regularizer=None,
-                                   recurrent_regularizer=None,
-                                   bias_regularizer=None)
-        cell.build(2)
+        cell = built_cell(VariationalLSTMCell(3, kernel_regularizer=None,
+                                              recurrent_regularizer=None,
+                                              bias_regularizer=None), 2)
         collapse(cell)
         for name in ("kernel_mu", "recurrent_mu", "bias_mu"):
             cell._params[name].data[...] = 0.0
-        xs = Tensor(np.random.default_rng(0).normal(size=(4, 6, 2)))
-        hs, (h, c) = unroll(cell, xs, seed=0)
-        assert np.all(hs.data == 0.0)
+        xs = np.random.default_rng(0).normal(size=(4, 6, 2))
+        assert np.all(cell(Tensor(xs), seed=0).data == 0.0)
+        hs, (h, c) = step_by_hand(cell, xs, seed=0)
+        assert np.all(hs == 0.0)
         assert np.all(c.data == 0.0)
 
     def test_single_step_matches_hand_oracle(self):
         rng = np.random.default_rng(1)
-        cell = VariationalLSTMCell(2)
-        cell.build(3)
+        cell = built_cell(VariationalLSTMCell(2), 3)
         collapse(cell)
         x = rng.normal(size=(4, 3))
-        cell.start_sequence(3, seed=0)
-        h, c = cell(Tensor(x))
+        h, c = cell.step(Tensor(x), None, cell.draw(0))
         want_h, want_c = lstm_oracle_step(
             x, np.zeros((4, 2)), np.zeros((4, 2)),
             cell._params["kernel_mu"].data,
@@ -278,35 +292,43 @@ class TestVariationalLSTMCell:
             cell._params["bias_mu"].data, 2)
         assert np.array_equal(h.data, want_h)
         assert np.array_equal(c.data, want_c)
+        assert np.array_equal(
+            cell(Tensor(x[:, None]), seed=0).data[:, 0], want_h)
 
     def test_three_losses_regardless_of_length(self):
         cell = VariationalLSTMCell(3)
         for steps in (1, 4, 9):
             xs = Tensor(np.zeros((2, steps, 2)))
-            unroll(cell, xs, seed=steps)
+            cell(xs, seed=steps)
+            assert len(cell.losses) == 3
+            step_by_hand(cell, xs.data, seed=steps)
             assert len(cell.losses) == 3
 
     def test_one_sample_per_sequence(self):
-        # the same weights serve every timestep: two unrolls of the same
-        # repeated input differ across seeds but are constant across time
-        cell = VariationalLSTMCell(3)
-        x = np.random.default_rng(2).normal(size=(1, 1, 2))
-        xs = Tensor(np.repeat(x, 5, axis=1))
-        cell.start_sequence(2, seed=0)
-        w_first = cell._samples[0].data.copy()
-        unroll(cell, xs, seed=1)
-        w_second = cell._samples[0].data.copy()
+        # a draw depends on the seed alone, so redrawing a seed gives the
+        # same weights, and a sequence reuses its draw at every step
+        cell = built_cell(VariationalLSTMCell(3), 2)
+        w_first = cell.draw(0)[0].data.copy()
+        w_second = cell.draw(1)[0].data.copy()
         assert not np.array_equal(w_first, w_second)
-        cell.start_sequence(2, seed=0)
-        assert np.array_equal(cell._samples[0].data, w_first)
+        assert np.array_equal(cell.draw(0)[0].data, w_first)
 
-    def test_unroll_takes_each_step_with_one_node(self):
+    def test_call_is_one_draw_then_a_step_per_time_step(self):
         cell = VariationalLSTMCell(3)
+        xs = np.random.default_rng(2).normal(size=(2, 5, 4))
+        for seed in (0, 1):
+            hs = cell(Tensor(xs), seed=seed)
+            losses = [loss.data.tobytes() for loss in cell.losses]
+            want, _ = step_by_hand(cell, xs, seed)
+            assert hs.data.tobytes() == want.tobytes()
+            assert [loss.data.tobytes() for loss in cell.losses] == losses
+
+    def test_call_takes_each_step_with_one_node(self):
+        cell = built_cell(VariationalLSTMCell(3), 4)
         xs0 = np.random.default_rng(3).normal(size=(2, 5, 4))
-        cell.build(4)
         with Tape() as tape:
             xs = tape.watch(Tensor(xs0))
-            hs, _ = unroll(cell, xs, seed=0)
+            hs = cell(xs, seed=0)
             grads = tape.backward(tensor_sum(hs))
         readers = [op for op, parents, _ in tape.nodes
                    if xs.node_id in parents]
@@ -316,30 +338,46 @@ class TestVariationalLSTMCell:
     def test_state_shape_mismatch(self):
         from uncertain.errors import ShapeError
 
-        cell = VariationalLSTMCell(3)
-        cell.build(2)
+        cell = built_cell(VariationalLSTMCell(3), 2)
         with pytest.raises(ShapeError, match="hidden state"):
-            cell(Tensor(np.zeros((2, 2))),
-                 (Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))))
+            cell.step(Tensor(np.zeros((2, 2))),
+                      (Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5)))),
+                      cell.draw(0))
+
+    def test_step_takes_rank_2_and_draw_needs_a_built_cell(self):
+        from uncertain.errors import ShapeError
+
+        cell = VariationalLSTMCell(3)
+        with pytest.raises(LayerError, match="unbuilt"):
+            cell.draw(0)
+        built_cell(cell, 2)
+        with pytest.raises(ShapeError, match="rank-2"):
+            cell.step(Tensor(np.zeros((2, 1, 2))), None, cell.draw(0))
 
 
 class StepLoop(Layer):
     """The Bayesian-LSTM loop stepped by hand, one input column per time
-    step, with a normal head on the last hidden state."""
+    step, with a normal head on the last hidden state.  With ``reuse`` it
+    keeps its first draw and steps every later call with it."""
 
-    def __init__(self, start_sequence):
+    def __init__(self, reuse):
         super().__init__()
-        self.start_sequence = start_sequence
+        self.reuse = reuse
+        self.weights = None
         self.cell = self.add_child("cell", VariationalLSTMCell(3))
         self.head = self.add_child("head", NormalOutput(units=1))
 
+    def build(self, x, seed):
+        self.cell(reshape(x, x.shape + (1,)), seed=seed)
+
     def call(self, x, seed):
         x = as_tensor(x)
-        if self.start_sequence:
-            self.cell.start_sequence(1, seed)
-        state = self.cell.init_state(x.shape[0])
+        if self.weights is None or not self.reuse:
+            self.weights = self.cell.draw(seed)
+        state = None
         for t in range(x.shape[1]):
-            state = self.cell(slice_last(x, t, t + 1), state, seed=seed)
+            state = self.cell.step(slice_last(x, t, t + 1), state,
+                                   self.weights)
         return self.head(state[0], seed=seed)
 
 
@@ -355,11 +393,11 @@ class TestLSTMDrawPerTape:
         fit(model, x, y, cfg)
 
     def test_stepping_a_draw_from_another_tape_raises(self):
-        with pytest.raises(LayerError, match="cell: .*start_sequence"):
-            self._fit(StepLoop(start_sequence=False))
+        with pytest.raises(LayerError, match="cell: .*draw them on this tape"):
+            self._fit(StepLoop(reuse=True))
 
     def test_a_draw_per_step_trains_the_cell(self):
-        model = StepLoop(start_sequence=True)
+        model = StepLoop(reuse=False)
         model(Tensor(np.zeros((1, 4))), seed=0)
         before = {k: v.data.copy() for k, v in model.cell._params.items()}
         self._fit(model)
@@ -367,14 +405,21 @@ class TestLSTMDrawPerTape:
             assert not np.array_equal(value.data, before[name]), name
 
     def test_a_draw_without_a_tape_serves_steps_without_one(self):
-        cell = VariationalLSTMCell(2)
-        cell.start_sequence(3, seed=0)
-        state = cell.init_state(1)
+        cell = built_cell(VariationalLSTMCell(2), 3)
+        weights = cell.draw(0)
+        state = None
         for _ in range(3):
-            state = cell(Tensor(np.ones((1, 3))), state)
-        with Tape():
-            with pytest.raises(LayerError, match="start_sequence"):
-                cell(Tensor(np.ones((1, 3))), state)
+            state = cell.step(Tensor(np.ones((1, 3))), state, weights)
+        with Tape() as tape:  # watches only the input: nothing is lost
+            x_t = tape.watch(Tensor(np.ones((1, 3))))
+            h, _ = cell.step(x_t, state, weights)
+            assert h.tape is tape
+        arrays = tuple(w.data for w in weights)  # on no tape at all
+        with Tape() as tape:
+            tape.watch(cell.kernel.mu)
+            for stale in (weights, arrays):
+                with pytest.raises(LayerError, match="draw them on this tape"):
+                    cell.step(Tensor(np.ones((1, 3))), state, stale)
 
 
 class TestElboGradients:
@@ -452,8 +497,8 @@ VARIATIONAL_WEIGHTS = {
         3, kernel_regularizer=reg["kernel"],
         recurrent_regularizer=reg["recurrent"], bias_regularizer=reg["bias"]),
         ("kernel", "recurrent", "bias"),
-        lambda layer, seed: unroll(
-            layer, Tensor(np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)), seed)),
+        lambda layer, seed: layer(
+            Tensor(np.linspace(-1.0, 1.0, 12).reshape(2, 3, 2)), seed=seed)),
     "rff": (lambda reg: RandomFourierFeatures(
         3, 5, kernel_regularizer=reg["readout"]),
         ("readout",), _rank2),
