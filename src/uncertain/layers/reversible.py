@@ -7,7 +7,8 @@ A reversible layer adds to the ordinary layer contract:
 * ``log_det_jacobian(x)`` (optional): log |det J_f(x)| at a point;
 * ``inverse_and_log_det(y)``: (f^-1(y), log |det J_f(f^-1(y))|), the one
   primitive densities use.  The default runs ``reverse`` and then
-  ``log_det_jacobian``; a coupling computes both from one conditioner pass.
+  ``log_det_jacobian``; a coupling computes both from one conditioner pass,
+  and its ``reverse`` is this pass too.
 
 Called on a Distribution, a reversible layer returns the pushforward
 TransformedDistribution and draws nothing, so a Sequential of reversibles
@@ -34,12 +35,13 @@ from ..rng import mix
 from ..tensor import (
     Tensor,
     as_tensor,
+    coupling_inverse,
+    coupling_scale,
     exp,
     matmul,
     relu,
     reshape,
     slice_last,
-    tanh,
     tensor_sum,
 )
 from .base import Layer, glorot_uniform, zeros_init
@@ -98,7 +100,11 @@ class CouplingLayer(ReversibleLayer):
 
     The conditioner maps the masked input to a (shift, raw log-scale) pair;
     raw log-scales pass through tanh times 3, so exp stays tame.  The
-    log-det-Jacobian is the sum of the active log-scales.
+    log-det-Jacobian is the sum of the active log-scales.  The bounded
+    log-scale and the inverse map are one tape op each
+    (``tensor.coupling_scale``, ``tensor.coupling_inverse``), bitwise equal
+    to the elementwise composites they replace.  A conditioner that declares
+    ``dims`` must match the mask's width.
     """
 
     def __init__(self, mask, conditioner, name=None):
@@ -108,11 +114,18 @@ class CouplingLayer(ReversibleLayer):
             raise ValueError("mask must be a binary vector")
         if mask.min() == mask.max():
             raise ValueError("mask must have both zeros and ones")
+        dims = getattr(conditioner, "dims", None)
+        if dims is not None and dims != mask.shape[0]:
+            raise ValueError(
+                f"conditioner dims {dims} does not match the mask's width "
+                f"{mask.shape[0]}"
+            )
         self.mask = self.add_buffer("mask", mask)
         self.conditioner = self.add_child("conditioner", conditioner)
 
     def _affine(self, x, seed):
-        """One conditioner pass: (x, anchored part, active shift, scale)."""
+        """One conditioner pass: (x, anchored part, shift, scale), the shift
+        unmasked and the scale already zero on the anchored coordinates."""
         x = as_tensor(x)
         if x.shape[-1] != self.mask.shape[0]:
             raise ShapeError(
@@ -121,13 +134,13 @@ class CouplingLayer(ReversibleLayer):
             )
         anchored = x * self.mask
         shift, raw_scale = self.conditioner(anchored, seed=seed)
-        active = 1.0 - self.mask
-        scale = tanh(raw_scale) * _SCALE_BOUND * active
-        return x, anchored, shift * active, scale
+        scale = coupling_scale(raw_scale, _SCALE_BOUND, 1.0 - self.mask)
+        return x, anchored, shift, scale
 
     def call(self, x, seed):
         x, anchored, shift, scale = self._affine(x, seed)
-        return anchored + (1.0 - self.mask) * (x * exp(scale) + shift)
+        active = 1.0 - self.mask
+        return anchored + active * (x * exp(scale) + shift * active)
 
     def reverse(self, y):
         return self.inverse_and_log_det(y)[0]
@@ -138,7 +151,7 @@ class CouplingLayer(ReversibleLayer):
     def inverse_and_log_det(self, y):
         # y's anchored part equals x's, so one conditioner pass gives both
         y, anchored, shift, scale = self._affine(y, seed=0)
-        x = anchored + (1.0 - self.mask) * ((y - shift) * exp(-scale))
+        x = coupling_inverse(anchored, y, shift, scale, 1.0 - self.mask)
         return x, tensor_sum(scale, axis=-1)
 
 
@@ -254,10 +267,12 @@ class MADE(Layer):
 class DenseConditioner(Layer):
     """Plain MLP conditioner: hidden stack plus a zero-initialized affine
     head split into (shift, raw log-scale).  Hidden weights are seeded by
-    position, as in :class:`MADE`."""
+    position, as in :class:`MADE`; ``dims`` must be at least 1."""
 
     def __init__(self, dims, hidden_sizes=(32,), activation=relu, name=None):
         super().__init__(name)
+        if dims < 1:
+            raise ValueError(f"DenseConditioner needs dims >= 1, got {dims}")
         self.dims = int(dims)
         self.hidden_sizes = _hidden_sizes(hidden_sizes)
         self.activation = activation

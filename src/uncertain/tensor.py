@@ -622,6 +622,57 @@ def se_kernel_diag(x, log_amplitude):
                   (_se_kernel_diag_adjoint, (amp2,)))
 
 
+def _coupling_scale_adjoint(adj, active, bound, o, shape):
+    return (_unbroadcast(((adj * active) * bound) * (1.0 - o * o), shape),)
+
+
+def coupling_scale(raw_scale, bound, active):
+    """A flow coupling's log-scale ``(tanh(raw_scale) * bound) * active`` as
+    one op, for a constant ``bound`` and a constant 0/1 ``active`` mask.
+
+    The forward value and the adjoint ``((adj * active) * bound) *
+    (1 - tanh^2)`` are bitwise those of the composite ``tanh``, ``mul``,
+    ``mul`` it replaces, which records three nodes.
+    """
+    raw_scale = as_tensor(raw_scale)
+    active = as_tensor(active).data
+    o = np.tanh(raw_scale.data)
+    out = (o * bound) * active
+    return _apply("coupling_scale", out, (raw_scale,),
+                  (_coupling_scale_adjoint, (active, bound, o, raw_scale.shape)))
+
+
+def _coupling_inverse_adjoint(adj, active, d, e, shapes):
+    gp = adj * active
+    ge = gp * e
+    return (_unbroadcast(adj, shapes[0]), _unbroadcast(ge, shapes[1]),
+            _unbroadcast((-ge) * active, shapes[2]),
+            _unbroadcast(-((gp * d) * e), shapes[3]))
+
+
+def coupling_inverse(anchored, y, shift, scale, active):
+    """The inverse affine map of a flow coupling,
+    ``anchored + active * ((y - shift * active) * exp(-scale))``, as one op
+    for a constant 0/1 ``active`` mask.
+
+    With ``gp = adj * active``, ``e = exp(-scale)`` and
+    ``d = y - shift * active``, the adjoints are ``adj`` for ``anchored``,
+    ``gp * e`` for ``y``, ``(-(gp * e)) * active`` for ``shift`` and
+    ``-((gp * d) * e)`` for ``scale``.  These are the floating-point
+    operations of the seven-node composite it replaces, in its order, so the
+    value and every adjoint are bitwise the composite's.
+    """
+    anchored, y = as_tensor(anchored), as_tensor(y)
+    shift, scale = as_tensor(shift), as_tensor(scale)
+    active = as_tensor(active).data
+    d = y.data - shift.data * active
+    e = np.exp(-scale.data)
+    out = anchored.data + active * (d * e)
+    shapes = (anchored.shape, y.shape, shift.shape, scale.shape)
+    return _apply("coupling_inverse", out, (anchored, y, shift, scale),
+                  (_coupling_inverse_adjoint, (active, d, e, shapes)))
+
+
 def _diag_part_adjoint(adj, n):
     full = np.zeros((n, n))
     np.fill_diagonal(full, adj)

@@ -14,17 +14,26 @@ import numpy as np
 import pytest
 from scipy.special import erf as scipy_erf, expit
 
+from uncertain import layers
+from uncertain.cli import build_flow
+from uncertain.data import toy_flow_data
+from uncertain.distributions import Normal
 from uncertain.tensor import (
     ELEMENTWISE_BINARY,
     ELEMENTWISE_UNARY,
     Tape,
     Tensor,
+    coupling_inverse,
+    coupling_scale,
+    exp,
     matmul,
     mul,
     reshape,
+    tanh,
     tensor_sum,
     transpose,
 )
+from uncertain.training import ElboConfig, elbo_step
 
 
 def bitwise(got, want):
@@ -48,9 +57,10 @@ def reduce_to(g, shape):
 
 
 def run(op, *operands):
-    """``op`` on the operands, Tensors watched on a fresh tape and plain
-    Python numbers left as they are; the output's data, the adjoint ``W``
-    its consumer sent, and each watched operand's adjoint."""
+    """``op`` on the operands, arrays watched on a fresh tape as Tensors, and
+    Tensors (constants) and plain Python numbers left as they are; the
+    output's data, the adjoint ``W`` its consumer sent, and each watched
+    operand's adjoint (None for the others)."""
     with Tape() as tape:
         args = [tape.watch(Tensor(v)) if isinstance(v, np.ndarray) else v
                 for v in operands]
@@ -58,7 +68,8 @@ def run(op, *operands):
         w = np.random.default_rng(99).normal(size=out.shape)
         root = tensor_sum(mul(out, Tensor(w)))
     grads = tape.backward(root)
-    adjoints = [grads[a.node_id].data if isinstance(a, Tensor) else None
+    adjoints = [grads[a.node_id].data
+                if isinstance(a, Tensor) and a.node_id is not None else None
                 for a in args]
     return out.data, w, adjoints
 
@@ -204,6 +215,98 @@ def test_structural_ops_of_python_scalars():
     assert bitwise(tensor_sum(2.5).data, np.float64(2.5))
     assert bitwise(reshape(2.5, (1, 1)).data, [[2.5]])
     assert bitwise(transpose(2.5).data, np.float64(2.5))
+
+
+COUPLING_SHAPES = [(4,), (3, 4), (2, 3, 4)]
+
+
+def coupling_case(test):
+    """Rank-1, -2 and -3 inputs over 4 coordinates, with either coordinate
+    parity anchored; ``active`` is 1 on the coordinates a coupling updates."""
+    shapes = pytest.mark.parametrize("shape", COUPLING_SHAPES,
+                                     ids=["rank1", "rank2", "rank3"])
+    parities = pytest.mark.parametrize("parity", [0, 1],
+                                       ids=["even-anchored", "odd-anchored"])
+    return shapes(parities(test))
+
+
+def active_of(parity):
+    return 1.0 - layers.alternating_mask(4, parity)
+
+
+@coupling_case
+def test_coupling_scale(shape, parity):
+    raw, active = values(shape, 10), active_of(parity)
+    out, g, (gr, _, _) = run(coupling_scale, raw, 3.0, Tensor(active))
+    o = np.tanh(raw)
+    assert bitwise(out, (o * 3.0) * active)
+    assert bitwise(gr, ((g * active) * 3.0) * (1.0 - o * o))
+
+
+@pytest.mark.parametrize("y_tracked", [True, False],
+                         ids=["y-tracked", "y-untracked"])
+@coupling_case
+def test_coupling_inverse(shape, parity, y_tracked):
+    # an untracked y is the data batch a density's first coupling sees
+    y, shift, scale = values(shape, 11), values(shape, 12), values(shape, 13)
+    active = active_of(parity)
+    anchored = y * (1.0 - active)
+    out, g, (ga, gy, gs, gsc, _) = run(
+        coupling_inverse, anchored, y if y_tracked else Tensor(y), shift,
+        scale, Tensor(active))
+    d, e = y - shift * active, np.exp(-scale)
+    assert bitwise(out, anchored + active * (d * e))
+    gp = g * active
+    assert bitwise(ga, g)
+    if y_tracked:
+        assert bitwise(gy, gp * e)
+    else:
+        assert gy is None
+    assert bitwise(gs, (-(gp * e)) * active)
+    assert bitwise(gsc, -((gp * d) * e))
+
+
+def composite_inverse_and_log_det(self, y):
+    """``CouplingLayer.inverse_and_log_det`` written with the elementwise tape
+    ops the two coupling ops fuse."""
+    anchored = y * self.mask
+    shift, raw_scale = self.conditioner(anchored, seed=0)
+    active = 1.0 - self.mask
+    scale = tanh(raw_scale) * 3.0 * active
+    x = anchored + (1.0 - self.mask) * ((y - shift * active) * exp(-scale))
+    return x, tensor_sum(scale, axis=-1)
+
+
+def flow_step():
+    """Loss, gradient and tape-node count of one ELBO step of the flow
+    demo's model (4 couplings, width 32) on a batch of 128, its parameters
+    drawn so that every coupling shifts and scales."""
+    flow = build_flow(4, 32)
+    base = Normal(np.zeros(2), np.ones(2))
+    flow(base, seed=0)
+    rng = np.random.default_rng(14)
+    for p in flow.trainable_variables().values():
+        p.data[...] = 0.3 * rng.standard_normal(p.shape)
+    cfg = ElboConfig(num_train_examples=128, batch_size=128)
+    loss, _, grad = elbo_step(flow, base, toy_flow_data(128, 0), cfg, step=0)
+    return loss.data, grad, len(loss.tape.nodes)
+
+
+def test_flow_step_matches_the_unfused_composite(monkeypatch):
+    # the fused ops hand each parent its adjoint terms in the composite's
+    # order, so a whole ELBO step is bitwise, not just each op
+    loss, grad, _ = flow_step()
+    monkeypatch.setattr(layers.CouplingLayer, "inverse_and_log_det",
+                        composite_inverse_and_log_det)
+    want_loss, want_grad, nodes = flow_step()
+    assert nodes == 106
+    assert bitwise(loss, want_loss)
+    assert bitwise(grad, want_grad)
+
+
+def test_flow_step_records_74_nodes():
+    # 106 unfused: in each coupling two ops replace ten elementwise nodes
+    assert flow_step()[2] == 74
 
 
 class TestTensorStorage:

@@ -17,6 +17,7 @@ from uncertain.layers import (
     Dense,
     DenseConditioner,
     Discretize,
+    Layer,
     Reverse,
     Sequential,
     alternating_mask,
@@ -89,6 +90,23 @@ class TestCoupling:
             CouplingLayer(np.ones(4), DenseConditioner(4))
         with pytest.raises(ValueError, match="zeros and ones"):
             CouplingLayer(np.zeros(4), DenseConditioner(4))
+
+    @pytest.mark.parametrize("conditioner", [MADE, DenseConditioner])
+    def test_conditioner_width_must_match_the_mask(self, conditioner):
+        # caught at construction, not at the first call's matmul
+        with pytest.raises(ValueError, match="conditioner dims 3 does not "
+                           "match the mask's width 4"):
+            CouplingLayer(alternating_mask(4), conditioner(3))
+
+    def test_conditioner_without_dims_is_accepted(self):
+        class Halves(Layer):
+            def call(self, x, seed):
+                return x * 0.5, x * 0.0
+
+        layer = CouplingLayer(alternating_mask(4), Halves())
+        x = Tensor(np.random.default_rng(9).normal(size=(3, 4)))
+        back = layer.reverse(layer(x, seed=0))
+        assert np.abs(back.data - x.data).max() < 1e-12
 
 
 class TestReverseWrapper:
@@ -300,6 +318,12 @@ class TestMADE:
     def test_dims_validation(self):
         with pytest.raises(ValueError):
             MADE(1)
+
+    @pytest.mark.parametrize("dims", [0, -1])
+    def test_dense_conditioner_dims_validation(self, dims):
+        with pytest.raises(ValueError,
+                           match=f"DenseConditioner needs dims >= 1, got {dims}"):
+            DenseConditioner(dims)
 
     @pytest.mark.parametrize("conditioner", [MADE, DenseConditioner])
     def test_empty_hidden_width_rejected(self, conditioner):
