@@ -97,13 +97,17 @@ class Normal(Distribution):
         """Reparameterized draw loc + scale * eps.
 
         ``seed`` may be a list of S generators: each draws its own eps of
-        ``noise_shape`` (default: the batch shape), stacked on a new leading
-        axis, so draw s is the one a call with that generator alone makes.
+        ``noise_shape`` (default: the batch shape) into slice s of one
+        [S, ...] array, so draw s is the one a call with that generator
+        alone makes.
         """
         shape = tuple(sample_shape) + (
             self.batch_shape if noise_shape is None else tuple(noise_shape))
         if isinstance(seed, list):
-            eps = np.stack([r.standard_normal(shape) for r in seed])
+            eps = np.empty((len(seed),) + shape)
+            for s, r in enumerate(seed):
+                # eps[s, ...] is a view even for a 0-d shape, where eps[s] is a scalar
+                r.standard_normal(out=eps[s, ...])
         else:
             eps = _as_rng(seed).standard_normal(shape)
         value = self.loc + self.scale * Tensor(eps)

@@ -334,14 +334,40 @@ def _softplus(x):
 
 _ERF_SCALE = 2.0 / math.sqrt(math.pi)
 
-add = _binary("add", operator.add, lambda adj, x, y: (
-    _unbroadcast(adj, x.shape), _unbroadcast(adj, y.shape)))
-sub = _binary("sub", operator.sub, lambda adj, x, y: (
-    _unbroadcast(adj, x.shape), _unbroadcast(-adj, y.shape)))
-mul = _binary("mul", operator.mul, lambda adj, x, y: (
-    _unbroadcast(adj * y, x.shape), _unbroadcast(adj * x, y.shape)))
-div = _binary("div", operator.truediv, lambda adj, x, y: (
-    _unbroadcast(adj / y, x.shape), _unbroadcast(-adj * x / (y * y), y.shape)))
+# The binary adjoints test each operand's shape against the output's before
+# calling _unbroadcast: most operands have the output's shape, and the test
+# costs less than the call.
+
+def _add_adjoint(adj, x, y):
+    shape = adj.shape
+    return (adj if x.shape == shape else _unbroadcast(adj, x.shape),
+            adj if y.shape == shape else _unbroadcast(adj, y.shape))
+
+
+def _sub_adjoint(adj, x, y):
+    shape = adj.shape
+    return (adj if x.shape == shape else _unbroadcast(adj, x.shape),
+            -adj if y.shape == shape else _unbroadcast(-adj, y.shape))
+
+
+def _mul_adjoint(adj, x, y):
+    shape = adj.shape
+    gx, gy = adj * y, adj * x
+    return (gx if x.shape == shape else _unbroadcast(gx, x.shape),
+            gy if y.shape == shape else _unbroadcast(gy, y.shape))
+
+
+def _div_adjoint(adj, x, y):
+    shape = adj.shape
+    gx, gy = adj / y, -adj * x / (y * y)
+    return (gx if x.shape == shape else _unbroadcast(gx, x.shape),
+            gy if y.shape == shape else _unbroadcast(gy, y.shape))
+
+
+add = _binary("add", operator.add, _add_adjoint)
+sub = _binary("sub", operator.sub, _sub_adjoint)
+mul = _binary("mul", operator.mul, _mul_adjoint)
+div = _binary("div", operator.truediv, _div_adjoint)
 
 neg = _unary("neg", operator.neg, lambda adj, x, o: (-adj,))
 exp = _unary("exp", np.exp, lambda adj, x, o: (adj * o,))
@@ -671,6 +697,116 @@ def coupling_inverse(anchored, y, shift, scale, active):
     shapes = (anchored.shape, y.shape, shift.shape, scale.shape)
     return _apply("coupling_inverse", out, (anchored, y, shift, scale),
                   (_coupling_inverse_adjoint, (active, d, e, shapes)))
+
+
+def _whitened_scale(raw):
+    """The stack of lower factors ``L_v = raw * tril(1, -1) + softplus(raw) * I``
+    of the [units, M, M] raw parameters, with ``softplus(raw) * I`` and the
+    two constant masks; the unused upper triangle of ``raw`` reads as 0."""
+    m = raw.shape[-1]
+    eye = np.eye(m)
+    tril = np.tri(m, k=-1)
+    diag = _softplus(raw) * eye
+    return raw * tril + diag, diag, tril, eye
+
+
+# The whitened ops' adjoints broadcast a scalar or a row where the composite
+# materialized a copy of it, which leaves every element's operations as they
+# were.
+
+def _whitened_variance_adjoint(adj, mask, p, half, st, raw, tril, eye, shapes):
+    kdiag_shape, base_shape, extra_shape = shapes
+    g = np.where(mask, adj, 0.0)
+    gbase = _unbroadcast(g, base_shape + (1,)).reshape(base_shape)
+    gextra = np.expand_dims(np.swapaxes(g, -1, -2), -2)
+    # C order, as the composite's copy was, so the GEMMs below round alike
+    ghalf = np.ascontiguousarray(
+        ((gextra * 2.0) * half.reshape(extra_shape)).reshape(half.shape))
+    gst = _unbroadcast(ghalf @ p.swapaxes(-1, -2), st.shape)
+    units, m = raw.shape[0], raw.shape[-1]
+    gscale = np.transpose(gst.reshape(units, m, m), (0, 2, 1))
+    graw = gscale * tril + gscale * eye * _expit(raw)
+    gsq = (np.expand_dims(-gbase, -2) * 2.0) * p
+    gproj = st.swapaxes(-1, -2) @ ghalf + gsq
+    return _unbroadcast(gbase, kdiag_shape), gproj, graw
+
+
+def whitened_variance(kdiag, proj, scale_raw, floor):
+    """The marginal variances of a whitened sparse GP as one op.
+
+    ``proj`` is L^-1 K_zx [M, batch], or an [S, M, batch] stack with one
+    slice per Monte-Carlo sample, ``kdiag`` is k(x, x) over the batch
+    ([batch] or [S, batch]) and ``scale_raw`` the [units, M, M] raw factors
+    of q(v), turned into ``L_v`` as ``_whitened_scale`` does.  Unit u's
+    variance at column j is ``kdiag_j - ||proj_j||^2 + ||L_v,u^T proj_j||^2``,
+    clamped below at ``floor``, shape [batch, units] (or [S, batch, units]).
+
+    With ``G`` [batch, units] the output's adjoint, zeroed where the clamp
+    bites, ``g_u`` the row ``G[:, u]^T`` and ``H_u = L_v,u^T proj``, the
+    adjoints are ``sum_u g_u`` for ``kdiag``,
+    ``sum_u 2 L_v,u (H_u * g_u) - 2 proj * sum_u g_u`` for ``proj`` and
+    ``2 proj (H_u * g_u)^T`` for ``L_v,u``, which reaches ``scale_raw``
+    through the tril mask and, on the diagonal, softplus' = sigmoid.
+
+    The forward value and each adjoint run the floating-point operations of
+    the composite this op replaces, in its order (``sub``, ``pow2`` and
+    ``sum`` for the base variance, the factor's ``softplus``, ``mul`` and
+    ``add``, a ``matmul`` of the transposed factors, reshapes, transposes,
+    an ``add`` and a ``where`` clamp: 17 nodes), so they are bitwise the
+    composite's.
+    """
+    kdiag, proj, scale_raw = as_tensor(kdiag), as_tensor(proj), as_tensor(scale_raw)
+    p, raw = proj.data, scale_raw.data
+    units, m = raw.shape[0], raw.shape[-1]
+    lead, batch = p.shape[:-2], p.shape[-1]
+    base = kdiag.data - np.sum(p * p, axis=-2)
+    scale, _, tril, eye = _whitened_scale(raw)
+    st = np.ascontiguousarray(np.transpose(scale, (0, 2, 1))).reshape(units * m, m)
+    half = st @ p  # L_v^T proj, one [units * M, batch] block per sample
+    extra_shape = lead + (units, m, batch)
+    extra = np.sum((half * half).reshape(extra_shape), axis=-2)
+    variance = np.swapaxes(extra, -1, -2) + base.reshape(base.shape + (1,))
+    mask = variance > floor
+    out = np.where(mask, variance, floor)
+    shapes = (kdiag.shape, base.shape, extra_shape)
+    return _apply("whitened_variance", out, (kdiag, proj, scale_raw),
+                  (_whitened_variance_adjoint,
+                   (mask, p, half, st, raw, tril, eye, shapes)))
+
+
+def _whitened_kl_adjoint(adj, raw, mu, scale, dsum, tril, eye):
+    half_adj = adj * 0.5
+    gsq = (half_adj * 2.0) * scale
+    gdiag = np.expand_dims(-adj / dsum, 2) + gsq
+    graw = gsq * tril + gdiag * eye * _expit(raw)
+    return graw, (half_adj * 2.0) * mu
+
+
+def whitened_kl(scale_raw, whitened_mean):
+    """The KL of a whitened sparse GP's q(v) against N(0, I), summed over
+    units, as one op:
+    ``0.5 (||L_v||_F^2 + ||m_v||^2 - units M) - sum(log diag L_v)`` with
+    ``L_v`` from the [units, M, M] ``scale_raw`` as ``_whitened_scale``
+    builds it and ``whitened_mean`` m_v [M, units].
+
+    The forward value and both adjoints run the floating-point operations
+    of the composite it replaces (the factor's ``softplus``, ``mul`` and
+    ``add``, ``pow2``, ``sum``, ``log``, ``add``, ``sub`` and ``mul``: 15
+    nodes), in its order, so they are bitwise the composite's.  A tape that
+    also records ``whitened_variance`` on the same ``scale_raw`` adds the
+    two ops' adjoints in the raw space, where the composite added them in
+    ``L_v``'s, so there the sum may differ from the composite's in the last
+    bits of the diagonal entries.
+    """
+    scale_raw, whitened_mean = as_tensor(scale_raw), as_tensor(whitened_mean)
+    raw, mu = scale_raw.data, whitened_mean.data
+    scale, diag, tril, eye = _whitened_scale(raw)
+    dsum = np.sum(diag, axis=2)
+    log_diag = _log(dsum)
+    count = raw.shape[0] * raw.shape[-1]
+    out = ((np.sum(scale * scale) + np.sum(mu * mu)) - count) * 0.5 - np.sum(log_diag)
+    return _apply("whitened_kl", out, (scale_raw, whitened_mean),
+                  (_whitened_kl_adjoint, (raw, mu, scale, dsum, tril, eye)))
 
 
 def _diag_part_adjoint(adj, n):

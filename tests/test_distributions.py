@@ -393,3 +393,24 @@ class TestSeeding:
     def test_generator_accepted(self):
         rv = Normal(0.0, 1.0).sample(rng_from(1, 2, "site"), sample_shape=(3,))
         assert rv.value.shape == (3,)
+
+    @pytest.mark.parametrize("noise_shape", [(), (3,), (61, 4)],
+                             ids=["0d", "1d", "2d"])
+    def test_generator_list_draws_are_the_stacked_lone_draws(self, noise_shape):
+        # each generator fills its own slice of one preallocated array; the
+        # bytes, and each generator's state after the draw, are those of S
+        # lone draws stacked
+        def gens():
+            return [rng_from(1, s, "site") for s in range(5)]
+
+        drawn = gens()
+        rv = Normal(0.0, 1.0).sample(drawn, noise_shape=noise_shape)
+        lone = gens()
+        want = np.stack([r.standard_normal(noise_shape) for r in lone])
+        assert rv.value.data.shape == want.shape
+        assert rv.value.data.tobytes() == want.tobytes()
+        assert rv.value.data.tobytes() == np.stack([
+            Normal(0.0, 1.0).sample(r, noise_shape=noise_shape).value.data
+            for r in gens()]).tobytes()
+        for r, r_lone in zip(drawn, lone):
+            assert r.standard_normal() == r_lone.standard_normal()

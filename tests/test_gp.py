@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+import uncertain.layers.gp as gp_module
 import uncertain.tensor as tensor_mod
+from uncertain.distributions import Normal
 from uncertain.layers import (
     GaussianProcess,
     RandomFourierFeatures,
@@ -16,19 +18,26 @@ from uncertain.layers import (
 from uncertain.tensor import (
     Tape,
     Tensor,
+    cholesky,
     exp,
+    log,
     matmul,
+    reshape,
     se_kernel,
     se_kernel_diag,
     softplus,
     softplus_inverse,
+    sqrt,
     square,
     tensor_sum,
     transpose,
+    triangular_solve,
     where,
+    whitened_kl,
+    whitened_variance,
 )
 
-from conftest import finite_diff_grad, max_rel_err
+from conftest import finite_diff_grad, max_rel_err, whitened_case
 
 
 def se_oracle(a, b, amplitude=1.0, lengthscale=1.0):
@@ -209,21 +218,85 @@ class TestTapeNodeCounts:
             kernel.diag(x2)
             assert len(tape.nodes) == before + 2
 
-    def test_deep_gp_elbo_step_records_at_most_150_nodes(self):
-        from uncertain.cli import build_deep_gp, gaussian_likelihood
-        from uncertain.data import toy_regression
-        from uncertain.rng import mix
-        from uncertain.training import ElboConfig, elbo_step
+    def test_deep_gp_elbo_step_records_72_nodes(self):
+        # 150 unfused: in each of the three layers the two whitened ops
+        # replace 28 nodes
+        assert deep_gp_step()[2] == 72
 
-        # train-deep-gp at its CLI defaults: 64 examples, batches of 32
-        x, y = toy_regression(64, 0, 0.05)
-        model = build_deep_gp(4, 8)
-        model(Tensor(x), seed=mix(0, "build"))
-        cfg = ElboConfig(num_train_examples=64, batch_size=32,
-                         learning_rate=0.02, max_steps=300)
-        loss, _, _ = elbo_step(model, Tensor(x[:32]), Tensor(y[:32]), cfg,
-                                  0, likelihood=gaussian_likelihood(0.1))
-        assert len(loss.tape.nodes) <= 150
+
+def composite_sparse_gp_call(self, x, seed):
+    """``SparseGaussianProcess.call`` as it was before the whitened ops: the
+    variance and the KL in elementwise, reduction, structural and matmul
+    tape ops, with one L_v stack shared by both."""
+    z = self.inducing_inputs
+    m, units = self.num_inducing, self.units
+    rows = x.shape[:-1]
+    eye = Tensor(np.eye(m))
+    chol = cholesky(self.kernel(z, z) + gp_module._KZZ_FLOOR * eye)
+    proj = triangular_solve(chol, self.kernel(z, x))
+    mean = self._mean(x) + matmul(matrix_transpose(proj), self.inducing_mean)
+    base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=-2)
+    diag = softplus(self.scale_raw) * eye
+    scale = self.scale_raw * Tensor(np.tril(np.ones((m, m)), -1)) + diag
+    half = matmul(reshape(transpose(scale, (0, 2, 1)), (units * m, m)), proj)
+    extra = tensor_sum(
+        reshape(square(half), rows[:-1] + (units, m, rows[-1])), axis=-2)
+    variance = matrix_transpose(extra) + reshape(base_var, rows + (1,))
+    variance = where(variance.data > gp_module._VAR_FLOOR, variance,
+                     gp_module._VAR_FLOOR)
+    log_diag = log(tensor_sum(diag, axis=2))
+    kl = 0.5 * (tensor_sum(square(scale))
+                + tensor_sum(square(self.inducing_mean))
+                - units * m) - tensor_sum(log_diag)
+    self.add_loss(kl)
+    dist = Normal(mean, sqrt(variance))
+    return dist.sample(self.rng(seed, "function"),
+                       noise_shape=(rows[-1], units))
+
+
+def deep_gp_step(moved=False):
+    """Loss, flat gradient, tape-node count and the parameter name of each
+    gradient entry of one ELBO step of train-deep-gp at its CLI defaults
+    (64 examples, batches of 32); ``moved`` first draws every layer's
+    variational state off its prior-matched start."""
+    from uncertain.cli import build_deep_gp, gaussian_likelihood
+    from uncertain.data import toy_regression
+    from uncertain.rng import mix
+    from uncertain.training import ElboConfig, elbo_step
+
+    x, y = toy_regression(64, 0, 0.05)
+    model = build_deep_gp(4, 8)
+    model(Tensor(x), seed=mix(0, "build"))
+    if moved:
+        rng = np.random.default_rng(31)
+        for layer in model.layers:
+            random_whitened_state(layer, rng)
+    cfg = ElboConfig(num_train_examples=64, batch_size=32,
+                     learning_rate=0.02, max_steps=300)
+    loss, _, grad = elbo_step(model, Tensor(x[:32]), Tensor(y[:32]), cfg,
+                              0, likelihood=gaussian_likelihood(0.1))
+    names = np.concatenate([[name] * p.size for name, p
+                            in model.trainable_variables().items()])
+    return loss.data, grad, len(loss.tape.nodes), names
+
+
+@pytest.mark.parametrize("moved", [False, True],
+                         ids=["cli-defaults", "moved-state"])
+def test_deep_gp_step_matches_the_unfused_composite(monkeypatch, moved):
+    # whitened_scale_raw feeds both ops, and the tape adds their adjoints in
+    # the raw space where the composite added them in L_v's, so the diagonal
+    # entries of its gradient may differ in the last bits; all else is bitwise
+    loss, grad, _, names = deep_gp_step(moved)
+    monkeypatch.setattr(SparseGaussianProcess, "call", composite_sparse_gp_call)
+    want_loss, want_grad, nodes, _ = deep_gp_step(moved)
+    assert nodes == 150
+    assert loss.tobytes() == want_loss.tobytes()
+    shared = np.char.endswith(names.astype(str), "/whitened_scale_raw")
+    assert np.count_nonzero(shared) == 4 * 8 * 8 + 4 * 8 * 8 + 8 * 8
+    assert grad[~shared].tobytes() == want_grad[~shared].tobytes()
+    for name in np.unique(names[shared]):
+        g, w = grad[names == name], want_grad[names == name]
+        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
 
 
 class TestExactGP:
@@ -494,6 +567,70 @@ class TestWhitenedSparseGP:
         for old in (unwhitened, per_unit):
             with pytest.raises(KeyError, match="whitened_scale_raw"):
                 fresh.load_state_dict(old)
+
+
+def op_grads_and_central_differences(op, arrays, weights, h=1e-6):
+    """The adjoints of sum(weights * op(*arrays)) in each array, from a tape
+    and from central differences."""
+    tensors = [Tensor(a.copy()) for a in arrays]
+    with Tape() as tape:
+        for t in tensors:
+            tape.watch(t)
+        grads = tape.backward(tensor_sum(Tensor(weights) * op(*tensors)))
+    analytic = [grads[t.node_id].data for t in tensors]
+    numeric = []
+    for t in tensors:
+        base = t.data.copy()
+
+        def f(values):
+            t.data[...] = values
+            out = float(np.sum(weights * op(*tensors).data))
+            t.data[...] = base
+            return out
+
+        numeric.append(finite_diff_grad(f, base, h=h))
+    return analytic, numeric
+
+
+class TestWhitenedOps:
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "stack"])
+    def test_variance_adjoints_match_central_differences(self, lead):
+        kdiag, proj, raw, _ = whitened_case(lead)
+        weights = np.random.default_rng(32).standard_normal(lead + (5, 3))
+
+        def op(kdiag, proj, raw):
+            return whitened_variance(kdiag, proj, raw, gp_module._VAR_FLOOR)
+
+        analytic, numeric = op_grads_and_central_differences(
+            op, (kdiag, proj, raw), weights)
+        # column 0 is clamped for every unit: no adjoint reaches its kdiag
+        assert np.all(analytic[0][..., 0] == 0.0)
+        assert np.all(numeric[0][..., 0] == 0.0)
+        # the upper triangle of scale_raw is unused
+        upper = np.triu_indices(4, 1)
+        assert np.all(analytic[2][:, upper[0], upper[1]] == 0.0)
+        worst = [max_rel_err(a, n) for a, n in zip(analytic, numeric)]
+        assert max(worst) < 1e-7, worst
+
+    def test_kl_adjoints_match_central_differences(self):
+        _, _, raw, mean = whitened_case(())
+        # the weighted KL is about 7.5 and some raw entries move it by only
+        # 2e-3 per unit, which at h = 1e-6 the differences' rounding blurs
+        analytic, numeric = op_grads_and_central_differences(
+            whitened_kl, (raw, mean), np.array(0.7), h=1e-5)
+        worst = [max_rel_err(a, n) for a, n in zip(analytic, numeric)]
+        assert max(worst) < 1e-7, worst
+
+    def test_each_op_records_one_node(self):
+        kdiag, proj, raw, mean = (Tensor(a) for a in whitened_case((2,)))
+        with Tape() as tape:
+            for t in (kdiag, proj, raw, mean):
+                tape.watch(t)
+            before = len(tape.nodes)
+            whitened_variance(kdiag, proj, raw, gp_module._VAR_FLOOR)
+            whitened_kl(raw, mean)
+            assert [node[0] for node in tape.nodes[before:]] == [
+                "whitened_variance", "whitened_kl"]
 
 
 def count_factorizations(monkeypatch):

@@ -26,14 +26,22 @@ from uncertain.tensor import (
     coupling_inverse,
     coupling_scale,
     exp,
+    log,
     matmul,
     mul,
     reshape,
+    softplus,
+    square,
     tanh,
     tensor_sum,
     transpose,
+    where,
+    whitened_kl,
+    whitened_variance,
 )
 from uncertain.training import ElboConfig, elbo_step
+
+from conftest import whitened_case
 
 
 def bitwise(got, want):
@@ -307,6 +315,70 @@ def test_flow_step_matches_the_unfused_composite(monkeypatch):
 def test_flow_step_records_74_nodes():
     # 106 unfused: in each coupling two ops replace ten elementwise nodes
     assert flow_step()[2] == 74
+
+
+def composite_whitened_scale(scale_raw):
+    """The stack of lower factors L_v, and its softplus diagonal, in the tape
+    ops a sparse GP layer built them with before the whitened ops."""
+    m = scale_raw.shape[-1]
+    diag = softplus(scale_raw) * Tensor(np.eye(m))
+    return scale_raw * Tensor(np.tril(np.ones((m, m)), -1)) + diag, diag
+
+
+def composite_whitened_variance(kdiag, proj, scale_raw, floor):
+    """``whitened_variance`` as the 17 nodes it replaces."""
+    units, m = scale_raw.shape[0], scale_raw.shape[-1]
+    lead, batch = proj.shape[:-2], proj.shape[-1]
+    base_var = kdiag - tensor_sum(square(proj), axis=-2)
+    scale, _ = composite_whitened_scale(scale_raw)
+    half = matmul(reshape(transpose(scale, (0, 2, 1)), (units * m, m)), proj)
+    extra = tensor_sum(reshape(square(half), lead + (units, m, batch)),
+                       axis=-2)
+    swap = tuple(range(extra.ndim - 2)) + (extra.ndim - 1, extra.ndim - 2)
+    variance = (transpose(extra, swap)
+                + reshape(base_var, lead + (batch, 1)))
+    return where(variance.data > floor, variance, floor)
+
+
+def composite_whitened_kl(scale_raw, whitened_mean):
+    """``whitened_kl`` as the 15 nodes it replaces."""
+    units, m = scale_raw.shape[0], scale_raw.shape[-1]
+    scale, diag = composite_whitened_scale(scale_raw)
+    log_diag = log(tensor_sum(diag, axis=2))
+    return 0.5 * (tensor_sum(square(scale)) + tensor_sum(square(whitened_mean))
+                  - units * m) - tensor_sum(log_diag)
+
+
+VAR_FLOOR = 1e-10
+
+
+# a regrouping of a rounded sum survives one draw often enough that each
+# op sees several
+WHITENED_SEEDS = pytest.mark.parametrize("seed", range(30, 38))
+
+
+@WHITENED_SEEDS
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "stack"])
+def test_whitened_variance(lead, seed):
+    kdiag, proj, raw, _ = whitened_case(lead, seed)
+    out, _, grads = run(whitened_variance, kdiag, proj, raw, VAR_FLOOR)
+    want, _, want_grads = run(composite_whitened_variance, kdiag, proj, raw,
+                              VAR_FLOOR)
+    assert out.shape == lead + (5, 3)
+    assert np.all(out[..., 0, :] == VAR_FLOOR) and np.all(out[..., 1:, :] > 1.0)
+    assert bitwise(out, want)
+    for g, w in zip(grads[:3], want_grads[:3]):
+        assert bitwise(g, w)
+
+
+@WHITENED_SEEDS
+def test_whitened_kl(seed):
+    _, _, raw, mean = whitened_case((), seed)
+    out, _, grads = run(whitened_kl, raw, mean)
+    want, _, want_grads = run(composite_whitened_kl, raw, mean)
+    assert bitwise(out, want)
+    for g, w in zip(grads, want_grads):
+        assert bitwise(g, w)
 
 
 class TestTensorStorage:
