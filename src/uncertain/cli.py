@@ -266,8 +266,7 @@ def run_train_flow(args):
                        {"steps": 400, "learning_rate": 0.005, "batch_size": 128})
     model = build_flow(*_sizes(args, cfg_file, "flow"), dims=data.shape[1])
     base = Normal(np.zeros(data.shape[1]), np.ones(data.shape[1]))
-    return _fit_and_save(args, model, data, data, cfg,
-                         batch_fn=lambda _bx, _step: base)
+    return _fit_and_save(args, model, base, data, cfg)
 
 
 def run_train_lstm(args):

@@ -203,6 +203,8 @@ class DiscretizedLogisticMixture(Distribution):
         self.means = as_tensor(means)
         self.log_scales = as_tensor(log_scales)
         self.num_bins = int(num_bins)
+        if self.num_bins < 2:
+            raise ValueError(f"num_bins must be >= 2, got {self.num_bins}")
         if not (self.logits.shape == self.means.shape == self.log_scales.shape):
             raise ShapeError(
                 "mixture parameter shapes disagree: "
@@ -346,15 +348,12 @@ class TransformedDistribution(Distribution):
         rv = self.base.sample(seed, sample_shape)
         return RandomVariable(self, self.transform(rv.value))
 
-    def _base_log_prob(self, x):
+    def log_prob(self, y):
+        x, log_det = self.transform.inverse_and_log_det(as_tensor(y))
         lp = self.base.log_prob(x)
         if isinstance(self.base, (Normal, Logistic)):
             lp = tensor_sum(lp, axis=-1)
-        return lp
-
-    def log_prob(self, y):
-        x, log_det = self.transform.inverse_and_log_det(as_tensor(y))
-        return self._base_log_prob(x) - log_det
+        return lp - log_det
 
 
 class Discretized(Distribution):
@@ -372,6 +371,8 @@ class Discretized(Distribution):
         self.base = base
         self.low = int(low)
         self.high = int(high)
+        if self.low >= self.high:  # one bin would be both edges
+            raise ValueError(f"low {self.low} must be below high {self.high}")
 
     def log_prob(self, x):
         values = as_tensor(x).data

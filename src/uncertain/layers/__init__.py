@@ -25,7 +25,6 @@ from .reversible import (
     Reverse,
     ReversibleLayer,
     alternating_mask,
-    propagate,
 )
 from .variational import (
     FlipoutDense,
@@ -60,7 +59,6 @@ __all__ = [
     "alternating_mask",
     "glorot_uniform",
     "normal_kl",
-    "propagate",
     "reset_layer_indices",
     "trainable_normal",
     "zeros_init",

@@ -19,8 +19,8 @@ input's rank, then runs ``build(x, seed)`` once, on the first call, before
 ``input_rank``, the rank of a one-seed input (None, the default, leaves the
 input unchecked and unconverted), and ``build``, which creates the
 parameters that depend on the first input.  No layer bypasses the protocol:
-``ReversibleLayer`` alone overrides ``__call__``, to pass a Distribution
-through, and ``VariationalLSTMCell`` takes a whole [batch, time, features]
+``ReversibleLayer`` alone overrides ``__call__``, to add a pushforward
+only, and ``VariationalLSTMCell`` takes a whole [batch, time, features]
 sequence, its ``draw`` and ``step`` public for stepping by hand.  A layer
 without its own ``build`` is built from the start; ``built`` turns True
 only after a ``build`` returns, so one that raises is retried on the next

@@ -89,6 +89,8 @@ class MixtureLogisticOutput(_Head):
         if num_components < 1:
             raise ValueError(
                 f"num_components must be >= 1, got {num_components}")
+        if num_bins < 2:
+            raise ValueError(f"num_bins must be >= 2, got {num_bins}")
         self.num_components = int(num_components)
         self.num_bins = int(num_bins)
         self.width_per_unit = 3 * self.num_components  # sizes the projection

@@ -12,9 +12,9 @@ A reversible layer adds to the ordinary layer contract:
 
 Called on a Distribution, a reversible layer returns the pushforward
 TransformedDistribution and draws nothing, so a Sequential of reversibles
-turns a base density into a flow density.  Called on a RandomVariable, it
-returns the transformed sample bound to that pushforward; on a tensor, the
-plain forward map.
+turns a base density into a flow density (a layer not yet built raises
+LayerError).  On a RandomVariable or a tensor it is called as any layer is,
+and returns the forward map, bound to that pushforward or plain.
 
 ``log_det_jacobian`` is optional for pure round-trip use: layers without it
 still invert, and a density query raises NotReversibleError at that point.
@@ -26,11 +26,12 @@ import warnings
 import numpy as np
 
 from ..distributions import (
+    Discretized,
     Distribution,
     RandomVariable,
     TransformedDistribution,
 )
-from ..errors import NotReversibleError, ShapeError
+from ..errors import LayerError, NotReversibleError, ShapeError
 from ..rng import mix
 from ..tensor import (
     Tensor,
@@ -52,25 +53,26 @@ _SCALE_BOUND = 3.0  # a coupling's log-scales lie in (-3, 3)
 class ReversibleLayer(Layer):
     """Layer with an exact inverse.
 
-    Subclasses define ``call`` and ``reverse``, and ``log_det_jacobian`` for
-    density use; ``inverse_and_log_det`` defaults to one ``reverse`` and one
-    ``log_det_jacobian`` and may be overridden by a single fused pass.  A
-    Distribution input returns its pushforward TransformedDistribution and a
-    RandomVariable input the transformed sample bound to it.
+    Subclasses define ``call`` and ``reverse`` (one without ``reverse`` is
+    not reversible: ``Reverse`` and ``Sequential`` raise NotReversibleError),
+    and ``log_det_jacobian`` for density use; ``inverse_and_log_det``
+    defaults to one ``reverse`` and one ``log_det_jacobian`` and may be
+    overridden by a single fused pass.  ``__call__`` adds only the
+    pushforward to :meth:`Layer.__call__`.
     """
 
     def __call__(self, x, seed=0):
-        self._losses = []
-        seed = self._check_seed(seed)
-        if isinstance(x, Distribution):
-            return TransformedDistribution(x, self)
         if isinstance(x, RandomVariable):
             return RandomVariable(TransformedDistribution(x.distribution, self),
-                                  self.call(x.value, seed))
-        return self.call(x, seed)
-
-    def reverse(self, y):
-        raise NotImplementedError
+                                  super().__call__(x.value, seed))
+        if not isinstance(x, Distribution):
+            return super().__call__(x, seed)
+        self._losses = []
+        self._check_seed(seed)
+        if not self.built:
+            raise LayerError(f"{self.path or self.name} ({type(self).__name__})"
+                             " is not built; call it once on a tensor first")
+        return TransformedDistribution(x, self)
 
     def log_det_jacobian(self, x):
         raise NotReversibleError(
@@ -81,15 +83,6 @@ class ReversibleLayer(Layer):
     def inverse_and_log_det(self, y):
         x = self.reverse(y)
         return x, self.log_det_jacobian(x)
-
-
-def propagate(rv: RandomVariable, layer) -> RandomVariable:
-    """Push a RandomVariable through a reversible layer."""
-    if not hasattr(layer, "reverse"):
-        raise NotReversibleError(
-            f"{type(layer).__name__} does not implement reverse"
-        )
-    return layer(rv)
 
 
 class CouplingLayer(ReversibleLayer):
@@ -249,7 +242,6 @@ class MADE(Layer):
             raise ShapeError(
                 f"MADE expects last axis {self.dims}, got {list(x.shape)}"
             )
-        shape = x.shape
         h = x if x.ndim == 2 else reshape(x, (-1, self.dims))
         for i in range(len(self.hidden_sizes)):
             w = self._params[f"w{i}"] * self._masks[i]
@@ -258,9 +250,9 @@ class MADE(Layer):
             + self._params["b_shift"]
         raw_scale = matmul(h, self._params["w_scale"] * self._out_mask) \
             + self._params["b_scale"]
-        if len(shape) != 2:
-            shift = reshape(shift, shape)
-            raw_scale = reshape(raw_scale, shape)
+        if x.ndim != 2:
+            shift = reshape(shift, x.shape)
+            raw_scale = reshape(raw_scale, x.shape)
         return shift, raw_scale
 
 
@@ -286,7 +278,6 @@ class DenseConditioner(Layer):
 
     def call(self, x, seed):
         x = as_tensor(x)
-        shape = x.shape
         h = x if x.ndim == 2 else reshape(x, (-1, self.dims))
         for i in range(len(self.hidden_sizes)):
             h = self.activation(matmul(h, self._params[f"w{i}"])
@@ -294,9 +285,9 @@ class DenseConditioner(Layer):
         out = matmul(h, self._params["w_out"]) + self._params["b_out"]
         shift = slice_last(out, 0, self.dims)
         raw_scale = slice_last(out, self.dims, 2 * self.dims)
-        if len(shape) != 2:
-            shift = reshape(shift, shape)
-            raw_scale = reshape(raw_scale, shape)
+        if x.ndim != 2:
+            shift = reshape(shift, x.shape)
+            raw_scale = reshape(raw_scale, x.shape)
         return shift, raw_scale
 
 
@@ -317,6 +308,8 @@ class Discretize(Layer):
         super().__init__(name)
         self.low = int(low)
         self.high = int(high)
+        if self.low >= self.high:  # one bin would be both edges
+            raise ValueError(f"low {self.low} must be below high {self.high}")
 
     def call(self, x, seed):
         if not isinstance(x, RandomVariable):
@@ -324,8 +317,6 @@ class Discretize(Layer):
                 "Discretize needs a continuous RandomVariable input, got "
                 f"{type(x).__name__}"
             )
-        from ..distributions import Discretized
-
         dist = Discretized(x.distribution, self.low, self.high)
         value = Tensor(np.clip(np.rint(x.value.data), self.low, self.high))
         return RandomVariable(dist, value)

@@ -648,13 +648,14 @@ def se_kernel_diag(x, log_amplitude):
                   (_se_kernel_diag_adjoint, (amp2,)))
 
 
-def _coupling_scale_adjoint(adj, active, bound, o, shape):
-    return (_unbroadcast(((adj * active) * bound) * (1.0 - o * o), shape),)
+def _coupling_scale_adjoint(adj, active, bound, o):
+    return (((adj * active) * bound) * (1.0 - o * o),)
 
 
 def coupling_scale(raw_scale, bound, active):
     """A flow coupling's log-scale ``(tanh(raw_scale) * bound) * active`` as
-    one op, for a constant ``bound`` and a constant 0/1 ``active`` mask.
+    one op, for a constant ``bound`` and a constant 0/1 ``active`` mask that
+    does not broadcast ``raw_scale`` to a larger shape.
 
     The forward value and the adjoint ``((adj * active) * bound) *
     (1 - tanh^2)`` are bitwise those of the composite ``tanh``, ``mul``,
@@ -664,22 +665,24 @@ def coupling_scale(raw_scale, bound, active):
     active = as_tensor(active).data
     o = np.tanh(raw_scale.data)
     out = (o * bound) * active
+    if out.shape != raw_scale.shape:  # the adjoint skips _unbroadcast
+        raise ShapeError(f"coupling_scale needs operands of the output's "
+                         f"shape {out.shape}, got {raw_scale.shape}")
     return _apply("coupling_scale", out, (raw_scale,),
-                  (_coupling_scale_adjoint, (active, bound, o, raw_scale.shape)))
+                  (_coupling_scale_adjoint, (active, bound, o)))
 
 
-def _coupling_inverse_adjoint(adj, active, d, e, shapes):
+def _coupling_inverse_adjoint(adj, active, d, e):
     gp = adj * active
     ge = gp * e
-    return (_unbroadcast(adj, shapes[0]), _unbroadcast(ge, shapes[1]),
-            _unbroadcast((-ge) * active, shapes[2]),
-            _unbroadcast(-((gp * d) * e), shapes[3]))
+    return (adj, ge, (-ge) * active, -((gp * d) * e))
 
 
 def coupling_inverse(anchored, y, shift, scale, active):
     """The inverse affine map of a flow coupling,
     ``anchored + active * ((y - shift * active) * exp(-scale))``, as one op
-    for a constant 0/1 ``active`` mask.
+    for operands of one shape and a constant 0/1 ``active`` mask that does
+    not broadcast them to a larger one.
 
     With ``gp = adj * active``, ``e = exp(-scale)`` and
     ``d = y - shift * active``, the adjoints are ``adj`` for ``anchored``,
@@ -694,9 +697,12 @@ def coupling_inverse(anchored, y, shift, scale, active):
     d = y.data - shift.data * active
     e = np.exp(-scale.data)
     out = anchored.data + active * (d * e)
-    shapes = (anchored.shape, y.shape, shift.shape, scale.shape)
+    shapes = [anchored.shape, y.shape, shift.shape, scale.shape]
+    if shapes.count(out.shape) != 4:  # the adjoints skip _unbroadcast
+        raise ShapeError(f"coupling_inverse needs operands of the output's "
+                         f"shape {out.shape}, got {shapes}")
     return _apply("coupling_inverse", out, (anchored, y, shift, scale),
-                  (_coupling_inverse_adjoint, (active, d, e, shapes)))
+                  (_coupling_inverse_adjoint, (active, d, e)))
 
 
 def _whitened_scale(raw):

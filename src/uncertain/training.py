@@ -201,15 +201,15 @@ def adam_update(flat, grad, m, v, t, lr,
 
 
 def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
-        batch_fn=None, log_fn=None):
+        log_fn=None):
     """Run the training loop; returns the [(step, loss, kl)] trace.
 
-    ``batch_fn(x_batch, step) -> model input`` lets callers replace the model
-    input per step (a flow is fed its base Distribution, and its output
-    density scores the data batch given as targets).
+    ``features`` is batched along with ``targets``, unless it is a
+    Distribution: then it is the model input at every step (a flow is fed
+    its base Distribution, and its output density scores the data batch).
 
     Before the first step, ``fit`` builds the model by calling it on the
-    first row (through ``batch_fn`` at step -1) with seed
+    first row of ``features`` (or the Distribution) with seed
     ``mix(cfg.seed, "build")``, raises :class:`TrainingError` if a layer
     holds a sub-layer it did not register with ``add_child``, and then
     trains every one of ``model.trainable_variables()``, packed by
@@ -223,11 +223,11 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     joins the step's freed temporaries at the top of the heap, where glibc
     returns it to the kernel and the next step faults it back in.
     """
-    features = np.asarray(features, dtype=np.float64)
+    density = isinstance(features, Distribution)
+    features = features if density else np.asarray(features, np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    probe = (batch_fn(features[:1], -1) if batch_fn is not None
-             else Tensor(features[:1]))
-    model(probe, seed=mix(cfg.seed, "build"))
+    model(features if density else Tensor(features[:1]),
+          seed=mix(cfg.seed, "build"))
     _check_children_registered(model)
     params = model.trainable_variables()
     flat = pack_parameters(params)
@@ -237,8 +237,7 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     held = None
     for step, idx in enumerate(batch_indices(
             cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
-        bx = features[idx]
-        batch_x = batch_fn(bx, step) if batch_fn is not None else Tensor(bx)
+        batch_x = features if density else Tensor(features[idx])
         loss, kl, grad = elbo_step(
             model, batch_x, Tensor(targets[idx]), cfg, step,
             likelihood=likelihood, params=params, replaces=held)

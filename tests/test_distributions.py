@@ -153,6 +153,17 @@ class TestDiscretizedLogisticMixture:
         with pytest.raises(DomainError):
             self._random_dist(1).log_prob(Tensor(256.0))
 
+    @pytest.mark.parametrize("num_bins", [1, 0])
+    def test_fewer_than_two_bins_rejected_at_construction(self, num_bins):
+        # one bin would divide by num_bins - 1 = 0 in log_prob
+        with pytest.raises(ValueError, match="num_bins must be >= 2"):
+            DiscretizedLogisticMixture([0.0], [0.0], [0.0], num_bins=num_bins)
+
+    def test_two_bins_split_the_mass(self):
+        dist = DiscretizedLogisticMixture([0.0], [0.0], [-1.0], num_bins=2)
+        mass = np.exp(dist.log_prob(Tensor([0.0, 1.0])).data)
+        np.testing.assert_allclose(mass, [0.5, 0.5], rtol=1e-15)
+
 
 def spd(a):
     """Covariance A A^T + n I built on the tape from a square ``a``."""
@@ -314,6 +325,12 @@ class TestDiscretized:
     def test_tight_base_concentrates(self):
         dist = Discretized(Normal(3.0, 1e-4), 0, 255)
         assert math.exp(dist.log_prob(Tensor(3.0)).item()) > 1.0 - 1e-12
+
+    @pytest.mark.parametrize("low, high", [(5, 2), (4, 4)])
+    def test_fewer_than_two_bins_rejected(self, low, high):
+        with pytest.raises(ValueError, match=f"low {low} must be below "
+                           f"high {high}"):
+            Discretized(Normal(0.0, 1.0), low, high)
 
     def test_base_without_cdf_rejected(self):
         with pytest.raises(DomainError, match="cdf"):

@@ -18,6 +18,7 @@ from uncertain import layers
 from uncertain.cli import build_flow
 from uncertain.data import toy_flow_data
 from uncertain.distributions import Normal
+from uncertain.errors import ShapeError
 from uncertain.tensor import (
     ELEMENTWISE_BINARY,
     ELEMENTWISE_UNARY,
@@ -272,6 +273,24 @@ def test_coupling_inverse(shape, parity, y_tracked):
         assert gy is None
     assert bitwise(gs, (-(gp * e)) * active)
     assert bitwise(gsc, -((gp * d) * e))
+
+
+@pytest.mark.parametrize("op, shapes, mask", [
+    (coupling_scale, [(3, 1)], (4,)),
+    (coupling_scale, [(3, 4)], (2, 1, 4)),
+    (coupling_inverse, [(3, 4), (3, 4), (4,), (3, 4)], (4,)),
+    (coupling_inverse, [(3, 4), (3, 4), (3, 4), (2, 3, 4)], (4,)),
+    (coupling_inverse, [(4,)] * 4, (3, 4)),
+], ids=["scale-narrow", "scale-by-mask", "inverse-shift", "inverse-scale",
+        "inverse-by-mask"])
+def test_coupling_ops_reject_operands_that_broadcast(op, shapes, mask):
+    # their adjoints hand back unreduced terms, so the forward pass checks
+    operands = [Tensor(np.ones(shape)) for shape in shapes]
+    if op is coupling_scale:
+        operands.append(3.0)
+    with pytest.raises(ShapeError, match=f"^{op.__name__} needs operands of "
+                       "the output's shape"):
+        op(*operands, Tensor(np.ones(mask)))
 
 
 def composite_inverse_and_log_det(self, y):

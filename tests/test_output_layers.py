@@ -145,6 +145,11 @@ class TestMixtureLogisticOutput:
         with pytest.raises(ValueError, match="num_components must be >= 1"):
             MixtureLogisticOutput(units=units, num_components=0)
 
+    @pytest.mark.parametrize("num_bins", [1, 0])
+    def test_fewer_than_two_bins_rejected_at_construction(self, num_bins):
+        with pytest.raises(ValueError, match="num_bins must be >= 2"):
+            MixtureLogisticOutput(num_bins=num_bins)
+
 
 class TestLossDiscipline:
     @pytest.mark.parametrize("factory", [

@@ -10,7 +10,7 @@ from uncertain.distributions import (
     Normal,
     TransformedDistribution,
 )
-from uncertain.errors import NotReversibleError
+from uncertain.errors import LayerError, NotReversibleError, ShapeError
 from uncertain.layers import (
     MADE,
     CouplingLayer,
@@ -19,11 +19,11 @@ from uncertain.layers import (
     Discretize,
     Layer,
     Reverse,
+    ReversibleLayer,
     Sequential,
     alternating_mask,
-    propagate,
 )
-from uncertain.tensor import Tape, Tensor, tensor_sum
+from uncertain.tensor import Tape, Tensor, exp, tensor_sum
 
 
 def random_coupling(dims, seed, parity=0, hidden=16, conditioner="made",
@@ -122,6 +122,19 @@ class TestReverseWrapper:
         with pytest.raises(NotReversibleError):
             wrapped(Tensor(np.zeros((1, 3))), seed=0)
 
+    def test_reversible_layer_without_reverse_is_not_reversible(self):
+        class ForwardOnly(ReversibleLayer):
+            def call(self, x, seed):
+                return x
+
+        x = Tensor(np.zeros((1, 2)))
+        with pytest.raises(NotReversibleError, match="ForwardOnly does not "
+                           "implement reverse"):
+            Reverse(ForwardOnly())(x, seed=0)
+        with pytest.raises(NotReversibleError,
+                           match=r"layer 0 \(forwardonly\) does not"):
+            Sequential([ForwardOnly()]).reverse(x)
+
     def test_wrapped_call_is_inner_reverse(self):
         layer = random_coupling(4, seed=11)
         wrapped = Reverse(layer)
@@ -130,20 +143,96 @@ class TestReverseWrapper:
                                       layer.reverse(y).data)
 
 
+class Scale(ReversibleLayer):
+    """y = x * exp(log_s), its log-scales created from the first input."""
+
+    def __init__(self, name=None):
+        super().__init__(name)
+        self.builds = 0
+
+    def build(self, x, seed):
+        self.builds += 1
+        self.log_s = self.add_param(
+            "log_s", np.linspace(-0.5, 0.5, x.shape[-1]))
+
+    def call(self, x, seed):
+        return x * exp(self.log_s)
+
+    def reverse(self, y):
+        return y * exp(-self.log_s)
+
+    def log_det_jacobian(self, x):
+        return tensor_sum(self.log_s) + Tensor(np.zeros(x.shape[:-1]))
+
+
+class RankTwoDoubler(ReversibleLayer):
+    input_rank = 2
+
+    def call(self, x, seed):
+        return x * 2.0
+
+    def reverse(self, y):
+        return y * 0.5
+
+
+class TestCallProtocol:
+    """Reversible layers are called through ``Layer.__call__``: a tensor, or
+    a RandomVariable's value, is checked and builds the layer once."""
+
+    @pytest.mark.parametrize("first", ["tensor", "random_variable"])
+    def test_build_runs_once_on_the_first_call(self, first):
+        layer = Scale()
+        base = Normal(np.zeros(3), np.ones(3))
+        x = base.sample(seed=0, sample_shape=(5,))
+        assert not layer.built
+        out = layer(x if first == "random_variable" else x.value, seed=0)
+        assert layer.built and layer.builds == 1
+        assert list(layer.trainable_variables()) == ["log_s"]
+        if first == "random_variable":
+            assert isinstance(out.distribution, TransformedDistribution)
+            assert out.distribution.transform is layer
+        y = layer(x.value, seed=1)
+        assert layer.builds == 1
+        np.testing.assert_array_equal(out.data, y.data)
+        assert np.abs(layer.reverse(y).data - x.data).max() < 1e-15
+        want = (tensor_sum(base.log_prob(x.value), axis=-1).data
+                - np.linspace(-0.5, 0.5, 3).sum())
+        np.testing.assert_allclose(layer(base).log_prob(y).data, want,
+                                   rtol=1e-14)
+
+    def test_declared_input_rank_is_checked(self):
+        layer = RankTwoDoubler()
+        rv = Normal(np.zeros(3), np.ones(3)).sample(seed=0)
+        for x in (rv.value, rv):
+            with pytest.raises(ShapeError, match="expects rank-2 input"):
+                layer(x, seed=0)
+        assert layer(rv.value.data[None], seed=0).shape == (1, 3)
+
+    def test_distribution_through_an_unbuilt_layer_raises(self):
+        base = Normal(np.zeros(2), np.ones(2))
+        with pytest.raises(LayerError, match=r"^scale \(Scale\) is not "
+                           "built"):
+            Scale()(base)
+        flow = Sequential([random_coupling(2, seed=1), Scale()])
+        with pytest.raises(LayerError, match=r"^layer1 \(Scale\) is not "
+                           "built"):
+            flow(base)
+        flow(Tensor(np.zeros((1, 2))), seed=0)
+        assert isinstance(flow(base), TransformedDistribution)
+
+
 class TestPropagate:
     def test_identity_flow_preserves_log_prob(self):
         layer = CouplingLayer(alternating_mask(3), ZeroConditioner(3))
         base = Normal(np.zeros(3), np.ones(3))
         rv = base.sample(seed=0)
-        out = propagate(rv, layer)
+        out = layer(rv)
         pts = Tensor(np.random.default_rng(1).normal(size=(5, 3)))
         base_lp = tensor_sum(base.log_prob(pts), axis=-1)
         np.testing.assert_allclose(out.log_prob(pts).data, base_lp.data,
                                    atol=1e-12)
 
     def test_scalar_affine_change_of_variables(self):
-        from uncertain.layers import ReversibleLayer
-
         class Doubler(ReversibleLayer):
             def call(self, x, seed):
                 return x * 2.0
@@ -155,14 +244,9 @@ class TestPropagate:
                 return Tensor(np.full(x.shape[:-1], math.log(2.0)))
 
         base = Normal(np.zeros(1), np.ones(1))
-        out = propagate(base.sample(seed=0), Doubler())
+        out = Doubler()(base.sample(seed=0))
         got = out.log_prob(Tensor([[0.0]])).data[0]
         assert got == pytest.approx(-0.9189385 - math.log(2.0), abs=1e-6)
-
-    def test_non_reversible_layer_rejected(self):
-        base = Normal(np.zeros(2), np.ones(2))
-        with pytest.raises(NotReversibleError):
-            propagate(base.sample(seed=0), Dense(2))
 
     def test_three_layer_flow_density_integrates_to_one(self):
         # mild weights: the grid must both cover the mass and resolve it
@@ -257,8 +341,6 @@ class TestPropagate:
         np.testing.assert_allclose(total, (first + second).data, atol=1e-12)
 
     def test_density_request_without_log_det_raises(self):
-        from uncertain.layers import ReversibleLayer
-
         class Swap(ReversibleLayer):
             def call(self, x, seed):
                 return x
@@ -267,7 +349,7 @@ class TestPropagate:
                 return y
 
         base = Normal(np.zeros(2), np.ones(2))
-        out = propagate(base.sample(seed=0), Swap())
+        out = Swap()(base.sample(seed=0))
         with pytest.raises(NotReversibleError, match="log_det_jacobian"):
             out.log_prob(Tensor(np.zeros((1, 2))))
 
@@ -369,6 +451,19 @@ class TestDiscretize:
     def test_plain_tensor_rejected(self):
         with pytest.raises(TypeError, match="RandomVariable"):
             Discretize()(Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("low, high", [(5, 2), (4, 4)])
+    def test_fewer_than_two_bins_rejected_at_construction(self, low, high):
+        # low > high puts every value out of range, and a lone bin, both
+        # edges at once, would get mass cdf(low + 1/2) instead of 1
+        with pytest.raises(ValueError, match=f"low {low} must be below "
+                           f"high {high}"):
+            Discretize(low=low, high=high)
+
+    def test_two_bins_hold_all_mass(self):
+        out = Discretize(4, 5)(Normal(4.5, 1.0).sample(seed=0))
+        mass = np.exp(out.log_prob(Tensor([4.0, 5.0])).data)
+        np.testing.assert_allclose(mass, [0.5, 0.5], rtol=1e-15)
 
     def test_base_without_cdf_rejected(self):
         from uncertain.distributions import Categorical

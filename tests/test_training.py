@@ -13,7 +13,7 @@ from uncertain.data import (
     toy_flow_data,
     toy_regression,
 )
-from uncertain.distributions import Normal
+from uncertain.distributions import Distribution, Normal
 from uncertain.errors import (
     CheckpointError,
     ConfigError,
@@ -450,22 +450,20 @@ class TestBuild:
             self._fit(UnregisteredDict(), steps=5)
 
 
-def looped_adam_fit(model, features, targets, cfg, likelihood=None,
-                    batch_fn=None):
+def looped_adam_fit(model, features, targets, cfg, likelihood=None):
     """Reference for ``fit``: Adam as a loop over parameters with per-name
     moment dicts, on gradients read from ``Tape.backward``'s node-id map,
     and no parameter packed.  ``fit`` must match it bitwise: every Adam op
-    is elementwise."""
-    probe = (batch_fn(features[:1], -1) if batch_fn is not None
-             else Tensor(features[:1]))
-    model(probe, seed=mix(cfg.seed, "build"))
+    is elementwise.  A Distribution ``features`` is every step's input."""
+    density = isinstance(features, Distribution)
+    model(features if density else Tensor(features[:1]),
+          seed=mix(cfg.seed, "build"))
     params = model.trainable_variables()
     state = {"t": 0, "m": {}, "v": {}}
     trace = []
     for step, idx in enumerate(batch_indices(
             cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
-        bx = features[idx]
-        batch_x = batch_fn(bx, step) if batch_fn is not None else Tensor(bx)
+        batch_x = features if density else Tensor(features[idx])
         loss, kl, _ = elbo_step(model, batch_x, Tensor(targets[idx]), cfg,
                                 step, likelihood=likelihood, params=params)
         grads = loss.tape.backward(loss)
@@ -520,8 +518,7 @@ def flow_case():
     cfg = ElboConfig(num_train_examples=64, batch_size=16,
                      learning_rate=0.005, max_steps=40, seed=0)
     base = Normal(np.zeros(2), np.ones(2))
-    return (lambda: build_flow(4, 8), data, data, cfg,
-            dict(batch_fn=lambda _bx, _step: base))
+    return lambda: build_flow(4, 8), base, data, cfg, {}
 
 
 def packed_buffer(model):
@@ -596,7 +593,7 @@ class TestFlatParameters:
         make, x, y, cfg, kwargs = flow_case()
         cfg.max_steps = 20
         model = make()
-        model(kwargs["batch_fn"](x[:1], -1), seed=mix(cfg.seed, "build"))
+        model(x, seed=mix(cfg.seed, "build"))
         initial = model.state_dict()
         first = fit(model, x, y, cfg, **kwargs)
         trained = model.state_dict()
@@ -604,7 +601,7 @@ class TestFlatParameters:
         packed_buffer(model)
         # the same as resuming from a checkpoint of the first call
         resumed = make()
-        resumed(kwargs["batch_fn"](x[:1], -1), seed=mix(cfg.seed, "build"))
+        resumed(x, seed=mix(cfg.seed, "build"))
         resumed.load_state_dict(trained)
         assert fit(resumed, x, y, cfg, **kwargs) == second
         assert second[0][1] != first[0][1]
@@ -618,6 +615,19 @@ class TestFlatParameters:
         assert len(trains) >= 16
         for name in trains:
             assert not np.array_equal(final[name], trained[name]), name
+
+
+def test_distribution_features_are_the_input_of_every_call(monkeypatch):
+    # the build probe and each step get the base itself; targets are batched
+    make, base, data, cfg, _ = flow_case()
+    cfg.max_steps = 3
+    model = make()
+    seen = []
+    monkeypatch.setattr(model, "call", lambda x, seed: (
+        seen.append(x), Sequential.call(model, x, seed))[1])
+    trace = fit(model, base, data, cfg)
+    assert len(trace) == 3
+    assert len(seen) == 4 and all(x is base for x in seen)
 
 
 class TestConfigFile:
