@@ -4,6 +4,7 @@ from .base import (
     Dense,
     Layer,
     Sequential,
+    VariationalParameter,
     glorot_uniform,
     normal_kl,
     reset_layer_indices,
@@ -31,7 +32,6 @@ from .variational import (
     VariationalConv2D,
     VariationalDense,
     VariationalLSTMCell,
-    VariationalParameter,
 )
 
 __all__ = [

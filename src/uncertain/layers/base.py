@@ -8,9 +8,10 @@ The loss list is cleared at the start of each call, which keeps repeated
 calls from double-counting KL terms.
 
 Initializers are callables ``(shape, seed) -> Tensor | Distribution``; a
-Distribution return value marks the parameter as variational and is how
-Bayesian layers differ from their deterministic counterparts.  Regularizers
-are callables from a parameter RandomVariable to a scalar tensor.
+weight (:class:`VariationalParameter`) whose initializer returns a
+Distribution is a posterior sampled at each call, which is how Bayesian
+layers differ from deterministic ones.  Regularizers are callables from a
+weight's sample to a scalar tensor.
 
 Building: :meth:`Layer.__call__` is the one call protocol.  It clears the
 losses, checks the seed and, for a class that declares ``input_rank``, the
@@ -45,10 +46,11 @@ draws S samples in one call and returns them along a new leading axis of
 length S.  ``x`` is either rank 2, shared by every sample, or carries that
 leading axis.  Sample s is bitwise equal to ``layer(x_s, seed=seeds[s])``
 and is drawn from the same Philox streams; regularizer losses are appended
-once per call, not once per sample.  ``Dense``, ``Sequential``,
-``VariationalDense`` and ``SparseGaussianProcess`` have the axis
-(``sample_axis = True``).  Every other layer, and a layer that is not yet
-built, raises ``LayerError`` naming itself when given a seed sequence.
+once per call, not once per sample.  ``Dense`` (a posterior weight stacks
+S draws, a point weight is shared), ``Sequential``, ``VariationalDense`` and
+``SparseGaussianProcess`` have the axis (``sample_axis = True``).  Every
+other layer, and a layer that is not yet built, raises ``LayerError`` naming
+itself when given a seed sequence.
 """
 from __future__ import annotations
 
@@ -67,8 +69,10 @@ from ..tensor import (
     broadcast_to,
     matmul,
     relu,
+    reshape,
     sigmoid,
     softplus,
+    softplus_inverse,
     tanh,
 )
 
@@ -325,45 +329,93 @@ def normal_kl(prior=None):
     return regularizer
 
 
+class VariationalParameter:
+    """One weight of a layer, made in its ``__init__`` from the weight's
+    name, initializer (``trainable_normal()`` when None) and regularizer
+    (``"default"``: ``normal_kl()`` for a posterior, no loss for a point).
+
+    :meth:`build` seeds the initializer with ``rng_seed(seed, layer, name)``.
+    A Tensor becomes the point parameter ``<name>``; a Normal the mean-field
+    posterior ``<name>_mu`` and ``<name>_rho`` (pre-softplus scale), which
+    :meth:`sample` draws from ``layer.rng(seed, name)``.
+    """
+
+    def __init__(self, name, initializer=None, regularizer="default"):
+        self.name = name
+        self.initializer = initializer or trainable_normal()
+        self.regularizer = regularizer
+
+    def build(self, layer: Layer, shape, seed):
+        init = self.initializer(shape, rng_seed(seed, layer, self.name))
+        self.layer = layer
+        self.point = self.mu = self.rho = None
+        if isinstance(init, Distribution):
+            loc = np.broadcast_to(init.loc.data, shape).copy()
+            scale = np.broadcast_to(init.scale.data, shape).copy()
+            self.mu = layer.add_param(f"{self.name}_mu", loc)
+            self.rho = layer.add_param(f"{self.name}_rho",
+                                       softplus_inverse(scale))
+        else:
+            self.point = layer.add_param(self.name, init)
+        self.loss = self.regularizer
+        if self.regularizer == "default":
+            self.loss = normal_kl() if self.point is None else None
+
+    def posterior(self) -> Normal:
+        return Normal(self.mu, softplus(self.rho))
+
+    def sample(self, seed) -> Tensor:
+        """The point tensor, or a reparameterized draw (a RandomVariable);
+        a tuple of S seeds stacks S draws, one per seed, on a new leading
+        axis."""
+        if self.point is not None:
+            return self.point
+        return self.posterior().sample(self.layer.rng(seed, self.name))
+
+    def regularize(self, value):
+        """Append the regularizer's loss on a sample to the layer's losses."""
+        if self.loss is not None:
+            self.layer.add_loss(self.loss(value))
+
+
 # ---------------------------------------------------------------------------
-# deterministic layers
+# dense and sequential layers
 # ---------------------------------------------------------------------------
 
 class Dense(Layer):
-    """Feedforward layer: activation(x @ kernel + bias)."""
+    """Feedforward layer activation(x @ kernel + bias); kernel and bias are
+    :class:`VariationalParameter` weights, point estimates by default."""
 
     sample_axis = True
     input_rank = 2
 
     def __init__(self, units, activation=None, kernel_initializer=None,
-                 bias_initializer=None, name=None):
+                 kernel_regularizer="default", bias_initializer=None,
+                 bias_regularizer="default", name=None):
         super().__init__(name)
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = int(units)
         self.activation = resolve_activation(activation)
-        self.kernel_initializer = kernel_initializer or glorot_uniform
-        self.bias_initializer = bias_initializer or zeros_init
+        self.kernel = VariationalParameter(
+            "kernel", kernel_initializer or glorot_uniform, kernel_regularizer)
+        self.bias = VariationalParameter(
+            "bias", bias_initializer or zeros_init, bias_regularizer)
 
     def build(self, x, seed):
-        kernel = self.kernel_initializer((x.shape[-1], self.units),
-                                         rng_seed(seed, self, "kernel"))
-        bias = self.bias_initializer((self.units,),
-                                     rng_seed(seed, self, "bias"))
-        for value, which in ((kernel, "kernel"), (bias, "bias")):
-            if isinstance(value, Distribution):
-                raise TypeError(
-                    f"Dense got a distribution for its {which}; use a "
-                    "variational layer for distribution initializers"
-                )
-        self.kernel = self.add_param("kernel", kernel)
-        self.bias = self.add_param("bias", bias)
+        self.kernel.build(self, (x.shape[-1], self.units), seed)
+        self.bias.build(self, (self.units,), seed)
 
     def call(self, x, seed):
-        out = self.activation(matmul(x, self.kernel) + self.bias)
+        w = self.kernel.sample(seed)
+        b = self.bias.sample(seed)
+        bias = reshape(b, (len(seed), 1, self.units)) if b.ndim == 2 else b
+        out = self.activation(matmul(x, w) + bias)
         if out.ndim == 2 and isinstance(seed, tuple):
-            # a shared x gives every sample one output
+            # point weights and a shared x give every sample one output
             out = broadcast_to(out, (len(seed),) + out.shape)
+        self.kernel.regularize(w)
+        self.bias.regularize(b)
         return out
 
 

@@ -47,8 +47,7 @@ from ..tensor import (
     whitened_kl,
     whitened_variance,
 )
-from .base import Layer
-from .variational import VariationalParameter
+from .base import Layer, VariationalParameter
 
 _KZZ_FLOOR = 1e-10  # diagonal added to K_zz before its factorization
 _VAR_FLOOR = 1e-10  # lower clamp on predictive variances
@@ -267,10 +266,10 @@ class RandomFourierFeatures(_GPLayer):
     """Kernel approximation by fixed random cosines with a variational readout.
 
     phi(x) = sqrt(2 a^2 / D) cos(x Omega / l + beta) with Omega ~ N(0, I) and
-    beta ~ U[0, 2pi) frozen at build; the output is phi(x) @ W with W a
-    mean-field variational matrix, ``readout_mu``/``readout_rho``, whose
-    initializer and regularizer are ``kernel_initializer`` and
-    ``kernel_regularizer``; its KL is appended as the single loss.
+    beta ~ U[0, 2pi) frozen at build; the output is phi(x) @ W with W the
+    ``readout`` weight, by default a mean-field posterior (``readout_mu``,
+    ``readout_rho``) whose KL is the single loss; ``kernel_initializer`` and
+    ``kernel_regularizer`` are its initializer and regularizer.
     """
 
     input_rank = 2
@@ -305,6 +304,6 @@ class RandomFourierFeatures(_GPLayer):
     def call(self, x, seed):
         phi = self.features(x)
         w = self.readout.sample(seed)
-        out = matmul(phi, w.value)
+        out = matmul(phi, w)
         self.readout.regularize(w)
         return out

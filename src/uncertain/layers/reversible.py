@@ -116,9 +116,11 @@ class CouplingLayer(ReversibleLayer):
         self.mask = self.add_buffer("mask", mask)
         self.conditioner = self.add_child("conditioner", conditioner)
 
-    def _affine(self, x, seed):
+    def _affine(self, x, seed=None):
         """One conditioner pass: (x, anchored part, shift, scale), the shift
-        unmasked and the scale already zero on the anchored coordinates."""
+        unmasked and the scale already zero on the anchored coordinates.
+        Inverses and densities give no seed: they run the conditioner at
+        seed 0, so one that appends a loss, a stochastic one, raises."""
         x = as_tensor(x)
         if x.shape[-1] != self.mask.shape[0]:
             raise ShapeError(
@@ -126,7 +128,12 @@ class CouplingLayer(ReversibleLayer):
                 f"got {list(x.shape)}"
             )
         anchored = x * self.mask
-        shift, raw_scale = self.conditioner(anchored, seed=seed)
+        shift, raw_scale = self.conditioner(anchored,
+                                            seed=0 if seed is None else seed)
+        if seed is None and self.conditioner.losses:
+            raise LayerError(f"{self.path or self.name}: a conditioner that "
+                             "appends a loss would be run at seed 0 at "
+                             "every step of inverses and densities")
         scale = coupling_scale(raw_scale, _SCALE_BOUND, 1.0 - self.mask)
         return x, anchored, shift, scale
 
@@ -139,11 +146,11 @@ class CouplingLayer(ReversibleLayer):
         return self.inverse_and_log_det(y)[0]
 
     def log_det_jacobian(self, x):
-        return tensor_sum(self._affine(x, seed=0)[3], axis=-1)
+        return tensor_sum(self._affine(x)[3], axis=-1)
 
     def inverse_and_log_det(self, y):
         # y's anchored part equals x's, so one conditioner pass gives both
-        y, anchored, shift, scale = self._affine(y, seed=0)
+        y, anchored, shift, scale = self._affine(y)
         x = coupling_inverse(anchored, y, shift, scale, 1.0 - self.mask)
         return x, tensor_sum(scale, axis=-1)
 
@@ -152,12 +159,18 @@ class Reverse(ReversibleLayer):
     """Swap a layer's forward and reverse computations.
 
     Construction accepts any layer; by ducktyping, calling the wrapper of a
-    layer without ``reverse`` is what raises.
+    layer without ``reverse`` is what raises.  The first call builds an
+    unbuilt inner layer with one forward call on that same-shaped input.
     """
 
     def __init__(self, layer, name=None):
         super().__init__(name)
         self.inner = self.add_child("inner", layer)
+        self.built = layer.built  # nothing to build around a built layer
+
+    def build(self, x, seed):
+        if not self.inner.built:
+            self.inner(x, seed=seed)
 
     def call(self, x, seed):
         if not hasattr(self.inner, "reverse"):

@@ -2,20 +2,19 @@
 
 A Bayesian layer is its deterministic layer with two differences: the
 initializer of each weight returns a trainable distribution, and the
-regularizer is that distribution's KL to a prior.  :class:`VariationalParameter`
-is the one path each variational weight takes: a mean-field normal posterior
-(a trainable mean and a trainable pre-softplus scale), standard normal prior
-by default.  A call samples the weights by reparameterization, runs the
-deterministic computation on the sample, and then appends one KL loss per
-variational parameter; the LSTM draws and appends once per sequence, before
-its time steps.  Constructor signatures match the deterministic layers, so
-swapping a layer for its Bayesian version changes nothing else in the model.
+regularizer is that distribution's KL to a prior.  Each weight is a
+:class:`~uncertain.layers.base.VariationalParameter`, so ``VariationalDense``
+is ``Dense`` with ``trainable_normal()`` initializers, and each weight here
+but Flipout's kernel takes a point initializer.  A call samples posteriors by
+reparameterization, runs the deterministic computation on the samples, then
+appends one loss per regularized weight; the LSTM draws and appends once
+per sequence, before its time steps.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import Distribution, Normal, RandomVariable
+from ..distributions import RandomVariable
 from ..errors import LayerError, ShapeError
 from ..tensor import (
     Tensor,
@@ -28,101 +27,30 @@ from ..tensor import (
     sigmoid,
     slice_last,
     softplus,
-    softplus_inverse,
     take,
     tanh,
 )
 from ..rng import rademacher
 from .base import (
+    Dense,
     Layer,
-    normal_kl,
+    VariationalParameter,
     resolve_activation,
-    rng_seed,
     trainable_normal,
 )
 
 
-class VariationalParameter:
-    """Mean-field posterior over one weight tensor of a layer.
-
-    Made in the layer's ``__init__`` from the weight's name, its
-    distribution initializer (``trainable_normal()`` when None) and its
-    regularizer: a callable from the drawn RandomVariable to a scalar loss,
-    ``"default"`` for ``normal_kl()``, or None for no loss.  The name keys
-    everything: :meth:`build` adds ``<name>_mu`` and ``<name>_rho`` to the
-    layer, seeded by ``rng_seed(seed, layer, name)``, and :meth:`sample`
-    draws from ``layer.rng(seed, name)``.
-    """
-
-    def __init__(self, name, initializer=None, regularizer="default"):
-        self.name = name
-        self.initializer = initializer or trainable_normal()
-        self.regularizer = normal_kl() if regularizer == "default" else regularizer
-
-    def build(self, layer: Layer, shape, seed):
-        init = self.initializer(shape, rng_seed(seed, layer, self.name))
-        if not isinstance(init, Distribution):
-            raise TypeError(
-                f"variational parameter {self.name!r} needs a distribution "
-                f"initializer, got {type(init).__name__}"
-            )
-        loc = np.broadcast_to(init.loc.data, shape).copy()
-        scale = np.broadcast_to(init.scale.data, shape).copy()
-        self.layer = layer
-        self.mu = layer.add_param(f"{self.name}_mu", loc)
-        self.rho = layer.add_param(f"{self.name}_rho", softplus_inverse(scale))
-
-    def posterior(self) -> Normal:
-        return Normal(self.mu, softplus(self.rho))
-
-    def sample(self, seed) -> RandomVariable:
-        """Reparameterized draw; a tuple of S seeds stacks S draws, one per
-        seed, on a new leading axis."""
-        return self.posterior().sample(self.layer.rng(seed, self.name))
-
-    def regularize(self, rv):
-        """Append the regularizer's loss on a draw to the layer's losses."""
-        if self.regularizer is not None:
-            self.layer.add_loss(self.regularizer(rv))
-
-
-class VariationalDense(Layer):
-    """Dense layer with reparameterized weight and bias posteriors.
-
-    With S seeds it stacks S weight draws, one per seed, and the regularizers
-    see the stacked draws once.
-    """
-
-    sample_axis = True
-    input_rank = 2
+class VariationalDense(Dense):
+    """Dense with reparameterized weight and bias posteriors by default."""
 
     def __init__(self, units, activation=None, kernel_initializer=None,
                  kernel_regularizer="default", bias_initializer=None,
                  bias_regularizer="default", name=None):
-        super().__init__(name)
-        if units < 1:
-            raise ValueError(f"units must be >= 1, got {units}")
-        self.units = int(units)
-        self.activation = resolve_activation(activation)
-        self.kernel = VariationalParameter("kernel", kernel_initializer,
-                                           kernel_regularizer)
-        self.bias = VariationalParameter(
-            "bias", bias_initializer or trainable_normal(mean_stddev=0.0),
-            bias_regularizer)
-
-    def build(self, x, seed):
-        self.kernel.build(self, (x.shape[-1], self.units), seed)
-        self.bias.build(self, (self.units,), seed)
-
-    def call(self, x, seed):
-        w = self.kernel.sample(seed)
-        b = self.bias.sample(seed)
-        bias = (reshape(b.value, (len(seed), 1, self.units))
-                if isinstance(seed, tuple) else b.value)
-        out = self.activation(matmul(x, w.value) + bias)
-        self.kernel.regularize(w)
-        self.bias.regularize(b)
-        return out
+        super().__init__(
+            units, activation, kernel_initializer or trainable_normal(),
+            kernel_regularizer,
+            bias_initializer or trainable_normal(mean_stddev=0.0),
+            bias_regularizer, name)
 
 
 class FlipoutDense(VariationalDense):
@@ -140,6 +68,12 @@ class FlipoutDense(VariationalDense):
 
     sample_axis = False
 
+    def build(self, x, seed):
+        super().build(x, seed)
+        if self.kernel.point is not None:
+            raise TypeError(f"{type(self).__name__} needs a distribution "
+                            "kernel initializer, got a Tensor")
+
     def call(self, x, seed):
         batch = x.shape[0]
         if batch < 1:
@@ -150,7 +84,7 @@ class FlipoutDense(VariationalDense):
         signs_out = Tensor(rademacher(self.rng(seed, "signs-out"), (batch, self.units)))
         b = self.bias.sample(seed)
         perturbation = matmul(x * signs_in, sigma * eps) * signs_out
-        out = self.activation(matmul(x, self.kernel.mu) + perturbation + b.value)
+        out = self.activation(matmul(x, self.kernel.mu) + perturbation + b)
         kernel_rv = RandomVariable(self.kernel.posterior(),
                                    self.kernel.mu + sigma * eps)
         self.kernel.regularize(kernel_rv)
@@ -159,7 +93,7 @@ class FlipoutDense(VariationalDense):
 
 
 class VariationalConv2D(Layer):
-    """2-D convolution with variational kernel and bias."""
+    """2-D convolution whose kernel and bias are posteriors by default."""
 
     input_rank = 4  # [batch, h, w, channels]
 
@@ -197,8 +131,8 @@ class VariationalConv2D(Layer):
     def call(self, x, seed):
         w = self.kernel.sample(seed)
         b = self.bias.sample(seed)
-        out = conv2d(x, w.value, stride=self.stride, padding=self.padding)
-        out = self.activation(out + b.value)
+        out = conv2d(x, w, stride=self.stride, padding=self.padding)
+        out = self.activation(out + b)
         self.kernel.regularize(w)
         self.bias.regularize(b)
         return out
@@ -206,10 +140,10 @@ class VariationalConv2D(Layer):
 
 class VariationalLSTMCell(Layer):
     """LSTM over a [batch, time, features] sequence whose input kernel,
-    recurrent kernel and bias are variational.
+    recurrent kernel and bias are posteriors by default.
 
     Weights sit outside the time plate: a call draws one sample of each per
-    sequence, appends the three KL losses once, reuses the draw at every
+    sequence, appends their losses once, reuses the draw at every
     step and returns the hidden states [batch, time, units].  To step by
     hand, as when generating token by token, draw once with :meth:`draw`
     and feed each step's output state to the next :meth:`step`.
@@ -253,19 +187,17 @@ class VariationalLSTMCell(Layer):
 
     def draw(self, seed):
         """Sample ``(kernel, recurrent, bias)`` for one sequence; the cell's
-        losses become the three KLs of this draw."""
+        losses become the regularizer losses of this draw."""
         seed = self._check_seed(seed)
         if not self.built:
             raise LayerError(f"{self.path or self.name}: draw on an unbuilt "
                              "cell; call it on a sequence first")
         self._losses = []
-        w = self.kernel.sample(seed)
-        u = self.recurrent.sample(seed)
-        b = self.bias.sample(seed)
-        self.kernel.regularize(w)
-        self.recurrent.regularize(u)
-        self.bias.regularize(b)
-        return w.value, u.value, b.value
+        weights = (self.kernel, self.recurrent, self.bias)
+        draws = tuple(weight.sample(seed) for weight in weights)
+        for weight, drawn in zip(weights, draws):
+            weight.regularize(drawn)
+        return draws
 
     def step(self, x_t, state, weights):
         """One time step on a [batch, features] input; ``state`` is the
@@ -278,8 +210,8 @@ class VariationalLSTMCell(Layer):
             )
         w, u, b = weights
         tape = active_tape()
-        if (tape is not None and self.kernel.mu.tape is tape
-                and getattr(w, "tape", None) is not tape):
+        if (tape is not None and getattr(w, "tape", None) is not tape
+                and any(p.tape is tape for p in self._params.values())):
             raise LayerError(
                 f"{self.path or self.name}: weights drawn off the recording "
                 "tape would get no gradient; draw them on this tape")

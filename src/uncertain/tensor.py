@@ -545,8 +545,9 @@ def take_last(a, indices):
 # ---------------------------------------------------------------------------
 
 def _matmul_adjoint(adj, x, y):
-    return (_unbroadcast(adj @ y.swapaxes(-1, -2), x.shape),
-            _unbroadcast(x.swapaxes(-1, -2) @ adj, y.shape))
+    gx, gy = adj @ y.swapaxes(-1, -2), x.swapaxes(-1, -2) @ adj
+    return (gx if gx.shape == x.shape else _unbroadcast(gx, x.shape),
+            gy if gy.shape == y.shape else _unbroadcast(gy, y.shape))
 
 
 def matmul(a, b):

@@ -15,6 +15,7 @@ from uncertain.layers import (
     VariationalConv2D,
     VariationalDense,
     VariationalLSTMCell,
+    trainable_normal,
 )
 from uncertain.tensor import Tape, Tensor
 
@@ -53,12 +54,26 @@ class TestDense:
         with pytest.raises(ValueError):
             Dense(0)
 
-    def test_distribution_initializer_rejected(self):
-        from uncertain.layers import trainable_normal
-
-        d = Dense(2, kernel_initializer=trainable_normal())
-        with pytest.raises(TypeError, match="variational"):
-            d(Tensor(np.zeros((1, 2))), seed=0)
+    def test_distribution_initializers_make_variational_dense(self):
+        # a weight is a posterior by what its initializer returns, so Dense
+        # with VariationalDense's initializers is VariationalDense, byte for
+        # byte: its state, its outputs and its KL losses
+        d = Dense(3, kernel_initializer=trainable_normal(),
+                  bias_initializer=trainable_normal(mean_stddev=0.0))
+        vd = VariationalDense(3)
+        x = Tensor(np.random.default_rng(4).normal(size=(5, 2)))
+        for seed in (0, 7, (1, 2, 3)):
+            got, want = d(x, seed=seed), vd(x, seed=seed)
+            assert got.data.tobytes() == want.data.tobytes()
+            assert ([loss.data.tobytes() for loss in d.losses]
+                    == [loss.data.tobytes() for loss in vd.losses])
+            assert len(d.losses) == 2
+        state, want_state = d.state_dict(), vd.state_dict()
+        assert list(state) == ["kernel_mu", "kernel_rho", "bias_mu",
+                               "bias_rho"]
+        assert list(state) == list(want_state)
+        for name in state:
+            assert state[name].tobytes() == want_state[name].tobytes()
 
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="unknown activation"):
@@ -186,12 +201,12 @@ class TestState:
         d(Tensor(np.zeros((1, 2))), seed=0)
         state = d.state_dict()
         state["extra/kernel"] = np.zeros((2, 2))
-        before = d.kernel.data.copy()
+        before = d.kernel.point.data.copy()
         state["kernel"] = before + 1.0
         with pytest.raises(KeyError,
                            match=r"unexpected entries: \['extra/kernel'\]"):
             d.load_state_dict(state)
-        assert np.array_equal(d.kernel.data, before)  # nothing was loaded
+        assert np.array_equal(d.kernel.point.data, before)  # nothing loaded
 
     def test_load_shape_mismatch(self):
         d = Dense(2)
@@ -297,18 +312,22 @@ class TestCallProtocol:
         assert dict(layer.named_state()) == {}
         layer(x, seed=0)
         assert layer.built
-        assert layer.kernel.shape == (3, 2)
+        assert layer.kernel.point.shape == (3, 2)
 
     @pytest.mark.parametrize("factory, shape", [
+        (Dense, (1, 3)),
         (VariationalDense, (1, 3)),
         (lambda units, **kw: VariationalConv2D(units, 3, **kw), (1, 4, 4, 2)),
         (VariationalLSTMCell, (1, 2, 3)),
-    ], ids=["variational_dense", "variational_conv2d",
+    ], ids=["dense", "variational_dense", "variational_conv2d",
             "variational_lstm_cell"])
     def test_failed_build_registers_nothing(self, factory, shape):
         # the kernels build before the bias, whose initializer raises
-        layer = factory(2, bias_initializer=lambda s, seed: Tensor(np.zeros(s)))
-        with pytest.raises(TypeError, match="distribution initializer"):
+        def failing(shape, seed):
+            raise RuntimeError("no bias today")
+
+        layer = factory(2, bias_initializer=failing)
+        with pytest.raises(RuntimeError, match="no bias today"):
             layer(Tensor(np.zeros(shape)), seed=0)
         assert not layer.built
         assert layer.state_dict() == {}

@@ -21,9 +21,10 @@ from uncertain.layers import (
     Reverse,
     ReversibleLayer,
     Sequential,
+    VariationalDense,
     alternating_mask,
 )
-from uncertain.tensor import Tape, Tensor, exp, tensor_sum
+from uncertain.tensor import Tape, Tensor, exp, slice_last, tensor_sum
 
 
 def random_coupling(dims, seed, parity=0, hidden=16, conditioner="made",
@@ -219,6 +220,49 @@ class TestCallProtocol:
             flow(base)
         flow(Tensor(np.zeros((1, 2))), seed=0)
         assert isinstance(flow(base), TransformedDistribution)
+
+    def test_reverse_builds_its_inner_layer(self):
+        inner = Scale()
+        wrapped = Reverse(inner)
+        x = Tensor(np.random.default_rng(13).normal(size=(4, 3)))
+        assert not wrapped.built
+        y = wrapped(x, seed=0)  # inner's reverse, after one forward build
+        assert inner.built and inner.builds == 1
+        np.testing.assert_array_equal(
+            y.data, x.data * np.exp(-np.linspace(-0.5, 0.5, 3)))
+        assert np.abs(wrapped.reverse(y).data - x.data).max() < 1e-15
+        assert inner.builds == 1
+        # a wrapper of a built layer is built
+        assert Reverse(inner).built
+
+
+class VariationalConditioner(Layer):
+    """A stochastic conditioner: one VariationalDense split in halves."""
+
+    def __init__(self, dims):
+        super().__init__()
+        self.dims = dims
+        self.dense = self.add_child("dense", VariationalDense(2 * dims))
+
+    def call(self, x, seed):
+        out = self.dense(x, seed=seed)
+        return (slice_last(out, 0, self.dims),
+                slice_last(out, self.dims, 2 * self.dims))
+
+
+class TestStochasticConditioner:
+    def test_seed_zero_passes_raise_naming_the_coupling(self):
+        flow = Sequential([CouplingLayer(alternating_mask(2),
+                                         VariationalConditioner(2))])
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
+        flow(x, seed=0)  # the forward map draws per seed, as any layer
+        coupling = flow.layers[0]
+        for run in (lambda: coupling.log_det_jacobian(x),
+                    lambda: coupling.reverse(x),
+                    lambda: flow(Normal(np.zeros(2), np.ones(2))).log_prob(x)):
+            with pytest.raises(LayerError, match="^layer0: a conditioner "
+                               "that appends a loss would be run at seed 0"):
+                run()
 
 
 class TestPropagate:

@@ -20,6 +20,7 @@ from uncertain.layers import (
     VariationalDense,
     VariationalLSTMCell,
     alternating_mask,
+    trainable_normal,
 )
 from uncertain.rng import mix
 from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
@@ -43,6 +44,10 @@ def sparse_gp(units, mean_fn=None):
 LAYERS = [
     ("dense", lambda: Dense(3, "tanh"), 2),
     ("variational_dense", lambda: VariationalDense(3, "relu"), 2),
+    ("mixed_dense_posterior_kernel", lambda: Dense(
+        3, "relu", kernel_initializer=trainable_normal()), 2),
+    ("mixed_dense_posterior_bias", lambda: Dense(
+        3, "relu", bias_initializer=trainable_normal()), 2),
     ("sparse_gp", lambda: sparse_gp(3), 2),
     ("sparse_gp_linear_mean",
      lambda: sparse_gp(3, mean_fn=copy_columns_mean(3)), 2),

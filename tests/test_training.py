@@ -416,7 +416,7 @@ class TestBuild:
     def test_head_behind_an_eager_weight_is_trained(self):
         model = EagerWeightModel()
         self._fit(model, steps=20)
-        assert np.all(model.head.projection.bias.data != 0.0)
+        assert np.all(model.head.projection.bias.point.data != 0.0)
 
     def test_parameter_created_on_a_tape_raises(self):
         model = Sequential([Dense(2)])

@@ -530,3 +530,45 @@ def test_each_weight_is_regularized_once_per_call_in_order(name):
     silent = make(dict.fromkeys(weights))
     run(silent, 0)
     assert silent.losses == []
+
+
+def _point(shape, seed):
+    """A point initializer: fixed small weights, no distribution."""
+    return Tensor(np.linspace(-0.3, 0.3, int(np.prod(shape))).reshape(shape))
+
+
+# every weight of each layer point-initialized, with its rank of input
+POINT_WEIGHTS = {
+    "conv2d": (lambda: VariationalConv2D(
+        2, kernel_size=2, kernel_initializer=_point,
+        bias_initializer=_point), (1, 3, 3, 2), ("kernel", "bias")),
+    "lstm": (lambda: VariationalLSTMCell(
+        3, kernel_initializer=_point, recurrent_initializer=_point,
+        bias_initializer=_point), (2, 3, 2), ("kernel", "recurrent", "bias")),
+    "rff": (lambda: RandomFourierFeatures(3, 5, kernel_initializer=_point),
+            (4, 2), ("readout",)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_WEIGHTS))
+def test_point_initialized_weights_append_no_loss(name):
+    make, shape, weights = POINT_WEIGHTS[name]
+    layer = make()
+    x = Tensor(np.linspace(-1.0, 1.0, int(np.prod(shape))).reshape(shape))
+    first = as_tensor(layer(x, seed=0)).data
+    assert layer.losses == []
+    # each weight is the one parameter of its name, used as it is
+    names = set(layer.trainable_variables())
+    assert set(weights) <= names
+    assert not any(n.endswith(("_mu", "_rho")) for n in names)
+    assert as_tensor(layer(x, seed=1)).data.tobytes() == first.tobytes()
+    assert layer.losses == []
+
+
+def test_flipout_rejects_a_point_kernel():
+    layer = FlipoutDense(2, kernel_initializer=_point)
+    with pytest.raises(TypeError, match="FlipoutDense needs a distribution "
+                       "kernel initializer"):
+        layer(Tensor(np.zeros((3, 2))), seed=0)
+    assert not layer.built
+    assert layer.state_dict() == {}
