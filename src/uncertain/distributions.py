@@ -86,7 +86,7 @@ class Normal(Distribution):
     def __init__(self, loc, scale):
         self.loc = as_tensor(loc)
         self.scale = as_tensor(scale)
-        if np.any(self.scale.data < 0):
+        if (self.scale.data < 0).any():
             raise DomainError("Normal scale must be non-negative")
 
     @property

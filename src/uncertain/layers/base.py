@@ -111,6 +111,9 @@ class Layer:
     sample_axis = False
     #: rank of a one-seed input; None leaves the input unchecked
     input_rank = None
+    #: how many times any layer's :meth:`rng` has been called: two readings
+    #: around a pass tell whether it drew
+    rng_calls = 0
 
     def __init__(self, name=None):
         self.name = name or type(self).__name__.lower()
@@ -229,6 +232,7 @@ class Layer:
         """Philox generator keyed by (seed, layer path, salts).  A tuple of
         seeds gives a list with one generator per seed, each bitwise the
         one-seed generator; ``rng_streams`` derives their keys together."""
+        Layer.rng_calls += 1
         if isinstance(seed, tuple):
             return rng_streams(seed, self.path, *salts)
         return rng_from(seed, self.path, *salts)
@@ -337,7 +341,9 @@ class VariationalParameter:
     :meth:`build` seeds the initializer with ``rng_seed(seed, layer, name)``.
     A Tensor becomes the point parameter ``<name>``; a Normal the mean-field
     posterior ``<name>_mu`` and ``<name>_rho`` (pre-softplus scale), which
-    :meth:`sample` draws from ``layer.rng(seed, name)``.
+    :meth:`sample` draws from ``layer.rng(seed, name)``.  Either is
+    broadcast to the weight's shape, and one that does not broadcast raises
+    ``ShapeError`` naming the layer path and the weight.
     """
 
     def __init__(self, name, initializer=None, regularizer="default"):
@@ -350,16 +356,29 @@ class VariationalParameter:
         self.layer = layer
         self.point = self.mu = self.rho = None
         if isinstance(init, Distribution):
-            loc = np.broadcast_to(init.loc.data, shape).copy()
-            scale = np.broadcast_to(init.scale.data, shape).copy()
+            loc = self._broadcast(init.loc, shape)
+            scale = self._broadcast(init.scale, shape)
             self.mu = layer.add_param(f"{self.name}_mu", loc)
             self.rho = layer.add_param(f"{self.name}_rho",
                                        softplus_inverse(scale))
         else:
+            init = as_tensor(init)
+            if init.shape != shape:
+                init = self._broadcast(init, shape)
             self.point = layer.add_param(self.name, init)
         self.loss = self.regularizer
         if self.regularizer == "default":
             self.loss = normal_kl() if self.point is None else None
+
+    def _broadcast(self, values: Tensor, shape) -> np.ndarray:
+        """A copy of the initializer's ``values`` at the weight's shape."""
+        try:
+            return np.broadcast_to(values.data, shape).copy()
+        except ValueError:
+            raise ShapeError(
+                f"{self.layer.path or self.layer.name}: the {self.name} "
+                f"initializer gave shape {list(values.shape)}, which does not "
+                f"broadcast to the weight's shape {list(shape)}") from None
 
     def posterior(self) -> Normal:
         return Normal(self.mu, softplus(self.rho))

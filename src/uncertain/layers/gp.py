@@ -37,6 +37,7 @@ from ..tensor import (
     cholesky,
     cos,
     exp,
+    masks,
     matmul,
     se_kernel,
     se_kernel_diag,
@@ -249,7 +250,7 @@ class SparseGaussianProcess(_GPLayer):
 
     def call(self, x, seed):
         z = self.inducing_inputs
-        eye = Tensor(np.eye(self.num_inducing))
+        eye = Tensor(masks(self.num_inducing).identity)
         chol = cholesky(self.kernel(z, z) + _KZZ_FLOOR * eye)
         proj = triangular_solve(chol, self.kernel(z, x))      # L^-1 K_zx
         mean = self._mean(x) + matmul(_matrix_transpose(proj),

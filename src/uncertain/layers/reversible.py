@@ -120,7 +120,8 @@ class CouplingLayer(ReversibleLayer):
         """One conditioner pass: (x, anchored part, shift, scale), the shift
         unmasked and the scale already zero on the anchored coordinates.
         Inverses and densities give no seed: they run the conditioner at
-        seed 0, so one that appends a loss, a stochastic one, raises."""
+        seed 0, so a stochastic one, which appends a loss or draws from a
+        layer's ``rng``, raises."""
         x = as_tensor(x)
         if x.shape[-1] != self.mask.shape[0]:
             raise ShapeError(
@@ -128,12 +129,16 @@ class CouplingLayer(ReversibleLayer):
                 f"got {list(x.shape)}"
             )
         anchored = x * self.mask
+        draws = Layer.rng_calls
         shift, raw_scale = self.conditioner(anchored,
                                             seed=0 if seed is None else seed)
-        if seed is None and self.conditioner.losses:
+        if seed is None and (self.conditioner.losses
+                             or Layer.rng_calls != draws):
+            does = ("appends a loss" if self.conditioner.losses
+                    else "draws from a layer's rng")
             raise LayerError(f"{self.path or self.name}: a conditioner that "
-                             "appends a loss would be run at seed 0 at "
-                             "every step of inverses and densities")
+                             f"{does} would be run at seed 0 at every step "
+                             "of inverses and densities")
         scale = coupling_scale(raw_scale, _SCALE_BOUND, 1.0 - self.mask)
         return x, anchored, shift, scale
 

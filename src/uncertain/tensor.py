@@ -23,9 +23,21 @@ Design notes:
   tape; a released tape refuses ``backward``.  ``training.fit`` releases
   each step's tape.
 * tensors not attached to a tape are treated as constants.
+* the sparse-GP ops work on matrices of the inducing count (8 in the
+  deep-GP demo), where numpy's Python-level wrappers (``np.sum``,
+  ``np.swapaxes``, ``np.expand_dims``, ``np.eye``, ``np.tril``) cost more
+  than the arithmetic they wrap.  Their bodies and adjoints call ndarray
+  methods instead, and take the constant masks they need from
+  :func:`masks`, made once per size and read-only so that no caller can
+  change what every later call reads.  ``np.tril(a, k)`` is itself
+  ``np.where(tri(..., k, dtype=bool), a, 0)``, so a cached boolean mask
+  gives it bitwise; where a mask multiplies, the cached float mask is the
+  array ``np.eye``/``np.tri`` made, so that product is bitwise too.
 """
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import operator
 import warnings
@@ -315,14 +327,14 @@ def _unary(op, forward, adjoint):
 
 
 def _log(x):
-    if np.any(x < 0):
+    if (x < 0).any():
         raise DomainError("log of negative input")
     with np.errstate(divide="ignore"):
         return np.log(x)
 
 
 def _sqrt(x):
-    if np.any(x < 0):
+    if (x < 0).any():
         raise DomainError("sqrt of negative input")
     return np.sqrt(x)
 
@@ -432,7 +444,7 @@ def _sum_adjoint(adj, shape, axis, keepdims):
 
 def tensor_sum(a, axis=None, keepdims=False):
     a = as_tensor(a)
-    out = np.sum(a.data, axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis, keepdims=keepdims)
     return _apply("sum", out, (a,), (_sum_adjoint, (a.shape, axis, keepdims)))
 
 
@@ -458,14 +470,14 @@ def reshape(a, shape):
 
 
 def _transpose_adjoint(adj, axes):
-    return (np.transpose(adj, np.argsort(axes)),)
+    return (adj.transpose(np.argsort(axes)),)
 
 
 def transpose(a, axes=None):
     a = as_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
-    out = np.transpose(a.data, axes)
+    out = a.data.transpose(axes)
     return _apply("transpose", out, (a,), (_transpose_adjoint, (axes,)))
 
 
@@ -584,17 +596,17 @@ def _tracked(t, tape):
 def _se_kernel_adjoint(adj, xd, x2d, out, dist, inv_2ell2, x_tracked,
                        x2_tracked):
     a = adj * out
-    g_amp = np.sum(a) * 2.0
-    g_ell = np.sum(a * dist) * (inv_2ell2 * 2.0)
+    g_amp = a.sum() * 2.0
+    g_ell = (a * dist).sum() * (inv_2ell2 * 2.0)
     w = np.where(dist > 0.0, a, 0.0) * (inv_2ell2 * 2.0)
     gx = gx2 = None
     if x_tracked:
-        gx = w @ x2d - np.sum(w, axis=-1, keepdims=True) * xd
+        gx = w @ x2d - w.sum(axis=-1, keepdims=True) * xd
         if gx.ndim == 3:  # every slice shares x
             gx = gx.sum(axis=0)
     if x2_tracked:
-        gx2 = (np.swapaxes(w, -1, -2) @ xd
-               - np.swapaxes(np.sum(w, axis=-2, keepdims=True), -1, -2) * x2d)
+        gx2 = (w.swapaxes(-1, -2) @ xd
+               - w.sum(axis=-2, keepdims=True).swapaxes(-1, -2) * x2d)
     return gx, gx2, g_amp, g_ell
 
 
@@ -617,11 +629,11 @@ def se_kernel(x, x2, log_amplitude, log_lengthscale):
     log_amplitude = as_tensor(log_amplitude)
     log_lengthscale = as_tensor(log_lengthscale)
     xd, x2d = x.data, x2.data
-    sq_x = np.sum(xd * xd, axis=1, keepdims=True)
-    sq_x2 = np.sum(x2d * x2d, axis=-1, keepdims=True)
+    sq_x = (xd * xd).sum(axis=1, keepdims=True)
+    sq_x2 = (x2d * x2d).sum(axis=-1, keepdims=True)
     # a C-ordered x2^T, as a transposed Tensor would be, so the GEMM rounds alike
-    x2t = np.ascontiguousarray(np.swapaxes(x2d, -1, -2))
-    dist = (sq_x + np.swapaxes(sq_x2, -1, -2)) - (xd @ x2t) * 2.0
+    x2t = np.ascontiguousarray(x2d.swapaxes(-1, -2))
+    dist = (sq_x + sq_x2.swapaxes(-1, -2)) - (xd @ x2t) * 2.0
     # rounding can push tiny distances slightly negative
     dist = np.where(dist > 0.0, dist, 0.0)
     amp2 = np.exp(log_amplitude.data * 2.0)
@@ -635,7 +647,7 @@ def se_kernel(x, x2, log_amplitude, log_lengthscale):
 
 
 def _se_kernel_diag_adjoint(adj, amp2):
-    return (np.sum(adj) * amp2 * 2.0,)
+    return (adj.sum() * amp2 * 2.0,)
 
 
 def se_kernel_diag(x, log_amplitude):
@@ -706,15 +718,31 @@ def coupling_inverse(anchored, y, shift, scale, active):
                   (_coupling_inverse_adjoint, (active, d, e)))
 
 
+Masks = collections.namedtuple("Masks", "eye strict lower identity below")
+
+
+@functools.lru_cache(maxsize=8)
+def masks(n):
+    """Read-only [n, n] masks, made once per size: the boolean diagonal
+    ``eye``, strict lower triangle ``strict`` and lower triangle ``lower``,
+    and as float 0/1 arrays the diagonal ``identity`` (``np.eye(n)``) and
+    the strict lower triangle ``below`` (``np.tri(n, k=-1)``)."""
+    eye = np.eye(n, dtype=bool)
+    strict = np.tri(n, k=-1, dtype=bool)
+    made = Masks(eye, strict, np.tri(n, dtype=bool), eye.astype(np.float64),
+                 strict.astype(np.float64))
+    for mask in made:
+        mask.flags.writeable = False
+    return made
+
+
 def _whitened_scale(raw):
     """The stack of lower factors ``L_v = raw * tril(1, -1) + softplus(raw) * I``
     of the [units, M, M] raw parameters, with ``softplus(raw) * I`` and the
-    two constant masks; the unused upper triangle of ``raw`` reads as 0."""
-    m = raw.shape[-1]
-    eye = np.eye(m)
-    tril = np.tri(m, k=-1)
-    diag = _softplus(raw) * eye
-    return raw * tril + diag, diag, tril, eye
+    two constant float masks; the unused upper triangle of ``raw`` reads as 0."""
+    m = masks(raw.shape[-1])
+    diag = _softplus(raw) * m.identity
+    return raw * m.below + diag, diag, m.below, m.identity
 
 
 # The whitened ops' adjoints broadcast a scalar or a row where the composite
@@ -725,15 +753,15 @@ def _whitened_variance_adjoint(adj, mask, p, half, st, raw, tril, eye, shapes):
     kdiag_shape, base_shape, extra_shape = shapes
     g = np.where(mask, adj, 0.0)
     gbase = _unbroadcast(g, base_shape + (1,)).reshape(base_shape)
-    gextra = np.expand_dims(np.swapaxes(g, -1, -2), -2)
+    gextra = g.swapaxes(-1, -2)[..., None, :]
     # C order, as the composite's copy was, so the GEMMs below round alike
     ghalf = np.ascontiguousarray(
         ((gextra * 2.0) * half.reshape(extra_shape)).reshape(half.shape))
     gst = _unbroadcast(ghalf @ p.swapaxes(-1, -2), st.shape)
     units, m = raw.shape[0], raw.shape[-1]
-    gscale = np.transpose(gst.reshape(units, m, m), (0, 2, 1))
+    gscale = gst.reshape(units, m, m).transpose(0, 2, 1)
     graw = gscale * tril + gscale * eye * _expit(raw)
-    gsq = (np.expand_dims(-gbase, -2) * 2.0) * p
+    gsq = ((-gbase)[..., None, :] * 2.0) * p
     gproj = st.swapaxes(-1, -2) @ ghalf + gsq
     return _unbroadcast(gbase, kdiag_shape), gproj, graw
 
@@ -766,13 +794,13 @@ def whitened_variance(kdiag, proj, scale_raw, floor):
     p, raw = proj.data, scale_raw.data
     units, m = raw.shape[0], raw.shape[-1]
     lead, batch = p.shape[:-2], p.shape[-1]
-    base = kdiag.data - np.sum(p * p, axis=-2)
+    base = kdiag.data - (p * p).sum(axis=-2)
     scale, _, tril, eye = _whitened_scale(raw)
-    st = np.ascontiguousarray(np.transpose(scale, (0, 2, 1))).reshape(units * m, m)
+    st = np.ascontiguousarray(scale.transpose(0, 2, 1)).reshape(units * m, m)
     half = st @ p  # L_v^T proj, one [units * M, batch] block per sample
     extra_shape = lead + (units, m, batch)
-    extra = np.sum((half * half).reshape(extra_shape), axis=-2)
-    variance = np.swapaxes(extra, -1, -2) + base.reshape(base.shape + (1,))
+    extra = (half * half).reshape(extra_shape).sum(axis=-2)
+    variance = extra.swapaxes(-1, -2) + base.reshape(base.shape + (1,))
     mask = variance > floor
     out = np.where(mask, variance, floor)
     shapes = (kdiag.shape, base.shape, extra_shape)
@@ -784,7 +812,7 @@ def whitened_variance(kdiag, proj, scale_raw, floor):
 def _whitened_kl_adjoint(adj, raw, mu, scale, dsum, tril, eye):
     half_adj = adj * 0.5
     gsq = (half_adj * 2.0) * scale
-    gdiag = np.expand_dims(-adj / dsum, 2) + gsq
+    gdiag = (-adj / dsum)[:, :, None] + gsq
     graw = gsq * tril + gdiag * eye * _expit(raw)
     return graw, (half_adj * 2.0) * mu
 
@@ -808,10 +836,10 @@ def whitened_kl(scale_raw, whitened_mean):
     scale_raw, whitened_mean = as_tensor(scale_raw), as_tensor(whitened_mean)
     raw, mu = scale_raw.data, whitened_mean.data
     scale, diag, tril, eye = _whitened_scale(raw)
-    dsum = np.sum(diag, axis=2)
+    dsum = diag.sum(axis=2)
     log_diag = _log(dsum)
     count = raw.shape[0] * raw.shape[-1]
-    out = ((np.sum(scale * scale) + np.sum(mu * mu)) - count) * 0.5 - np.sum(log_diag)
+    out = ((scale * scale).sum() + (mu * mu).sum() - count) * 0.5 - log_diag.sum()
     return _apply("whitened_kl", out, (scale_raw, whitened_mean),
                   (_whitened_kl_adjoint, (raw, mu, scale, dsum, tril, eye)))
 
@@ -837,7 +865,7 @@ JITTER_WARN_LEVEL = 1e-4
 
 def chol_with_jitter(a: np.ndarray):
     """Lower Cholesky factor, escalating diagonal jitter on failure."""
-    eye = np.eye(a.shape[0])
+    eye = masks(a.shape[0]).identity
     for jitter in _JITTERS:
         try:
             return np.linalg.cholesky(a + jitter * eye), jitter
@@ -853,9 +881,10 @@ def _check_square(a, op):
         raise ShapeError(f"{op} expects a square matrix, got {list(a.shape)}")
 
 def _cholesky_adjoint(adj, L):
-    lbar = np.tril(adj)
+    m = masks(L.shape[0])
+    lbar = np.where(m.lower, adj, 0.0)
     p = L.T @ lbar
-    phi = np.tril(p, -1) + 0.5 * np.diag(np.diag(p))
+    phi = np.where(m.strict, p, 0.0) + 0.5 * np.where(m.eye, p, 0.0)
     # S = L^{-T} phi L^{-1}
     x = _solve_lower(L, phi, trans=1)
     s = _solve_lower(L, x.T, trans=1).T
@@ -910,8 +939,8 @@ def _solve_lower(l, b, trans=0):
     empty ``b`` gives an empty result; the check runs once per call, not
     once per slice.
     """
-    np.asarray_chkfinite(l)
-    np.asarray_chkfinite(b)
+    if not (np.isfinite(l).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
     if b.size == 0:
         return np.empty_like(b)
     if b.ndim == 2:
@@ -924,7 +953,7 @@ def _triangular_solve_adjoint(adj, l, x):
     gl = gb @ x.swapaxes(-1, -2)
     if gl.ndim == 3:  # every slice shares l, so their terms add up
         gl = gl.sum(axis=0)
-    return (-np.tril(gl), gb)
+    return (-np.where(masks(l.shape[0]).lower, gl, 0.0), gb)
 
 
 def triangular_solve(l, b):
@@ -953,14 +982,13 @@ def logsumexp(a, axis=-1, keepdims=False):
     """Stable log-sum-exp; the max shift is a constant, which leaves the
     softmax gradient intact."""
     a = as_tensor(a)
-    m = np.max(a.data, axis=axis, keepdims=True)
+    m = a.data.max(axis=axis, keepdims=True)
     m = np.where(np.isfinite(m), m, 0.0)
     shifted = tensor_sum(exp(a - Tensor(m)), axis=axis, keepdims=True)
     out = log(shifted) + Tensor(m)
     if keepdims:
         return out
-    target = np.sum(a.data, axis=axis, keepdims=False).shape
-    return reshape(out, target)
+    return reshape(out, m.squeeze(axis).shape)
 
 
 def log_softmax(a, axis=-1):

@@ -75,6 +75,33 @@ class TestDense:
         for name in state:
             assert state[name].tobytes() == want_state[name].tobytes()
 
+    def test_point_initializer_broadcasts_to_the_weight_shape(self):
+        # one value per bias, each trained on its own, as a posterior's
+        # loc and scale are broadcast
+        d = Dense(3, bias_initializer=lambda s, _: Tensor([0.5]))
+        x = Tensor(np.random.default_rng(5).normal(size=(4, 2)))
+        d(x, seed=0)
+        assert dict(d.state_dict())["bias"].tobytes() == np.full(3, 0.5).tobytes()
+        with Tape() as tape:
+            tape.watch(d.bias.point)
+            out = d(x, seed=0)
+            root = (out * Tensor(np.arange(3.0))).sum()
+        grad = tape.backward(root)[d.bias.point.node_id].data
+        assert grad.tolist() == [0.0, 4.0, 8.0]
+
+    @pytest.mark.parametrize("init", [
+        lambda s, _: Tensor([0.5, 0.5]),
+        lambda s, _: trainable_normal()((2,), 0),
+    ], ids=["point", "posterior"])
+    def test_initializer_that_does_not_broadcast_names_the_weight(self, init):
+        d = Dense(3, bias_initializer=init, name="head")
+        with pytest.raises(ShapeError, match=r"^head: the bias initializer "
+                           r"gave shape \[2\], which does not broadcast to "
+                           r"the weight's shape \[3\]"):
+            d(Tensor(np.zeros((4, 2))), seed=0)
+        assert not d.built
+        assert d.state_dict() == {}
+
     def test_unknown_activation(self):
         with pytest.raises(ValueError, match="unknown activation"):
             Dense(2, activation="swishish")

@@ -9,14 +9,17 @@ numpy.  The adjoint reaching the op's output is exact: the root is
 receives ``1.0 * W``, which is ``W``.
 """
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular as scipy_solve_triangular
 from scipy.special import erf as scipy_erf, expit
 
-from uncertain import layers
-from uncertain.cli import build_flow
-from uncertain.data import toy_flow_data
+from uncertain import layers, tensor
+from uncertain.cli import build_deep_gp, build_flow, gaussian_likelihood
+from uncertain.data import toy_flow_data, toy_regression
 from uncertain.distributions import Normal
 from uncertain.errors import ShapeError
 from uncertain.tensor import (
@@ -24,18 +27,22 @@ from uncertain.tensor import (
     ELEMENTWISE_UNARY,
     Tape,
     Tensor,
+    cholesky,
     coupling_inverse,
     coupling_scale,
     exp,
     log,
+    masks,
     matmul,
     mul,
     reshape,
+    se_kernel,
     softplus,
     square,
     tanh,
     tensor_sum,
     transpose,
+    triangular_solve,
     where,
     whitened_kl,
     whitened_variance,
@@ -429,3 +436,242 @@ class TestTensorStorage:
         assert np.array_equal(data, np.asarray(src, dtype=np.float64))
         if isinstance(src, np.ndarray):
             assert not np.shares_memory(data, src)
+
+
+# ---------------------------------------------------------------------------
+# the small-matrix fast path of the sparse-GP ops
+# ---------------------------------------------------------------------------
+# The ops below call ndarray methods and take their constant masks from
+# ``tensor.masks``.  These oracles are the numpy-wrapper expressions they
+# replaced (``np.sum``, ``np.swapaxes``, ``np.expand_dims``, ``np.transpose``,
+# ``np.eye``, ``np.tri``, ``np.tril``, ``np.diag``), and each op must still
+# give their bytes.
+
+def with_signed_zeros(shape, seed):
+    """Normal draws with about one entry in eight set to -0.0 and one in
+    eight to 0.0, so a mask that changed the sign of a zero would show."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.125] = -0.0
+    v[rng.random(shape) < 0.125] = 0.0
+    return v
+
+
+def solve_lower_oracle(l, b, trans):
+    if b.ndim == 2:
+        return scipy_solve_triangular(l, b, lower=True, trans=trans)
+    return np.stack([scipy_solve_triangular(l, b_s, lower=True, trans=trans)
+                     for b_s in b])
+
+
+def cholesky_adjoint_oracle(adj, L):
+    lbar = np.tril(adj)
+    p = L.T @ lbar
+    phi = np.tril(p, -1) + 0.5 * np.diag(np.diag(p))
+    x = solve_lower_oracle(L, phi, 1)
+    s = solve_lower_oracle(L, x.T, 1).T
+    return 0.5 * (s + s.T)
+
+
+def triangular_solve_adjoint_oracle(adj, l, x):
+    gb = solve_lower_oracle(l, adj, 1)
+    gl = gb @ np.swapaxes(x, -1, -2)
+    if gl.ndim == 3:
+        gl = np.sum(gl, axis=0)
+    return -np.tril(gl), gb
+
+
+def spd(n, seed):
+    a = np.random.default_rng(seed).normal(size=(n, n))
+    return a @ a.T + n * np.eye(n)
+
+
+def lower_factor(n, seed):
+    """A well-conditioned [n, n] matrix whose upper triangle the solves
+    must ignore."""
+    return np.random.default_rng(seed).normal(size=(n, n)) + 4.0 * np.eye(n)
+
+
+FAST_PATH_SEEDS = pytest.mark.parametrize("seed", range(40, 44))
+
+
+@FAST_PATH_SEEDS
+def test_cholesky_matches_the_replaced_expressions(seed):
+    a = spd(6, seed)
+    out, g, (ga,) = run(cholesky, a)
+    L = np.linalg.cholesky(a + 0.0 * np.eye(6))
+    assert bitwise(out, L)
+    assert bitwise(ga, cholesky_adjoint_oracle(g, L))
+    adj = with_signed_zeros((6, 6), seed)
+    assert bitwise(tensor._cholesky_adjoint(adj, L)[0],
+                   cholesky_adjoint_oracle(adj, L))
+
+
+@FAST_PATH_SEEDS
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "stack"])
+def test_triangular_solve_matches_the_replaced_expressions(lead, seed):
+    l, b = lower_factor(5, seed), values(lead + (5, 4), seed)
+    out, g, (gl, gb) = run(triangular_solve, l, b)
+    x = solve_lower_oracle(l, b, 0)
+    assert bitwise(out, x)
+    want_gl, want_gb = triangular_solve_adjoint_oracle(g, l, x)
+    assert bitwise(gl, want_gl) and bitwise(gb, want_gb)
+    adj = with_signed_zeros(lead + (5, 4), seed)
+    got = tensor._triangular_solve_adjoint(adj, l, x)
+    for g_got, g_want in zip(got, triangular_solve_adjoint_oracle(adj, l, x)):
+        assert bitwise(g_got, g_want)
+
+
+def se_kernel_oracle(xd, x2d, log_amplitude, log_lengthscale, adj):
+    """``se_kernel``'s value and its four adjoints in the replaced
+    expressions."""
+    sq_x = np.sum(xd * xd, axis=1, keepdims=True)
+    sq_x2 = np.sum(x2d * x2d, axis=-1, keepdims=True)
+    x2t = np.ascontiguousarray(np.swapaxes(x2d, -1, -2))
+    dist = (sq_x + np.swapaxes(sq_x2, -1, -2)) - (xd @ x2t) * 2.0
+    dist = np.where(dist > 0.0, dist, 0.0)
+    amp2 = np.exp(log_amplitude * 2.0)
+    inv_2ell2 = np.exp(log_lengthscale * -2.0) * 0.5
+    out = amp2 * np.exp(-dist * inv_2ell2)
+    a = adj * out
+    g_amp = np.sum(a) * 2.0
+    g_ell = np.sum(a * dist) * (inv_2ell2 * 2.0)
+    w = np.where(dist > 0.0, a, 0.0) * (inv_2ell2 * 2.0)
+    gx = w @ x2d - np.sum(w, axis=-1, keepdims=True) * xd
+    if gx.ndim == 3:
+        gx = np.sum(gx, axis=0)
+    gx2 = (np.swapaxes(w, -1, -2) @ xd
+           - np.swapaxes(np.sum(w, axis=-2, keepdims=True), -1, -2) * x2d)
+    return out, (gx, gx2, g_amp, g_ell)
+
+
+@FAST_PATH_SEEDS
+@pytest.mark.parametrize("lead", [(), (3,)], ids=["rank2", "stack"])
+def test_se_kernel_matches_the_replaced_expressions(lead, seed):
+    x, x2 = values((4, 2), seed), values(lead + (5, 2), seed + 100)
+    log_amplitude, log_lengthscale = np.array(0.3), np.array(-0.2)
+    out, g, grads = run(se_kernel, x, x2, log_amplitude, log_lengthscale)
+    want, want_grads = se_kernel_oracle(x, x2, log_amplitude,
+                                        log_lengthscale, g)
+    assert bitwise(out, want)
+    for got, w in zip(grads, want_grads):
+        assert bitwise(got, w)
+
+
+def whitened_scale_oracle(raw):
+    m = raw.shape[-1]
+    eye, tril = np.eye(m), np.tri(m, k=-1)
+    diag = (np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0)) * eye
+    return raw * tril + diag, diag, tril, eye
+
+
+def whitened_variance_oracle(kdiag, p, raw, floor, adj):
+    """``whitened_variance``'s value and its three adjoints in the replaced
+    expressions."""
+    units, m = raw.shape[0], raw.shape[-1]
+    lead, batch = p.shape[:-2], p.shape[-1]
+    base = kdiag - np.sum(p * p, axis=-2)
+    scale, _, tril, eye = whitened_scale_oracle(raw)
+    st = np.ascontiguousarray(np.transpose(scale, (0, 2, 1))).reshape(units * m, m)
+    half = st @ p
+    extra_shape = lead + (units, m, batch)
+    extra = np.sum((half * half).reshape(extra_shape), axis=-2)
+    variance = np.swapaxes(extra, -1, -2) + base.reshape(base.shape + (1,))
+    mask = variance > floor
+    out = np.where(mask, variance, floor)
+    g = np.where(mask, adj, 0.0)
+    gbase = reduce_to(g, base.shape + (1,)).reshape(base.shape)
+    gextra = np.expand_dims(np.swapaxes(g, -1, -2), -2)
+    ghalf = np.ascontiguousarray(
+        ((gextra * 2.0) * half.reshape(extra_shape)).reshape(half.shape))
+    gst = reduce_to(ghalf @ np.swapaxes(p, -1, -2), st.shape)
+    gscale = np.transpose(gst.reshape(units, m, m), (0, 2, 1))
+    graw = gscale * tril + gscale * eye * expit(raw)
+    gsq = (np.expand_dims(-gbase, -2) * 2.0) * p
+    gproj = np.swapaxes(st, -1, -2) @ ghalf + gsq
+    return out, (reduce_to(gbase, kdiag.shape), gproj, graw)
+
+
+def whitened_kl_oracle(raw, mu, adj):
+    """``whitened_kl``'s value and its two adjoints in the replaced
+    expressions."""
+    scale, diag, tril, eye = whitened_scale_oracle(raw)
+    dsum = np.sum(diag, axis=2)
+    count = raw.shape[0] * raw.shape[-1]
+    out = ((np.sum(scale * scale) + np.sum(mu * mu)) - count) * 0.5 - np.sum(
+        np.log(dsum))
+    half_adj = adj * 0.5
+    gsq = (half_adj * 2.0) * scale
+    gdiag = np.expand_dims(-adj / dsum, 2) + gsq
+    graw = gsq * tril + gdiag * eye * expit(raw)
+    return out, (graw, (half_adj * 2.0) * mu)
+
+
+@WHITENED_SEEDS
+@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "stack"])
+def test_whitened_ops_match_the_replaced_expressions(lead, seed):
+    kdiag, proj, raw, mean = whitened_case(lead, seed)
+    out, g, grads = run(whitened_variance, kdiag, proj, raw, VAR_FLOOR)
+    want, want_grads = whitened_variance_oracle(kdiag, proj, raw, VAR_FLOOR, g)
+    assert bitwise(out, want)
+    for got, w in zip(grads[:3], want_grads):
+        assert bitwise(got, w)
+    out, g, grads = run(whitened_kl, raw, mean)
+    want, want_grads = whitened_kl_oracle(raw, mean, g)
+    assert bitwise(out, want)
+    for got, w in zip(grads, want_grads):
+        assert bitwise(got, w)
+
+
+def test_cached_masks_are_the_replaced_arrays_and_read_only():
+    m = masks(8)
+    assert masks(8) is m
+    assert bitwise(m.identity, np.eye(8)) and bitwise(m.below, np.tri(8, k=-1))
+    for mask, want in [(m.eye, np.eye(8, dtype=bool)),
+                       (m.strict, np.tri(8, k=-1, dtype=bool)),
+                       (m.lower, np.tri(8, dtype=bool))]:
+        assert mask.dtype == bool and np.array_equal(mask, want)
+    for mask in m:
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = 1
+
+
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+TENSOR_FILE = tensor.__file__
+REPLACED_WRAPPERS = {"sum", "tril", "tri", "eye", "expand_dims",
+                     "asarray_chkfinite"}
+
+
+def test_deep_gp_step_calls_none_of_the_replaced_numpy_wrappers():
+    # names and directory, not function objects, so this holds on numpy
+    # 1.24 (numpy/core) and 2.x (numpy/_core) alike; the first step makes
+    # the cached masks, so the second one is profiled
+    x, y = toy_regression(64, 0, 0.05)
+    model = build_deep_gp(4, 8)
+    model(Tensor(x), seed=0)
+    cfg = ElboConfig(num_train_examples=64, batch_size=32)
+    likelihood = gaussian_likelihood(0.1)
+    elbo_step(model, Tensor(x[:32]), Tensor(y[:32]), cfg, 0,
+              likelihood=likelihood)
+    in_numpy, in_tensor = set(), []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            code = frame.f_code
+            if code.co_filename.startswith(NUMPY_DIR):
+                in_numpy.add(code.co_name)
+            elif code.co_filename == TENSOR_FILE:
+                in_tensor.append(code.co_name)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        loss, _, _ = elbo_step(model, Tensor(x[32:]), Tensor(y[32:]), cfg, 1,
+                               likelihood=likelihood)
+    finally:
+        sys.setprofile(previous)
+    assert "_sum" in in_numpy  # the profile sees numpy's own functions
+    assert not in_numpy & REPLACED_WRAPPERS
+    assert len(loss.tape.nodes) == 72
+    assert in_tensor.count("chol_with_jitter") == 3
+    assert in_tensor.count("solve_triangular") == 12

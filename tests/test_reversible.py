@@ -239,10 +239,11 @@ class TestCallProtocol:
 class VariationalConditioner(Layer):
     """A stochastic conditioner: one VariationalDense split in halves."""
 
-    def __init__(self, dims):
+    def __init__(self, dims, **dense_kwargs):
         super().__init__()
         self.dims = dims
-        self.dense = self.add_child("dense", VariationalDense(2 * dims))
+        self.dense = self.add_child("dense",
+                                    VariationalDense(2 * dims, **dense_kwargs))
 
     def call(self, x, seed):
         out = self.dense(x, seed=seed)
@@ -263,6 +264,35 @@ class TestStochasticConditioner:
             with pytest.raises(LayerError, match="^layer0: a conditioner "
                                "that appends a loss would be run at seed 0"):
                 run()
+
+    def test_seed_zero_passes_raise_for_a_conditioner_that_only_draws(self):
+        # without regularizers the conditioner appends no loss, but it still
+        # draws its weights, so a seedless pass would fix one draw
+        flow = Sequential([CouplingLayer(
+            alternating_mask(2),
+            VariationalConditioner(2, kernel_regularizer=None,
+                                   bias_regularizer=None))])
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
+        flow(x, seed=0)
+        coupling = flow.layers[0]
+        assert coupling.conditioner.losses == []
+        for run in (lambda: coupling.log_det_jacobian(x),
+                    lambda: coupling.reverse(x),
+                    lambda: flow(Normal(np.zeros(2), np.ones(2))).log_prob(x)):
+            with pytest.raises(LayerError, match="^layer0: a conditioner "
+                               "that draws from a layer's rng would be run "
+                               "at seed 0"):
+                run()
+
+    def test_seed_zero_passes_run_a_deterministic_conditioner(self):
+        flow = Sequential([CouplingLayer(alternating_mask(2),
+                                         DenseConditioner(2))])
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
+        flow(x, seed=0)
+        draws = Layer.rng_calls
+        flow.layers[0].log_det_jacobian(x)
+        flow.layers[0].reverse(x)
+        assert Layer.rng_calls == draws
 
 
 class TestPropagate:
