@@ -26,6 +26,8 @@ sequence, its ``draw`` and ``step`` public for stepping by hand.  A layer
 without its own ``build`` is built from the start; ``built`` turns True
 only after a ``build`` returns, so one that raises is retried on the next
 call, and it leaves no parameter, buffer or child of its own registered.
+Only an int seed builds; an unbuilt layer asked for anything else raises
+one ``LayerError``, "<path> (<Type>) is not built".
 No build succeeds while a ``Tape`` is recording: a parameter created there is
 not watched and would silently get no gradient, so :meth:`Layer.add_param`
 raises ``LayerError``.  ``training.fit`` makes that first call before its
@@ -40,6 +42,9 @@ constructor calls reproduces its streams bitwise.  Two root layers composed
 by hand, as in ``b(a(x, seed=5), seed=5)``, both have path ``""``: same-shaped
 ones start from equal parameters and draw equal noise.  Register them as
 children of one model (``Sequential([a, b])``) to give them distinct paths.
+A pass without a seed of its own (a flow's inverse or density) calls its
+layers with ``seed=None``, which :meth:`Layer.rng` refuses, so a layer that
+draws there raises, naming its path, instead of running on a fixed draw.
 
 Monte-Carlo sample axis: ``layer(x, seed=seeds)`` with a sequence of S seeds
 draws S samples in one call and returns them along a new leading axis of
@@ -111,9 +116,6 @@ class Layer:
     sample_axis = False
     #: rank of a one-seed input; None leaves the input unchecked
     input_rank = None
-    #: how many times any layer's :meth:`rng` has been called: two readings
-    #: around a pass tell whether it drew
-    rng_calls = 0
 
     def __init__(self, name=None):
         self.name = name or type(self).__name__.lower()
@@ -165,16 +167,19 @@ class Layer:
         if self.input_rank is not None:
             x = as_tensor(x)
             self._check_rank(x, seed)
-        if not self.built:
-            if isinstance(seed, tuple):
-                raise LayerError(
-                    f"{self.name} ({type(self).__name__}) is not built; call "
-                    "it once with an int seed before passing a seed sequence"
-                )
+        if seed is None or isinstance(seed, tuple):
+            self._check_built()
+        elif not self.built:
             with self._undone_on_error():
                 self.build(x, seed)
             self.built = True
         return self.call(x, seed)
+
+    def _check_built(self):
+        """Raise the not-built ``LayerError`` unless the layer is built."""
+        if not self.built:
+            raise LayerError(f"{self.path or self.name} ({type(self).__name__})"
+                             " is not built; call it once with an int seed")
 
     @contextlib.contextmanager
     def _undone_on_error(self):
@@ -191,7 +196,7 @@ class Layer:
             raise
 
     def _check_seed(self, seed):
-        """An int seed as given, or a seed sequence as a tuple of ints."""
+        """An int seed (or None) as given, or a seed sequence as a tuple."""
         if not isinstance(seed, (list, tuple)):
             return seed
         if not self.sample_axis:
@@ -231,8 +236,11 @@ class Layer:
     def rng(self, seed, *salts):
         """Philox generator keyed by (seed, layer path, salts).  A tuple of
         seeds gives a list with one generator per seed, each bitwise the
-        one-seed generator; ``rng_streams`` derives their keys together."""
-        Layer.rng_calls += 1
+        one-seed generator; ``rng_streams`` derives their keys together.
+        ``seed=None``, a pass without a seed, raises ``LayerError``."""
+        if seed is None:
+            raise LayerError(f"{self.path or self.name}: draws from its rng "
+                             "on a pass without a seed, which must not draw")
         if isinstance(seed, tuple):
             return rng_streams(seed, self.path, *salts)
         return rng_from(seed, self.path, *salts)
@@ -481,7 +489,7 @@ class Sequential(Layer):
         return out
 
     def log_det_jacobian(self, x):
-        return self.inverse_and_log_det(self(x, seed=0))[1]
+        return self.inverse_and_log_det(self(x, seed=None))[1]
 
     def inverse_and_log_det(self, y):
         total = None

@@ -295,8 +295,7 @@ class RandomFourierFeatures(_GPLayer):
 
     def features(self, x):
         """The cosine feature map phi(x), shape [batch, num_features]."""
-        if not self.built:
-            raise RuntimeError("layer must be called once before features()")
+        self._check_built()
         amp2 = exp(2.0 * self.kernel.log_amplitude)
         inv_ell = exp(-self.kernel.log_lengthscale)
         gain = sqrt(2.0 * amp2 * (1.0 / self.num_features))

@@ -31,7 +31,7 @@ from ..distributions import (
     RandomVariable,
     TransformedDistribution,
 )
-from ..errors import LayerError, NotReversibleError, ShapeError
+from ..errors import NotReversibleError, ShapeError
 from ..rng import mix
 from ..tensor import (
     Tensor,
@@ -57,7 +57,8 @@ class ReversibleLayer(Layer):
     not reversible: ``Reverse`` and ``Sequential`` raise NotReversibleError),
     and ``log_det_jacobian`` for density use; ``inverse_and_log_det``
     defaults to one ``reverse`` and one ``log_det_jacobian`` and may be
-    overridden by a single fused pass.  ``__call__`` adds only the
+    overridden by a single fused pass.  These passes call inner layers with
+    ``seed=None`` (see :meth:`Layer.rng`).  ``__call__`` adds only the
     pushforward to :meth:`Layer.__call__`.
     """
 
@@ -69,9 +70,7 @@ class ReversibleLayer(Layer):
             return super().__call__(x, seed)
         self._losses = []
         self._check_seed(seed)
-        if not self.built:
-            raise LayerError(f"{self.path or self.name} ({type(self).__name__})"
-                             " is not built; call it once on a tensor first")
+        self._check_built()
         return TransformedDistribution(x, self)
 
     def log_det_jacobian(self, x):
@@ -119,9 +118,8 @@ class CouplingLayer(ReversibleLayer):
     def _affine(self, x, seed=None):
         """One conditioner pass: (x, anchored part, shift, scale), the shift
         unmasked and the scale already zero on the anchored coordinates.
-        Inverses and densities give no seed: they run the conditioner at
-        seed 0, so a stochastic one, which appends a loss or draws from a
-        layer's ``rng``, raises."""
+        Inverses and densities give no seed: the conditioner runs with
+        ``seed=None``, so one that draws from a layer's ``rng`` raises."""
         x = as_tensor(x)
         if x.shape[-1] != self.mask.shape[0]:
             raise ShapeError(
@@ -129,16 +127,7 @@ class CouplingLayer(ReversibleLayer):
                 f"got {list(x.shape)}"
             )
         anchored = x * self.mask
-        draws = Layer.rng_calls
-        shift, raw_scale = self.conditioner(anchored,
-                                            seed=0 if seed is None else seed)
-        if seed is None and (self.conditioner.losses
-                             or Layer.rng_calls != draws):
-            does = ("appends a loss" if self.conditioner.losses
-                    else "draws from a layer's rng")
-            raise LayerError(f"{self.path or self.name}: a conditioner that "
-                             f"{does} would be run at seed 0 at every step "
-                             "of inverses and densities")
+        shift, raw_scale = self.conditioner(anchored, seed=seed)
         scale = coupling_scale(raw_scale, _SCALE_BOUND, 1.0 - self.mask)
         return x, anchored, shift, scale
 
@@ -185,7 +174,7 @@ class Reverse(ReversibleLayer):
         return self.inner.reverse(as_tensor(x))
 
     def reverse(self, y):
-        return as_tensor(self.inner(y, seed=0))
+        return as_tensor(self.inner(y, seed=None))
 
     def log_det_jacobian(self, x):
         if not hasattr(self.inner, "inverse_and_log_det"):

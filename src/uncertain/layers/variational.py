@@ -189,9 +189,7 @@ class VariationalLSTMCell(Layer):
         """Sample ``(kernel, recurrent, bias)`` for one sequence; the cell's
         losses become the regularizer losses of this draw."""
         seed = self._check_seed(seed)
-        if not self.built:
-            raise LayerError(f"{self.path or self.name}: draw on an unbuilt "
-                             "cell; call it on a sequence first")
+        self._check_built()
         self._losses = []
         weights = (self.kernel, self.recurrent, self.bias)
         draws = tuple(weight.sample(seed) for weight in weights)

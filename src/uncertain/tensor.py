@@ -475,9 +475,10 @@ def _transpose_adjoint(adj, axes):
 
 def transpose(a, axes=None):
     a = as_tensor(a)
-    if axes is None:
-        axes = tuple(reversed(range(a.ndim)))
-    out = a.data.transpose(axes)
+    out = a.data.transpose(axes)  # raises on an axis out of range
+    # non-negative axes, so that the adjoint's argsort inverts the permutation
+    axes = (tuple(reversed(range(a.ndim))) if axes is None
+            else tuple(ax % a.ndim for ax in axes))
     return _apply("transpose", out, (a,), (_transpose_adjoint, (axes,)))
 
 

@@ -141,7 +141,9 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
         for p in params.values():
             tape.watch(p)
         log_lik = None
-        for s in range(cfg.mc_samples):
+        # a density pushed from a Distribution draws nothing: score it once
+        samples = 1 if isinstance(batch_x, Distribution) else cfg.mc_samples
+        for s in range(samples):
             out = model(batch_x, seed=mix(cfg.seed, "step", step, "mc", s))
             if likelihood is not None:
                 lp = likelihood(out, batch_y)
@@ -155,7 +157,7 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
                 )
             term = tensor_mean(lp)
             log_lik = term if log_lik is None else log_lik + term
-        log_lik = log_lik * (1.0 / cfg.mc_samples)
+        log_lik = log_lik * (1.0 / samples)
         kl_terms = model.losses
         kl_value = 0.0
         loss = -log_lik
@@ -206,7 +208,8 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
 
     ``features`` is batched along with ``targets``, unless it is a
     Distribution: then it is the model input at every step (a flow is fed
-    its base Distribution, and its output density scores the data batch).
+    its base Distribution, and its output density scores the data batch,
+    once per step whatever ``mc_samples`` is).
 
     Before the first step, ``fit`` builds the model by calling it on the
     first row of ``features`` (or the Distribution) with seed

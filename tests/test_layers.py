@@ -359,6 +359,33 @@ class TestCallProtocol:
         assert not layer.built
         assert layer.state_dict() == {}
 
+    @pytest.mark.parametrize("name", ["seedless_call", "features", "draw"])
+    def test_unbuilt_layer_raises_the_one_not_built_error(self, name):
+        layer = {"seedless_call": lambda: Dense(2),
+                 "features": lambda: RandomFourierFeatures(1, 4),
+                 "draw": lambda: VariationalLSTMCell(2)}[name]()
+        model = Sequential([layer])
+        before = list(model.state_dict())
+        run = {"seedless_call": lambda: layer(Tensor(np.zeros((1, 3))),
+                                              seed=None),
+               "features": lambda: layer.features(Tensor(np.zeros((1, 3)))),
+               "draw": lambda: layer.draw(0)}[name]
+        kind = type(layer).__name__
+        with pytest.raises(LayerError, match=rf"^layer0 \({kind}\) is not "
+                           "built; call it once with an int seed"):
+            run()
+        assert not layer.built and list(model.state_dict()) == before
+
+    def test_seedless_call_of_a_built_layer_runs_unless_it_draws(self):
+        x = Tensor(np.random.default_rng(5).normal(size=(4, 3)))
+        point, posterior = Dense(2), VariationalDense(2)
+        model = Sequential([point, posterior])
+        model(x, seed=0)
+        assert np.array_equal(point(x, seed=None).data, point(x, seed=9).data)
+        with pytest.raises(LayerError, match="^layer1: draws from its rng on "
+                           "a pass without a seed"):
+            model(x, seed=None)
+
     def test_no_exported_layer_but_the_bases_defines_call(self):
         # every other layer goes through Layer.__call__'s seed, rank and
         # build checks; a private base in between counts as the layer's own

@@ -202,7 +202,7 @@ def test_reshape(shape, new):
 
 
 TRANSPOSES = [((2, 3), None), ((2, 3, 4), None), ((2, 3, 4), (1, 0, 2)),
-              ((2, 3, 4), (2, 0, 1))]
+              ((2, 3, 4), (2, 0, 1)), ((2, 3, 4), (0, -1, -2))]
 
 
 @pytest.mark.parametrize("shape, axes", TRANSPOSES)
@@ -211,6 +211,7 @@ def test_transpose(shape, axes):
     out, g, (gx,) = run(lambda t: transpose(t, axes), x)
     order = tuple(reversed(range(len(shape)))) if axes is None else axes
     assert bitwise(out, np.transpose(x, order))
+    order = tuple(ax % len(shape) for ax in order)  # argsort needs ax >= 0
     assert bitwise(gx, np.transpose(g, np.argsort(order)))
 
 

@@ -23,6 +23,8 @@ from uncertain.layers import (
     Sequential,
     VariationalDense,
     alternating_mask,
+    glorot_uniform,
+    zeros_init,
 )
 from uncertain.tensor import Tape, Tensor, exp, slice_last, tensor_sum
 
@@ -251,48 +253,73 @@ class VariationalConditioner(Layer):
                 slice_last(out, self.dims, 2 * self.dims))
 
 
-class TestStochasticConditioner:
-    def test_seed_zero_passes_raise_naming_the_coupling(self):
-        flow = Sequential([CouplingLayer(alternating_mask(2),
-                                         VariationalConditioner(2))])
-        x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
-        flow(x, seed=0)  # the forward map draws per seed, as any layer
-        coupling = flow.layers[0]
-        for run in (lambda: coupling.log_det_jacobian(x),
-                    lambda: coupling.reverse(x),
-                    lambda: flow(Normal(np.zeros(2), np.ones(2))).log_prob(x)):
-            with pytest.raises(LayerError, match="^layer0: a conditioner "
-                               "that appends a loss would be run at seed 0"):
-                run()
+SEEDLESS = ("^layer0/conditioner/dense: draws from its rng on a pass "
+            "without a seed")
 
-    def test_seed_zero_passes_raise_for_a_conditioner_that_only_draws(self):
+
+def assert_seedless_passes_raise(**conditioner_kwargs):
+    flow = Sequential([CouplingLayer(
+        alternating_mask(2), VariationalConditioner(2, **conditioner_kwargs))])
+    x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
+    flow(x, seed=0)  # the forward map draws per seed, as any layer
+    coupling = flow.layers[0]
+    losses = coupling.conditioner.losses
+    for run in (lambda: coupling.log_det_jacobian(x),
+                lambda: coupling.reverse(x),
+                lambda: flow(Normal(np.zeros(2), np.ones(2))).log_prob(x)):
+        with pytest.raises(LayerError, match=SEEDLESS):
+            run()
+    return losses
+
+
+class TestStochasticConditioner:
+    def test_seedless_passes_raise_naming_the_drawing_layer(self):
+        assert len(assert_seedless_passes_raise()) == 2
+
+    def test_seedless_passes_raise_for_a_conditioner_that_only_draws(self):
         # without regularizers the conditioner appends no loss, but it still
         # draws its weights, so a seedless pass would fix one draw
-        flow = Sequential([CouplingLayer(
-            alternating_mask(2),
-            VariationalConditioner(2, kernel_regularizer=None,
-                                   bias_regularizer=None))])
-        x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
-        flow(x, seed=0)
-        coupling = flow.layers[0]
-        assert coupling.conditioner.losses == []
-        for run in (lambda: coupling.log_det_jacobian(x),
-                    lambda: coupling.reverse(x),
-                    lambda: flow(Normal(np.zeros(2), np.ones(2))).log_prob(x)):
-            with pytest.raises(LayerError, match="^layer0: a conditioner "
-                               "that draws from a layer's rng would be run "
-                               "at seed 0"):
-                run()
+        assert assert_seedless_passes_raise(kernel_regularizer=None,
+                                            bias_regularizer=None) == []
 
-    def test_seed_zero_passes_run_a_deterministic_conditioner(self):
+    def test_reverse_wrapper_raises_for_a_drawing_inner_layer(self):
+        coupling = CouplingLayer(alternating_mask(2),
+                                 VariationalConditioner(2))
+        flow = Sequential([Reverse(coupling)])
+        y = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
+        coupling(y, seed=0)  # builds the conditioner, drawing per seed
+        with pytest.raises(LayerError, match="^layer0/inner/conditioner/"
+                           "dense: draws from its rng on a pass without"):
+            flow.layers[0].reverse(y)
+
+    def test_seedless_passes_run_a_deterministic_conditioner(self):
         flow = Sequential([CouplingLayer(alternating_mask(2),
                                          DenseConditioner(2))])
         x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
+        y = flow(x, seed=0)
+        coupling = flow.layers[0]
+        assert np.abs(coupling.reverse(y).data - x.data).max() < 1e-12
+        np.testing.assert_array_equal(
+            coupling.log_det_jacobian(x).data,
+            coupling.inverse_and_log_det(y)[1].data)
+        assert flow.log_det_jacobian(x).shape == (3,)
+
+    def test_a_regularized_point_conditioner_runs_and_reports_its_loss(self):
+        def l2(w):
+            return tensor_sum(w * w) * 0.5
+
+        # point initializers: the conditioner draws nothing
+        conditioner = VariationalConditioner(
+            2, kernel_initializer=glorot_uniform, kernel_regularizer=l2,
+            bias_initializer=zeros_init)
+        flow = Sequential([CouplingLayer(alternating_mask(2), conditioner)])
+        x = Tensor(np.random.default_rng(14).normal(size=(3, 2)))
         flow(x, seed=0)
-        draws = Layer.rng_calls
-        flow.layers[0].log_det_jacobian(x)
-        flow.layers[0].reverse(x)
-        assert Layer.rng_calls == draws
+        density = flow(Normal(np.zeros(2), np.ones(2)))
+        assert density.log_prob(x).shape == (3,)
+        kernel = flow.layers[0].conditioner.dense._params["kernel"].data
+        [loss] = flow.losses
+        assert loss.item() == 0.5 * float((kernel * kernel).sum())
 
 
 class TestPropagate:

@@ -630,6 +630,24 @@ def test_distribution_features_are_the_input_of_every_call(monkeypatch):
     assert len(seen) == 4 and all(x is base for x in seen)
 
 
+def test_a_flow_fed_its_base_is_scored_once_per_step(monkeypatch):
+    # its seedless density passes cannot draw, so more Monte-Carlo samples
+    # would score the same density again
+    make, base, data, cfg, _ = flow_case()
+    cfg.max_steps = 5
+    want = fit(make(), base, data, cfg)
+    cfg.mc_samples = 8
+    model = make()
+    calls = []
+    for coupling in model.layers:
+        c = coupling.conditioner
+        monkeypatch.setattr(c, "call", lambda x, seed, c=c: (
+            calls.append(c.path), type(c).call(c, x, seed))[1])
+    assert fit(model, base, data, cfg) == want
+    paths = [f"layer{i}/conditioner" for i in range(4)]
+    assert sorted(calls) == sorted(paths * cfg.max_steps)
+
+
 class TestConfigFile:
     def test_parse_values_comments_blanks(self, tmp_path):
         path = tmp_path / "run.cfg"

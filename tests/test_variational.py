@@ -348,7 +348,7 @@ class TestVariationalLSTMCell:
         from uncertain.errors import ShapeError
 
         cell = VariationalLSTMCell(3)
-        with pytest.raises(LayerError, match="unbuilt"):
+        with pytest.raises(LayerError, match="not built"):
             cell.draw(0)
         built_cell(cell, 2)
         with pytest.raises(ShapeError, match="rank-2"):
