@@ -329,7 +329,9 @@ def _unary(op, forward, adjoint):
 def _log(x):
     if (x < 0).any():
         raise DomainError("log of negative input")
-    with np.errstate(divide="ignore"):
+    if x.all():
+        return np.log(x)
+    with np.errstate(divide="ignore"):  # log(0) = -inf, silently
         return np.log(x)
 
 
@@ -1048,7 +1050,8 @@ def conv2d(x, kernel, stride=1, padding="same"):
         raise ShapeError(
             f"kernel {kh}x{kw} larger than padded input {hp}x{wp}"
         )
-    xp = np.pad(x.data, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    xp = np.zeros((b, hp, wp, ci))
+    xp[:, pt:pt + h, pl:pl + w] = x.data
     out = conv2d_forward(xp, kernel.data, stride)
     # an untracked x, such as the data batch of a model's first conv, needs no adjoint
     saved = (xp, kernel.data, stride, pt, pl, h, w, _tracked(x, active_tape()))

@@ -212,7 +212,7 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     once per step whatever ``mc_samples`` is).
 
     Before the first step, ``fit`` builds the model by calling it on the
-    first row of ``features`` (or the Distribution) with seed
+    first row of ``features`` (or on one draw of the Distribution) with seed
     ``mix(cfg.seed, "build")``, raises :class:`TrainingError` if a layer
     holds a sub-layer it did not register with ``add_child``, and then
     trains every one of ``model.trainable_variables()``, packed by
@@ -229,8 +229,10 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     density = isinstance(features, Distribution)
     features = features if density else np.asarray(features, np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    model(features if density else Tensor(features[:1]),
-          seed=mix(cfg.seed, "build"))
+    build_seed = mix(cfg.seed, "build")
+    # a Distribution pushed through a flow would build no layer below it
+    model(features.sample(build_seed, sample_shape=(1,)) if density
+          else Tensor(features[:1]), seed=build_seed)
     _check_children_registered(model)
     params = model.trainable_variables()
     flat = pack_parameters(params)

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.linalg import solve_triangular as scipy_solve_triangular
 
 from uncertain import backend
@@ -93,6 +94,12 @@ class TestForward:
     def test_log_negative_raises(self):
         with pytest.raises(DomainError):
             log(Tensor([-1.0]))
+
+    def test_log_of_zero_is_minus_inf_without_a_warning(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = log(Tensor([0.0, 2.0])).data
+        assert got[0] == -np.inf and got[1] == math.log(2.0)
 
     def test_sqrt_negative_raises(self):
         from uncertain.tensor import sqrt
@@ -510,7 +517,8 @@ class TestConv2d:
         assert calls == [1]
 
 
-# (input h, w), (kernel h, w), stride, padding
+# (input h, w) at batch 2 with 3 channels, or (batch, h, w, c_in);
+# (kernel h, w), stride, padding
 KERNEL_CASES = [
     ((5, 5), (3, 3), 1, "same"),
     ((5, 5), (3, 3), 1, "valid"),
@@ -518,7 +526,48 @@ KERNEL_CASES = [
     ((8, 7), (2, 3), 2, "valid"),
     ((7, 8), (2, 2), 3, "same"),
     ((10, 7), (2, 1), 3, "valid"),
+    ((3, 6, 7, 5), (3, 3), 1, "same"),
+    ((9, 8), (3, 3), 2, "valid"),  # windows overlap in both axes
+    ((6, 5), (4, 2), 1, "same"),   # pads (1, 2) rows and (0, 1) columns
+    ((2, 3), (3, 4), 3, "same"),   # the kernel covers the padded input
 ]
+
+
+def kernel_case(hw, khw, stride, padding):
+    """Input ``x``, its padded ``xp``, a kernel and an output adjoint."""
+    rng = np.random.default_rng(11)
+    b, h, w, ci = hw if len(hw) == 4 else (2, *hw, 3)
+    kh, kw = khw
+    x = rng.normal(size=(b, h, w, ci))
+    xp = conv_pad(x, kh, kw, stride, padding)
+    k = rng.normal(size=(kh, kw, ci, 4))
+    ho = (xp.shape[1] - kh) // stride + 1
+    wo = (xp.shape[2] - kw) // stride + 1
+    return x, xp, k, rng.normal(size=(b, ho, wo, 4))
+
+
+# The forward pass and kernel gradient as they were written on
+# sliding_window_view: the kernels must keep their bytes.
+
+def _sliding_window_forward(xp, k, stride):
+    kh, kw, ci, co = k.shape
+    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::stride, ::stride]
+    b, ho, wo = windows.shape[:3]
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(b * ho * wo, kh * kw * ci)
+    return (cols @ k.reshape(-1, co)).reshape(b, ho, wo, co)
+
+
+def _per_offset_grad_kernel(xp, adj, kh, kw, stride):
+    b, ho, wo, co = adj.shape
+    ci = xp.shape[3]
+    adj2 = adj.reshape(-1, co)
+    dk = np.empty((kh, kw, ci, co))
+    for di in range(kh):
+        for dj in range(kw):
+            xs = xp[:, di:di + stride * (ho - 1) + 1:stride,
+                    dj:dj + stride * (wo - 1) + 1:stride]
+            dk[di, dj] = xs.reshape(-1, ci).T @ adj2
+    return dk
 
 
 def assert_sums_close(got, loops, *operands):
@@ -542,18 +591,47 @@ class TestConvKernels:
 
     @pytest.mark.parametrize("hw,khw,stride,padding", KERNEL_CASES)
     def test_match_loop_kernels(self, hw, khw, stride, padding):
-        rng = np.random.default_rng(11)
+        _, xp, k, adj = kernel_case(hw, khw, stride, padding)
         kh, kw = khw
-        xp = conv_pad(rng.normal(size=(2, *hw, 3)), kh, kw, stride, padding)
-        k = rng.normal(size=(kh, kw, 3, 4))
         hp, wp = xp.shape[1], xp.shape[2]
         out = backend.conv2d_forward(xp, k, stride)
         assert_sums_close(out, _conv2d_forward_loops, xp, k, stride)
-        adj = rng.normal(size=out.shape)
         assert_sums_close(backend.conv2d_grad_input(adj, k, stride, hp, wp),
                           _conv2d_grad_input_loops, adj, k, stride, hp, wp)
         assert_sums_close(backend.conv2d_grad_kernel(xp, adj, kh, kw, stride),
                           _conv2d_grad_kernel_loops, xp, adj, kh, kw, stride)
+
+    @pytest.mark.parametrize("hw,khw,stride,padding", KERNEL_CASES)
+    def test_forward_and_kernel_gradient_keep_their_bytes(self, hw, khw,
+                                                          stride, padding):
+        x, xp, k, adj = kernel_case(hw, khw, stride, padding)
+        kh, kw = khw
+        want = _sliding_window_forward(xp, k, stride)
+        assert np.array_equal(backend.conv2d_forward(xp, k, stride), want)
+        # conv2d's zero-filled pad gives np.pad's bytes
+        assert np.array_equal(
+            conv2d(Tensor(x), Tensor(k), stride=stride, padding=padding).data,
+            want)
+        assert np.array_equal(backend.conv2d_grad_kernel(xp, adj, kh, kw, stride),
+                              _per_offset_grad_kernel(xp, adj, kh, kw, stride))
+        flipped = xp[:, ::-1]  # not contiguous
+        assert np.array_equal(backend.conv2d_forward(flipped, k, stride),
+                              _sliding_window_forward(flipped, k, stride))
+
+    def test_scatter_index_is_cached_per_shape(self):
+        cache = backend._scatter_index
+        assert cache.cache_info().maxsize == 8
+        rng = np.random.default_rng(12)
+        k = rng.normal(size=(3, 3, 2, 4))
+        # batch 3 after a cached batch 2 must not reuse batch 2's index
+        for b in (2, 2, 3):
+            adj = rng.normal(size=(b, 3, 3, 4))
+            assert_sums_close(backend.conv2d_grad_input(adj, k, 2, 7, 7),
+                              _conv2d_grad_input_loops, adj, k, 2, 7, 7)
+        index = cache(3, 7, 7, 2, 3, 3, 2)
+        assert cache(3, 7, 7, 2, 3, 3, 2) is index
+        # the calls that shared it left it as built
+        assert np.array_equal(index, cache.__wrapped__(3, 7, 7, 2, 3, 3, 2))
 
 
 class TestBackward:

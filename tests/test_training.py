@@ -13,7 +13,7 @@ from uncertain.data import (
     toy_flow_data,
     toy_regression,
 )
-from uncertain.distributions import Distribution, Normal
+from uncertain.distributions import Distribution, Normal, RandomVariable
 from uncertain.errors import (
     CheckpointError,
     ConfigError,
@@ -22,6 +22,7 @@ from uncertain.errors import (
     TrainingError,
 )
 from uncertain.layers import (
+    CouplingLayer,
     Dense,
     Layer,
     NormalOutput,
@@ -29,10 +30,12 @@ from uncertain.layers import (
     SparseGaussianProcess,
     SquaredExponential,
     VariationalDense,
+    alternating_mask,
+    zeros_init,
 )
 from uncertain.rng import mix
 import uncertain.tensor as tensor_module
-from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
+from uncertain.tensor import Tape, Tensor, as_tensor, slice_last, tensor_sum
 from uncertain.training import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -618,7 +621,8 @@ class TestFlatParameters:
 
 
 def test_distribution_features_are_the_input_of_every_call(monkeypatch):
-    # the build probe and each step get the base itself; targets are batched
+    # the build probe gets one draw of the base, each step the base itself;
+    # targets are batched
     make, base, data, cfg, _ = flow_case()
     cfg.max_steps = 3
     model = make()
@@ -627,7 +631,41 @@ def test_distribution_features_are_the_input_of_every_call(monkeypatch):
         seen.append(x), Sequential.call(model, x, seed))[1])
     trace = fit(model, base, data, cfg)
     assert len(trace) == 3
-    assert len(seen) == 4 and all(x is base for x in seen)
+    assert len(seen) == 4 and all(x is base for x in seen[1:])
+    probe = seen[0]
+    assert isinstance(probe, RandomVariable) and probe.distribution is base
+    assert np.array_equal(
+        probe.data, base.sample(mix(cfg.seed, "build"), sample_shape=(1,)).data)
+
+
+class DenseChildConditioner(Layer):
+    """A conditioner whose weights live in a Dense child, made in its build."""
+
+    def __init__(self, dims):
+        super().__init__()
+        self.dims = dims
+        self.dense = self.add_child("dense", Dense(
+            2 * dims, kernel_initializer=zeros_init))
+
+    def call(self, x, seed):
+        out = self.dense(x, seed=seed)
+        return (slice_last(out, 0, self.dims),
+                slice_last(out, self.dims, 2 * self.dims))
+
+
+def test_a_density_fit_builds_the_layers_below_a_flow():
+    # pushing the base through the flow builds nothing under the coupling;
+    # a draw of the base builds the conditioner's Dense child
+    _, base, data, cfg, _ = flow_case()
+    cfg.max_steps = 5
+    model = Sequential([CouplingLayer(alternating_mask(2),
+                                      DenseChildConditioner(2))])
+    trace = fit(model, base, data, cfg)
+    assert len(trace) == 5 and all(np.isfinite(loss) for _, loss, _ in trace)
+    dense = model.layers[0].conditioner.dense
+    assert dense.built
+    assert any(np.any(v.data != 0.0)
+               for v in dense.trainable_variables().values())
 
 
 def test_a_flow_fed_its_base_is_scored_once_per_step(monkeypatch):
@@ -645,7 +683,8 @@ def test_a_flow_fed_its_base_is_scored_once_per_step(monkeypatch):
             calls.append(c.path), type(c).call(c, x, seed))[1])
     assert fit(model, base, data, cfg) == want
     paths = [f"layer{i}/conditioner" for i in range(4)]
-    assert sorted(calls) == sorted(paths * cfg.max_steps)
+    # one call per coupling for the build, then one per step
+    assert sorted(calls) == sorted(paths * (cfg.max_steps + 1))
 
 
 class TestConfigFile:
