@@ -102,8 +102,7 @@ def _regression_data(args, cfg):
     if args.data:
         feature_cols = _resolve(args, cfg, "features", str, "x").split(",")
         target_cols = _resolve(args, cfg, "targets", str, "y").split(",")
-        ds = load_csv(args.data, feature_cols, target_cols)
-        return ds.features, ds.targets
+        return load_csv(args.data, feature_cols, target_cols)
     n = config_get(cfg, "num_examples", int, 64)
     noise = config_get(cfg, "data_noise", float, 0.05)
     seed = _resolve(args, cfg, "seed", int, 0)
@@ -258,7 +257,7 @@ def run_train_flow(args):
     cfg_file = _load_config(args)
     if args.data:
         cols = _resolve(args, cfg_file, "features", str, "x0,x1").split(",")
-        data = load_csv(args.data, cols, cols).features  # density: data is its own target
+        data, _ = load_csv(args.data, cols, cols)  # density: data is its own target
     else:
         n = config_get(cfg_file, "num_examples", int, 512)
         data = toy_flow_data(n, _resolve(args, cfg_file, "seed", int, 0))
@@ -348,7 +347,7 @@ def run_sample(args):
         print(",".join(f"x{i}" for i in range(dims)))
         for s in range(args.num):
             rv = base.sample(mix(seed, "sample", s))
-            out = as_tensor(model(rv, seed=0)).data
+            out = as_tensor(model(rv)).data
             print(",".join(_FMT % value for value in out))
         return 0
     if args.task == "lstm":

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,22 +10,9 @@ from .errors import DataError
 from .rng import rng_from
 
 
-@dataclass
-class Dataset:
-    """Feature and target arrays with their column names."""
-
-    features: np.ndarray
-    targets: np.ndarray
-    feature_names: list[str]
-    target_names: list[str]
-
-    @property
-    def num_examples(self):
-        return self.features.shape[0]
-
-
-def load_csv(path, feature_cols, target_cols) -> Dataset:
-    """Read a headered numeric CSV into feature/target arrays."""
+def load_csv(path, feature_cols, target_cols):
+    """Read a headered numeric CSV; returns the ``(features, targets)``
+    arrays, one column each per named column, in the order named."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -57,8 +43,7 @@ def load_csv(path, feature_cols, target_cols) -> Dataset:
     table = np.asarray(rows, dtype=np.float64)
     fidx = [header.index(c) for c in feature_cols]
     tidx = [header.index(c) for c in target_cols]
-    return Dataset(table[:, fidx], table[:, tidx], list(feature_cols),
-                   list(target_cols))
+    return table[:, fidx], table[:, tidx]
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,12 @@ class NotReversibleError(UncertainError, TypeError):
 
 
 class LayerError(UncertainError, RuntimeError):
-    """A sub-layer failed; the message carries the layer index."""
+    """A layer cannot run as asked: it is not built, it draws on a pass
+    without a seed, it has no sample axis for a seed sequence, an LSTM is
+    stepped on weights drawn off the recording tape, or a parameter is
+    created while a Tape records.  The message names the layer; a
+    ``Sequential`` also wraps any other error of a sub-layer in one,
+    naming the sub-layer's index."""
 
 
 class ConfigError(UncertainError, ValueError):

@@ -42,8 +42,9 @@ constructor calls reproduces its streams bitwise.  Two root layers composed
 by hand, as in ``b(a(x, seed=5), seed=5)``, both have path ``""``: same-shaped
 ones start from equal parameters and draw equal noise.  Register them as
 children of one model (``Sequential([a, b])``) to give them distinct paths.
-A pass without a seed of its own (a flow's inverse or density) calls its
-layers with ``seed=None``, which :meth:`Layer.rng` refuses, so a layer that
+A call without a seed, ``layer(x)``, passes ``seed=None``, as does every
+pass without a seed of its own (a flow's sample through its transform, its
+inverse or its density).  :meth:`Layer.rng` refuses None, so a layer that
 draws there raises, naming its path, instead of running on a fixed draw.
 
 Monte-Carlo sample axis: ``layer(x, seed=seeds)`` with a sequence of S seeds
@@ -161,7 +162,7 @@ class Layer:
     def call(self, x, seed):
         raise NotImplementedError
 
-    def __call__(self, x, seed=0):
+    def __call__(self, x, seed=None):
         self._losses = []
         seed = self._check_seed(seed)
         if self.input_rank is not None:

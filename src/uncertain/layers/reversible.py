@@ -62,7 +62,7 @@ class ReversibleLayer(Layer):
     pushforward to :meth:`Layer.__call__`.
     """
 
-    def __call__(self, x, seed=0):
+    def __call__(self, x, seed=None):
         if isinstance(x, RandomVariable):
             return RandomVariable(TransformedDistribution(x.distribution, self),
                                   super().__call__(x.value, seed))

@@ -102,6 +102,8 @@ class VariationalConv2D(Layer):
                  kernel_regularizer="default", bias_initializer=None,
                  bias_regularizer="default", name=None):
         super().__init__(name)
+        if filters < 1:
+            raise ValueError(f"filters must be >= 1, got {filters}")
         self.filters = int(filters)
         if isinstance(kernel_size, int):
             kernel_size = (kernel_size, kernel_size)

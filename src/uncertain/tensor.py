@@ -20,8 +20,9 @@ Design notes:
 * a tape lives for one training step; long-lived parameter tensors are
   re-watched on each new tape.  ``Tape.release()`` drops the nodes, freeing
   the forward arrays they saved while the step's tensors still hold the
-  tape; a released tape refuses ``backward``.  ``training.fit`` releases
-  each step's tape.
+  tape; a released tape refuses ``backward``.  The tape knows nothing of
+  steps: ``training.fit`` releases each step's tape just before the next
+  step starts recording.
 * tensors not attached to a tape are treated as constants.
 * the sparse-GP ops work on matrices of the inducing count (8 in the
   deep-GP demo), where numpy's Python-level wrappers (``np.sum``,
@@ -163,18 +164,11 @@ def active_tape():
 
 
 class Tape:
-    """Append-only reverse-mode record; use as a context manager.
+    """Append-only reverse-mode record; use as a context manager."""
 
-    ``Tape(replaces=old)`` releases the finished tape ``old`` when it records
-    its first op, so a training step frees the previous step's arrays once
-    its own forward pass has started, and the rest of the step reuses that
-    memory (see ``training.fit``).
-    """
-
-    def __init__(self, replaces: "Tape | None" = None):
+    def __init__(self):
         self.nodes: list[tuple] | None = []  # (op, parents, rule)
         self.leaves: list[tuple] = []  # (node id, shape) in watch order
-        self.replaces = replaces
 
     def __enter__(self):
         if self.nodes is None:
@@ -271,9 +265,6 @@ def _apply(op, out_data, parents, rule):
         return Tensor(out_data)
     nodes = tape.nodes
     nodes.append((op, pids, rule))
-    if tape.replaces is not None:
-        tape.replaces.release()
-        tape.replaces = None
     return Tensor(out_data, tape, len(nodes) - 1)
 
 

@@ -118,7 +118,7 @@ def pack_parameters(params: dict) -> np.ndarray:
 
 
 def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
-              likelihood=None, params=None, replaces=None):
+              likelihood=None, params=None):
     """One ELBO evaluation with gradients.
 
     The model must be built (``fit`` builds it): a layer that creates a
@@ -129,14 +129,13 @@ def elbo_step(model, batch_x, batch_y, cfg: ElboConfig, step,
     is supplied.  Returns (loss Tensor, kl value, gradient): the loss is
     tracked on this step's tape, ``loss.tape``, and the gradient is a flat
     float64 vector laid out as :func:`pack_parameters` lays out ``params``.
-    ``replaces``, a finished step's tape, is released when this step
-    records its first op.  Raises :class:`TrainingError` when the loss or a
-    parameter's gradient is not finite.
+    Raises :class:`TrainingError` when the loss or a parameter's gradient
+    is not finite.
     """
     if params is None:
         params = model.trainable_variables()
     grad = np.empty(sum(p.size for p in params.values()))
-    tape = Tape(replaces=replaces)
+    tape = Tape()
     with tape:
         for p in params.values():
             tape.watch(p)
@@ -219,12 +218,13 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     :func:`pack_parameters` into one vector that each step's gradient and
     Adam update work on whole.  Adam's moments start at zero on each call.
 
-    Each step's tape, with the forward arrays it saved, is released when the
-    next step records its first op, and the last one when the loop ends, so
-    the rest of the next step reuses that memory.  Released at the end of
-    its own step, or after the next step's backward pass, a tape's memory
-    joins the step's freed temporaries at the top of the heap, where glibc
-    returns it to the kernel and the next step faults it back in.
+    Each step's tape, with the forward arrays it saved, is released after
+    the next batch's tensors are made and before the next step's
+    ``elbo_step``, and the last one when the loop ends, so the whole next
+    step reuses that memory.  Released at the end of its own step, or after
+    the next step's backward pass, a tape's memory joins the step's freed
+    temporaries at the top of the heap, where glibc returns it to the
+    kernel and the next step faults it back in.
     """
     density = isinstance(features, Distribution)
     features = features if density else np.asarray(features, np.float64)
@@ -243,9 +243,11 @@ def fit(model, features, targets, cfg: ElboConfig, likelihood=None,
     for step, idx in enumerate(batch_indices(
             cfg.num_train_examples, cfg.batch_size, cfg.max_steps, cfg.seed)):
         batch_x = features if density else Tensor(features[idx])
-        loss, kl, grad = elbo_step(
-            model, batch_x, Tensor(targets[idx]), cfg, step,
-            likelihood=likelihood, params=params, replaces=held)
+        batch_y = Tensor(targets[idx])
+        if held is not None:
+            held.release()
+        loss, kl, grad = elbo_step(model, batch_x, batch_y, cfg, step,
+                                   likelihood=likelihood, params=params)
         held = loss.tape
         adam_update(flat, grad, m, v, step + 1, cfg.learning_rate)
         trace.append((step, loss.item(), kl))

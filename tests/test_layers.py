@@ -359,15 +359,18 @@ class TestCallProtocol:
         assert not layer.built
         assert layer.state_dict() == {}
 
-    @pytest.mark.parametrize("name", ["seedless_call", "features", "draw"])
+    @pytest.mark.parametrize("name", ["seedless_call", "call_without_a_seed",
+                                      "features", "draw"])
     def test_unbuilt_layer_raises_the_one_not_built_error(self, name):
         layer = {"seedless_call": lambda: Dense(2),
+                 "call_without_a_seed": lambda: Dense(3),
                  "features": lambda: RandomFourierFeatures(1, 4),
                  "draw": lambda: VariationalLSTMCell(2)}[name]()
         model = Sequential([layer])
         before = list(model.state_dict())
         run = {"seedless_call": lambda: layer(Tensor(np.zeros((1, 3))),
                                               seed=None),
+               "call_without_a_seed": lambda: layer(Tensor(np.zeros((1, 3)))),
                "features": lambda: layer.features(Tensor(np.zeros((1, 3)))),
                "draw": lambda: layer.draw(0)}[name]
         kind = type(layer).__name__

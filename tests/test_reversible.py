@@ -282,6 +282,18 @@ class TestStochasticConditioner:
         assert assert_seedless_passes_raise(kernel_regularizer=None,
                                             bias_regularizer=None) == []
 
+    def test_density_sample_raises_naming_the_drawing_layer(self):
+        # a draw of the base goes through the transform without a seed, as
+        # the density's log_prob does, so it cannot fix one weight draw
+        flow = Sequential([CouplingLayer(alternating_mask(2),
+                                         VariationalConditioner(2))])
+        flow(Tensor(np.random.default_rng(14).normal(size=(3, 2))), seed=0)
+        density = flow(Normal(np.zeros(2), np.ones(2)))
+        x = Tensor(np.random.default_rng(15).normal(size=(3, 2)))
+        for run in (lambda: density.log_prob(x), lambda: density.sample(7, (3,))):
+            with pytest.raises(LayerError, match=SEEDLESS):
+                run()
+
     def test_reverse_wrapper_raises_for_a_drawing_inner_layer(self):
         coupling = CouplingLayer(alternating_mask(2),
                                  VariationalConditioner(2))

@@ -4,7 +4,9 @@ Where this environment is the ledger's (see ``trace_ledger.environment``),
 the 24 outputs must be byte-identical to it.  Elsewhere float64 traces may
 differ in the last bits for honest reasons, such as another BLAS kernel, so
 the byte check skips and says why, and only each training run's ``step=0``
-loss and KL are compared, within 1e-12 relative.
+loss and KL are compared, within 1e-12 relative.  The op histograms are
+compared exactly everywhere: which ops a step records does not depend on
+the BLAS build.
 """
 import json
 
@@ -16,8 +18,13 @@ LEDGER = json.loads(trace_ledger.LEDGER.read_text())
 
 
 @pytest.fixture(scope="module")
-def outputs(tmp_path_factory):
+def runs(tmp_path_factory):
     return trace_ledger.demo_outputs(tmp_path_factory.mktemp("trace_ledger"))
+
+
+@pytest.fixture(scope="module")
+def outputs(runs):
+    return runs[0]
 
 
 def test_ledger_names_every_output(outputs):
@@ -49,3 +56,7 @@ def test_step0_lines_match_the_ledger(outputs):
     for name, line in LEDGER["step0"].items():
         for have, want in zip(_loss_and_kl(got[name]), _loss_and_kl(line)):
             assert abs(have - want) <= 1e-12 * abs(want), (name, got[name])
+
+
+def test_op_histograms_match_the_ledger(runs):
+    assert runs[1] == LEDGER["ops"]

@@ -87,9 +87,9 @@ class TestCsv:
     def test_single_row_roundtrip(self, tmp_path):
         path = tmp_path / "one.csv"
         path.write_text("x,y\n0.25,-1.5\n")
-        ds = load_csv(path, ["x"], ["y"])
-        assert ds.features.tolist() == [[0.25]]
-        assert ds.targets.tolist() == [[-1.5]]
+        features, targets = load_csv(path, ["x"], ["y"])
+        assert features.tolist() == [[0.25]]
+        assert targets.tolist() == [[-1.5]]
 
     def test_missing_column_lists_available(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -315,6 +315,25 @@ class TestFit:
         assert len(per_step) == steps
         assert all(per_step)
         assert alive[:-2] == [0] * (steps - 2)
+
+    def test_each_tape_is_released_before_the_next_step(self, monkeypatch):
+        """A step's tape is whole when its ``elbo_step`` returns, and ``fit``
+        has released it by the time the next step's ``elbo_step`` starts."""
+        import uncertain.training as training
+
+        real, tapes = training.elbo_step, []
+
+        def watching(*args, **kwargs):
+            assert all(tape.nodes is None for tape in tapes)
+            loss, kl, grad = real(*args, **kwargs)
+            assert loss.node_id < len(loss.tape.nodes)
+            tapes.append(loss.tape)
+            return loss, kl, grad
+
+        monkeypatch.setattr(training, "elbo_step", watching)
+        self._run(steps=5)
+        assert len(set(map(id, tapes))) == 5
+        assert all(tape.nodes is None for tape in tapes)
 
     def test_non_finite_gradient_raises_before_any_update(self, monkeypatch):
         model = self._model()

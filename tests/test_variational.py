@@ -237,6 +237,10 @@ class TestVariationalConv2D:
         with pytest.raises(ValueError, match=name):
             VariationalConv2D(2, **kwargs)
 
+    def test_no_filters_rejected_when_made(self):
+        with pytest.raises(ValueError, match=r"^filters must be >= 1, got 0$"):
+            VariationalConv2D(0, 3)
+
 
 def lstm_oracle_step(x, h, c, w, u, b, n):
     z = x @ w + h @ u + b
