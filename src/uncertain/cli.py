@@ -23,7 +23,7 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import load_csv, one_hot, toy_flow_data, toy_regression, toy_sequences
 from .distributions import Normal
 from .errors import ConfigError, ShapeError, UncertainError
-from .rng import mix, rng_from
+from .rng import mix, mix_each, rng_from
 from .tensor import Tensor, as_tensor, matmul, reshape
 from .training import ElboConfig, config_get, fit, parse_config
 
@@ -322,7 +322,7 @@ def run_predict(args):
     lo, hi, count = args.grid
     grid = np.linspace(lo, hi, int(count))[:, None]
     # one call draws every sample: sample s is the call with seed seeds[s]
-    seeds = [mix(seed, "predict", s) for s in range(args.mc_samples)]
+    seeds = mix_each(seed, "predict", range(args.mc_samples))
     draws = as_tensor(model(Tensor(grid), seed=seeds)).data[:, :, 0]
     mean = draws.mean(axis=0)
     std = draws.std(axis=0)

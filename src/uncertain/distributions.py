@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .rng import rng_from
+from .rng import Streams, rng_from
 from .tensor import (
     LOG_2PI,
     Tensor,
@@ -96,18 +96,15 @@ class Normal(Distribution):
     def sample(self, seed, sample_shape=(), noise_shape=None):
         """Reparameterized draw loc + scale * eps.
 
-        ``seed`` may be a list of S generators: each draws its own eps of
-        ``noise_shape`` (default: the batch shape) into slice s of one
-        [S, ...] array, so draw s is the one a call with that generator
+        ``seed`` may be the S ``rng.Streams`` of a sample axis: they draw
+        eps of ``noise_shape`` (default: the batch shape) for each sample
+        into one [S, ...] array, so draw s is the one a call with stream s
         alone makes.
         """
         shape = tuple(sample_shape) + (
             self.batch_shape if noise_shape is None else tuple(noise_shape))
-        if isinstance(seed, list):
-            eps = np.empty((len(seed),) + shape)
-            for s, r in enumerate(seed):
-                # eps[s, ...] is a view even for a 0-d shape, where eps[s] is a scalar
-                r.standard_normal(out=eps[s, ...])
+        if isinstance(seed, Streams):
+            eps = seed.standard_normal(shape)
         else:
             eps = _as_rng(seed).standard_normal(shape)
         value = self.loc + self.scale * Tensor(eps)

@@ -51,12 +51,14 @@ Monte-Carlo sample axis: ``layer(x, seed=seeds)`` with a sequence of S seeds
 draws S samples in one call and returns them along a new leading axis of
 length S.  ``x`` is either rank 2, shared by every sample, or carries that
 leading axis.  Sample s is bitwise equal to ``layer(x_s, seed=seeds[s])``
-and is drawn from the same Philox streams; regularizer losses are appended
-once per call, not once per sample.  ``Dense`` (a posterior weight stacks
-S draws, a point weight is shared), ``Sequential``, ``VariationalDense`` and
-``SparseGaussianProcess`` have the axis (``sample_axis = True``).  Every
-other layer, and a layer that is not yet built, raises ``LayerError`` naming
-itself when given a seed sequence.
+and is drawn from the same Philox streams: at each draw site
+:meth:`Layer.rng` gives the S seeds' ``rng.Streams``, which draw every
+sample's noise in one call from one Philox re-keyed per sample.
+Regularizer losses are appended once per call, not once per sample.
+``Dense`` (a posterior weight stacks S draws, a point weight is shared),
+``Sequential``, ``VariationalDense`` and ``SparseGaussianProcess`` have the
+axis (``sample_axis = True``).  Every other layer, and a layer that is not
+yet built, raises ``LayerError`` naming itself when given a seed sequence.
 """
 from __future__ import annotations
 
@@ -236,8 +238,9 @@ class Layer:
 
     def rng(self, seed, *salts):
         """Philox generator keyed by (seed, layer path, salts).  A tuple of
-        seeds gives a list with one generator per seed, each bitwise the
-        one-seed generator; ``rng_streams`` derives their keys together.
+        S seeds gives their ``rng.Streams``, which draw all S samples with
+        one Philox re-keyed per sample, slice s bitwise the one-seed
+        generator's draw.
         ``seed=None``, a pass without a seed, raises ``LayerError``."""
         if seed is None:
             raise LayerError(f"{self.path or self.name}: draws from its rng "

@@ -9,9 +9,12 @@ state.  Strings are allowed as components and are hashed stably.
 ``rng_from(*parts)`` hands it to ``Philox`` as the key (mix, 0) directly, with
 no ``SeedSequence`` in between: a counter-based generator takes one key per
 stream (Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3").
-``rng_streams(seeds, *parts)`` makes the S streams of a Monte-Carlo sample
-axis: it runs the ``mix`` chain on a uint64 array holding all S keys in one
-numpy pass, so stream s is bitwise ``rng_from(seeds[s], *parts)``.
+``mix_each`` runs the ``mix`` chain on a uint64 array, one key per entry of a
+sequence part, in one numpy pass.  ``rng_streams(seeds, *parts)`` holds the S
+keys of a Monte-Carlo sample axis; its ``standard_normal(shape)`` draws all S
+samples with one ``Philox``, re-keyed for each sample (counter 0, buffer
+empty), so slice s is bitwise
+``rng_from(seeds[s], *parts).standard_normal(shape)``.
 """
 from __future__ import annotations
 
@@ -52,6 +55,20 @@ def mix(*parts) -> int:
     return acc
 
 
+def mix_each(*parts) -> list[int]:
+    """``mix`` once per entry of the part that is a sequence of ints (a
+    list, tuple or range), with the chain run on uint64 arrays: entry s is
+    bitwise ``mix`` of the parts with that entry in the sequence's place."""
+    acc = np.zeros(1, dtype=np.uint64)
+    for part in parts:
+        if isinstance(part, (list, tuple, range)):
+            part = np.array([_as_component(p) for p in part], dtype=np.uint64)
+        else:
+            part = np.uint64(_as_component(part))
+        acc = _splitmix64(acc ^ part)
+    return acc.tolist()
+
+
 class _PhiloxKey(ISeedSequence):
     """A seed sequence that hands ``Philox`` its two uint64 key words."""
 
@@ -69,17 +86,39 @@ def rng_from(*parts) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(_PhiloxKey(key)))
 
 
-def rng_streams(seeds, *parts) -> list[np.random.Generator]:
-    """``[rng_from(s, *parts) for s in seeds]``, bitwise, with the ``mix``
-    chain of every key run in one numpy pass."""
-    acc = _splitmix64(np.array([_as_component(s) for s in seeds],
-                               dtype=np.uint64))
-    for part in parts:
-        acc = _splitmix64(acc ^ _as_component(part))
-    keys = np.zeros((acc.size, 2), dtype=np.uint64)
-    keys[:, 0] = acc
-    return [np.random.Generator(np.random.Philox(_PhiloxKey(key)))
-            for key in keys]
+class Streams:
+    """The S Philox streams of a Monte-Carlo sample axis, held as their keys
+    (``mix`` of each seed and the parts)."""
+
+    def __init__(self, keys):
+        self.keys = keys
+
+    def standard_normal(self, shape) -> np.ndarray:
+        """[S, *shape] standard normals, slice s bitwise
+        ``rng_from(seeds[s], *parts).standard_normal(shape)``: one ``Philox``
+        is re-keyed through its ``state`` setter for each sample, counter 0
+        and buffer empty as a fresh generator starts.  Every call starts the
+        streams afresh, so no draw depends on an earlier one."""
+        out = np.empty((len(self.keys),) + tuple(shape))
+        bits = np.random.Philox(_PhiloxKey(np.zeros(2, dtype=np.uint64)))
+        draw = np.random.Generator(bits).standard_normal
+        key = [0, 0]
+        state = {"bit_generator": "Philox",
+                 "state": {"counter": [0, 0, 0, 0], "key": key},
+                 "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+                 "has_uint32": 0, "uinteger": 0}
+        for s, k in enumerate(self.keys):
+            key[0] = k
+            bits.state = state
+            # out[s, ...] is a view even for a 0-d shape, where out[s] is a scalar
+            draw(out=out[s, ...])
+        return out
+
+
+def rng_streams(seeds, *parts) -> Streams:
+    """The streams ``rng_from(s, *parts)`` for s in ``seeds``, their keys
+    derived together by ``mix_each``."""
+    return Streams(mix_each(tuple(seeds), *parts))
 
 
 def rademacher(rng: np.random.Generator, shape) -> np.ndarray:

@@ -625,14 +625,22 @@ def se_kernel(x, x2, log_amplitude, log_lengthscale):
     xd, x2d = x.data, x2.data
     sq_x = (xd * xd).sum(axis=1, keepdims=True)
     sq_x2 = (x2d * x2d).sum(axis=-1, keepdims=True)
-    # a C-ordered x2^T, as a transposed Tensor would be, so the GEMM rounds alike
-    x2t = np.ascontiguousarray(x2d.swapaxes(-1, -2))
-    dist = (sq_x + sq_x2.swapaxes(-1, -2)) - (xd @ x2t) * 2.0
+    # in place, with the operations of (sq_x + sq_x2^T) - (x x2^T) * 2.0 and
+    # then a^2 * exp(-dist / (2 l^2)), so the cross term's buffer becomes the
+    # output; x2^T is C-ordered, as a transposed Tensor would be, so the GEMM
+    # rounds alike
+    out = xd @ np.ascontiguousarray(x2d.swapaxes(-1, -2))
+    out *= 2.0
+    dist = sq_x + sq_x2.swapaxes(-1, -2)
+    dist -= out
     # rounding can push tiny distances slightly negative
-    dist = np.where(dist > 0.0, dist, 0.0)
+    np.copyto(dist, 0.0, where=~(dist > 0.0))
     amp2 = np.exp(log_amplitude.data * 2.0)
     inv_2ell2 = np.exp(log_lengthscale.data * -2.0) * 0.5
-    out = amp2 * np.exp(-dist * inv_2ell2)
+    np.negative(dist, out=out)
+    out *= inv_2ell2
+    np.exp(out, out=out)
+    np.multiply(amp2, out, out=out)
     tape = active_tape()
     saved = (xd, x2d, out, dist, inv_2ell2, _tracked(x, tape), _tracked(x2, tape))
     return _apply("se_kernel", out, (x, x2, log_amplitude, log_lengthscale),
@@ -743,14 +751,16 @@ def _whitened_scale(raw):
 # materialized a copy of it, which leaves every element's operations as they
 # were.
 
-def _whitened_variance_adjoint(adj, mask, p, half, st, raw, tril, eye, shapes):
+def _whitened_variance_adjoint(adj, mask, p, st, raw, tril, eye, shapes):
     kdiag_shape, base_shape, extra_shape = shapes
     g = np.where(mask, adj, 0.0)
     gbase = _unbroadcast(g, base_shape + (1,)).reshape(base_shape)
     gextra = g.swapaxes(-1, -2)[..., None, :]
-    # C order, as the composite's copy was, so the GEMMs below round alike
-    ghalf = np.ascontiguousarray(
-        ((gextra * 2.0) * half.reshape(extra_shape)).reshape(half.shape))
+    # the forward squared L_v^T proj in place, so the same GEMM recomputes
+    # it; C order, as the composite's copy was, so the GEMMs below round alike
+    ghalf = st @ p
+    half = ghalf.reshape(extra_shape)
+    np.multiply(gextra * 2.0, half, out=half)
     gst = _unbroadcast(ghalf @ p.swapaxes(-1, -2), st.shape)
     units, m = raw.shape[0], raw.shape[-1]
     gscale = gst.reshape(units, m, m).transpose(0, 2, 1)
@@ -782,7 +792,10 @@ def whitened_variance(kdiag, proj, scale_raw, floor):
     ``sum`` for the base variance, the factor's ``softplus``, ``mul`` and
     ``add``, a ``matmul`` of the transposed factors, reshapes, transposes,
     an ``add`` and a ``where`` clamp: 17 nodes), so they are bitwise the
-    composite's.
+    composite's.  The forward pass squares ``L_v^T proj``, the largest
+    array here ([S, units * M, batch]), in place and keeps neither it nor
+    its square; the adjoint recomputes the product, the same GEMM on the
+    same operands at the same shape, so it gets the same bits.
     """
     kdiag, proj, scale_raw = as_tensor(kdiag), as_tensor(proj), as_tensor(scale_raw)
     p, raw = proj.data, scale_raw.data
@@ -791,16 +804,18 @@ def whitened_variance(kdiag, proj, scale_raw, floor):
     base = kdiag.data - (p * p).sum(axis=-2)
     scale, _, tril, eye = _whitened_scale(raw)
     st = np.ascontiguousarray(scale.transpose(0, 2, 1)).reshape(units * m, m)
-    half = st @ p  # L_v^T proj, one [units * M, batch] block per sample
+    sq = st @ p  # L_v^T proj, one [units * M, batch] block per sample
+    sq *= sq  # squared in place; the adjoint recomputes the product
     extra_shape = lead + (units, m, batch)
-    extra = (half * half).reshape(extra_shape).sum(axis=-2)
+    extra = sq.reshape(extra_shape).sum(axis=-2)
+    del sq  # the largest array here, freed before the outputs are made
     variance = extra.swapaxes(-1, -2) + base.reshape(base.shape + (1,))
     mask = variance > floor
     out = np.where(mask, variance, floor)
     shapes = (kdiag.shape, base.shape, extra_shape)
     return _apply("whitened_variance", out, (kdiag, proj, scale_raw),
                   (_whitened_variance_adjoint,
-                   (mask, p, half, st, raw, tril, eye, shapes)))
+                   (mask, p, st, raw, tril, eye, shapes)))
 
 
 def _whitened_kl_adjoint(adj, raw, mu, scale, dsum, tril, eye):
@@ -939,7 +954,10 @@ def _solve_lower(l, b, trans=0):
         return np.empty_like(b)
     if b.ndim == 2:
         return solve_triangular(l, b, trans)
-    return np.stack([solve_triangular(l, b_s, trans) for b_s in b])
+    out = np.empty(b.shape)
+    for s, b_s in enumerate(b):
+        out[s] = solve_triangular(l, b_s, trans)
+    return out
 
 
 def _triangular_solve_adjoint(adj, l, x):

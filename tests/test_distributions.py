@@ -16,7 +16,7 @@ from uncertain.distributions import (
     kl_divergence,
 )
 from uncertain.errors import DomainError, NotPositiveDefiniteError
-from uncertain.rng import rng_from
+from uncertain.rng import rng_from, rng_streams
 from uncertain.tensor import Tape, Tensor, matmul, tensor_sum, transpose
 
 from conftest import finite_diff_grad, max_rel_err
@@ -413,21 +413,17 @@ class TestSeeding:
 
     @pytest.mark.parametrize("noise_shape", [(), (3,), (61, 4)],
                              ids=["0d", "1d", "2d"])
-    def test_generator_list_draws_are_the_stacked_lone_draws(self, noise_shape):
-        # each generator fills its own slice of one preallocated array; the
-        # bytes, and each generator's state after the draw, are those of S
-        # lone draws stacked
-        def gens():
-            return [rng_from(1, s, "site") for s in range(5)]
-
-        drawn = gens()
-        rv = Normal(0.0, 1.0).sample(drawn, noise_shape=noise_shape)
-        lone = gens()
-        want = np.stack([r.standard_normal(noise_shape) for r in lone])
-        assert rv.value.data.shape == want.shape
+    def test_stream_draws_are_the_stacked_lone_draws(self, noise_shape):
+        # the streams of S seeds fill one [S, ...] array whose slice s is
+        # the draw of a lone generator keyed by seed s
+        seeds = tuple(range(5))
+        rv = Normal(0.0, 1.0).sample(rng_streams(seeds, "site"),
+                                     noise_shape=noise_shape)
+        want = np.stack([rng_from(s, "site").standard_normal(noise_shape)
+                         for s in seeds])
+        assert rv.value.data.shape == want.shape == (5,) + noise_shape
         assert rv.value.data.tobytes() == want.tobytes()
         assert rv.value.data.tobytes() == np.stack([
-            Normal(0.0, 1.0).sample(r, noise_shape=noise_shape).value.data
-            for r in gens()]).tobytes()
-        for r, r_lone in zip(drawn, lone):
-            assert r.standard_normal() == r_lone.standard_normal()
+            Normal(0.0, 1.0).sample(rng_from(s, "site"),
+                                    noise_shape=noise_shape).value.data
+            for s in seeds]).tobytes()

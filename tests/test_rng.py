@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from uncertain.rng import mix, rng_from, rng_streams
+from uncertain.rng import mix, mix_each, rng_from, rng_streams
 
 # values of mix(...) before string salts were cached; any change to the
 # hashing would silently move every random stream in the package
@@ -30,14 +30,41 @@ def test_rng_from_reads_the_mixed_key():
     assert rng_from(3, "bias").standard_normal(4).tobytes() != a.tobytes()
 
 
+STREAM_SEEDS = [mix(7, "predict", s) for s in range(40)] + [0, 1, 2**64 - 1, -1]
+
+
 def test_rng_streams_equal_per_seed_generators():
-    seeds = [mix(7, "predict", s) for s in range(40)] + [0, 1, 2**64 - 1, -1]
-    streams = rng_streams(seeds, 3, "function")
-    assert len(streams) == len(seeds)
-    for seed, got in zip(seeds, streams):
-        want = rng_from(seed, 3, "function")
-        assert got.standard_normal(6).tobytes() == want.standard_normal(6).tobytes()
-        assert got.integers(0, 2**62, 4).tobytes() == want.integers(0, 2**62, 4).tobytes()
+    streams = rng_streams(STREAM_SEEDS, 3, "function")
+    assert len(STREAM_SEEDS) == 44
+    compared = 0
+    for shape in [(), (6,), (61, 4)]:
+        got = streams.standard_normal(shape)
+        assert got.shape == (44,) + shape
+        for seed, drawn in zip(STREAM_SEEDS, got):
+            want = rng_from(seed, 3, "function").standard_normal(shape)
+            assert drawn.tobytes() == want.tobytes()
+            compared += 1
+    assert compared == 3 * 44
+
+
+def test_a_second_draw_does_not_depend_on_the_first():
+    # each draw starts every stream afresh, as a new rng_from generator does
+    streams = rng_streams(STREAM_SEEDS, "site")
+    streams.standard_normal((3,))
+    second = streams.standard_normal((61, 4))
+    fresh = rng_streams(STREAM_SEEDS, "site").standard_normal((61, 4))
+    assert second.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1, -1])
+def test_mix_each_is_the_mix_loop(seed):
+    want = [mix(seed, "predict", s) for s in range(100)]
+    got = mix_each(seed, "predict", range(100))
+    assert len(got) == 100 and got == want
+    assert all(type(key) is int for key in got)
+    # the sequence may stand in any place
+    assert mix_each(range(5), seed, "kernel") == [
+        mix(s, seed, "kernel") for s in range(5)]
 
 
 @pytest.mark.parametrize("parts", [part for part, _ in PINNED])

@@ -1,4 +1,6 @@
 """Monte-Carlo sample axis: one call with S seeds equals S one-seed calls."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,15 @@ from uncertain.layers import (
     trainable_normal,
 )
 from uncertain.rng import mix
-from uncertain.tensor import Tape, Tensor, as_tensor, tensor_sum
+from uncertain.tensor import (
+    Tape,
+    Tensor,
+    as_tensor,
+    se_kernel,
+    tensor_sum,
+    triangular_solve,
+    whitened_variance,
+)
 
 SEEDS = [mix(5, "sample", s) for s in range(4)]
 
@@ -123,6 +133,48 @@ class TestBatchedGradients:
         for i, got in enumerate(batched):
             want = sum(g[i] for g in looped)
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
+
+
+def stacked_op_cases():
+    """The three sample-axis ops of a predict query, each with its operands,
+    at its shapes: S = 100 samples, M = 8 inducing inputs, a batch of
+    B = 61 and U = 4 units."""
+    s, m, b, u = 100, 8, 61, 4
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=(m, m))
+    factor = Tensor(np.linalg.cholesky(a @ a.T + m * np.eye(m)))
+    proj = Tensor(rng.normal(size=(s, m, b)))
+    return {
+        "se_kernel": (se_kernel, Tensor(rng.normal(size=(m, u))),
+                      Tensor(rng.normal(size=(s, b, u))), Tensor(0.1),
+                      Tensor(-0.2)),
+        "triangular_solve": (triangular_solve, factor, proj),
+        "whitened_variance": (whitened_variance, Tensor(np.full((s, b), 1.3)),
+                              proj, Tensor(0.3 * rng.normal(size=(u, m, m))),
+                              1e-10),
+    }
+
+
+# the most memory an op holds at once, its output included, in multiples of
+# the output's nbytes: the output and the distance array (plus masks) for
+# the kernel, the output alone for the solve, and for the variances the
+# [S, U * M, B] square of L_v^T proj (8x) beside the output-sized sum
+TRANSIENT_BOUND = {"se_kernel": 2.75, "triangular_solve": 1.25,
+                   "whitened_variance": 10.5}
+
+
+@pytest.mark.parametrize("name", sorted(TRANSIENT_BOUND))
+def test_stacked_op_transient_peak(name):
+    op, *args = stacked_op_cases()[name]
+    op(*args)  # warm: first-call caches are not the op's transients
+    tracemalloc.start()
+    try:
+        out = op(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak >= out.data.nbytes  # the output itself is traced
+    assert peak <= TRANSIENT_BOUND[name] * out.data.nbytes
 
 
 def coupling():
