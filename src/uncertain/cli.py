@@ -326,9 +326,9 @@ def run_predict(args):
     draws = as_tensor(model(Tensor(grid), seed=seeds)).data[:, :, 0]
     mean = draws.mean(axis=0)
     std = draws.std(axis=0)
-    print("x,mean,stddev")
-    for i in range(grid.shape[0]):
-        print(f"{_FMT % grid[i, 0]},{_FMT % mean[i]},{_FMT % std[i]}")
+    rows = [f"{_FMT % g},{_FMT % m},{_FMT % s}\n"
+            for g, m, s in zip(grid[:, 0], mean, std)]
+    sys.stdout.write("x,mean,stddev\n" + "".join(rows))
     return 0
 
 
@@ -418,23 +418,23 @@ def _add_sizes(sub, demo):
 
 
 def build_parser():
+    """A fresh parser for the ``uncertain`` command line."""
     parser = argparse.ArgumentParser(
         prog="uncertain",
         description="Train and query the uncertainty-aware demo models.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for demo, help_text, func in (
-            ("bnn", "Bayesian net on 1-D regression", run_train_bnn),
-            ("deep-gp", "three sparse GP layers stacked", run_train_deep_gp),
-            ("flow", "coupling flow density estimation", run_train_flow),
-            ("lstm", "Bayesian LSTM on token sequences", run_train_lstm)):
+    for demo, help_text in (
+            ("bnn", "Bayesian net on 1-D regression"),
+            ("deep-gp", "three sparse GP layers stacked"),
+            ("flow", "coupling flow density estimation"),
+            ("lstm", "Bayesian LSTM on token sequences")):
         p = sub.add_parser(f"train-{demo}", help=help_text)
         _add_common(p)
         _add_sizes(p, demo)
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
         p.add_argument("--batch-size", dest="batch_size", type=int)
-        p.set_defaults(func=func)
 
     p = sub.add_parser("predict", help="mean and stddev bands on a grid")
     _add_common(p)
@@ -445,7 +445,6 @@ def build_parser():
                    default=100)
     _add_sizes(p, "bnn")
     _add_sizes(p, "deep-gp")
-    p.set_defaults(func=run_predict)
 
     p = sub.add_parser("sample", help="draw from a trained flow or LSTM")
     _add_common(p)
@@ -453,19 +452,30 @@ def build_parser():
     p.add_argument("--num", type=_positive_int, default=16)
     _add_sizes(p, "flow")
     _add_sizes(p, "lstm")
-    p.set_defaults(func=run_sample)
 
     return parser
 
 
+@functools.cache
+def _parser():
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run ``uncertain`` on ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.
+
+    The parser is built on the first call and reused by every later call in
+    the process; it holds no function objects, so the subcommand runs the
+    ``run_<command>`` function this module holds at call time.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    run = globals()["run_" + args.command.replace("-", "_")]
     try:
-        return args.func(args)
+        return run(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

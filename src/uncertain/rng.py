@@ -62,7 +62,9 @@ def mix_each(*parts) -> list[int]:
     acc = np.zeros(1, dtype=np.uint64)
     for part in parts:
         if isinstance(part, (list, tuple, range)):
-            part = np.array([_as_component(p) for p in part], dtype=np.uint64)
+            # a plain int is masked inline, as _as_component would
+            part = np.array([p & _MASK64 if type(p) is int else _as_component(p)
+                             for p in part], dtype=np.uint64)
         else:
             part = np.uint64(_as_component(part))
         acc = _splitmix64(acc ^ part)

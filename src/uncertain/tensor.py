@@ -809,7 +809,9 @@ def whitened_variance(kdiag, proj, scale_raw, floor):
     extra_shape = lead + (units, m, batch)
     extra = sq.reshape(extra_shape).sum(axis=-2)
     del sq  # the largest array here, freed before the outputs are made
-    variance = extra.swapaxes(-1, -2) + base.reshape(base.shape + (1,))
+    # in C order, so the clamp's output is too and the Tensor holds it as is
+    variance = np.add(extra.swapaxes(-1, -2), base.reshape(base.shape + (1,)),
+                      order="C")
     mask = variance > floor
     out = np.where(mask, variance, floor)
     shapes = (kdiag.shape, base.shape, extra_shape)

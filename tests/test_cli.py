@@ -1,6 +1,8 @@
 """Command-line surface: training demos, predict/sample, exit codes."""
 import csv
 import io
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -215,6 +217,84 @@ class TestPredictMatchesLoop:
         assert code == 0
         grid = np.linspace(-2.0, 2.0, 7)[:, None]
         assert out == looped_predict(task, ckpt, seed, grid, 12)
+
+
+def parse_fresh(argv, capsys):
+    """(exit code, stdout, stderr) of ``argv`` on a newly built parser."""
+    try:
+        cli.build_parser().parse_args(argv)
+        code = 0
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestParserReuse:
+    """``main`` parses with one parser per process."""
+
+    def test_parser_is_built_at_most_once(self, capsys, monkeypatch,
+                                          tmp_path):
+        calls = []
+        real = cli.build_parser
+
+        def counting():
+            calls.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        missing = str(tmp_path / "nope.ckpt")
+        assert run_cli(["predict", "--checkpoint", missing], capsys)[0] == 1
+        assert run_cli(["sample", "--checkpoint", missing], capsys)[0] == 1
+        assert len(calls) <= 1
+
+    def test_a_flag_does_not_reach_the_next_call(self, capsys, tmp_path):
+        ckpt = str(tmp_path / "gp.ckpt")
+        assert run_cli(["train-deep-gp", "--steps", "5", "--checkpoint", ckpt],
+                       capsys)[0] == 0
+        query = ["predict", "--task", "deep-gp", "--checkpoint", ckpt]
+        code, few, _ = run_cli(query + ["--mc-samples", "3", "--grid=-1:1:4"],
+                               capsys)
+        assert code == 0 and len(few.splitlines()) == 5
+        code, out, _ = run_cli(query, capsys)
+        assert code == 0
+        src = str(pathlib.Path(cli.__file__).parents[1])
+        fresh = subprocess.run(
+            [sys.executable, "-m", "uncertain.cli", *query],
+            capture_output=True, check=True,
+            env={**os.environ, "PYTHONPATH": src})
+        assert out.encode() == fresh.stdout
+        assert len(out.splitlines()) == 62
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"],
+        ["predict", "--help"],
+        ["predict", "--mc-samples", "0"],
+        ["train-bnn", "--steps", "many"],
+        ["frobnicate"],
+    ], ids=["help", "predict-help", "mc-samples=0", "steps=many", "unknown"])
+    def test_help_and_usage_errors_after_an_earlier_call(self, capsys, argv,
+                                                         tmp_path):
+        want = parse_fresh(argv, capsys)
+        assert want[0] in (0, 2)
+        run_cli(["predict", "--checkpoint", str(tmp_path / "nope.ckpt"),
+                 "--mc-samples", "5"], capsys)
+        for _ in range(2):
+            assert run_cli(argv, capsys) == want
+
+    def test_a_replaced_subcommand_runs(self, capsys, monkeypatch, tmp_path):
+        missing = str(tmp_path / "nope.ckpt")
+        assert run_cli(["predict", "--checkpoint", missing], capsys)[0] == 1
+        seen = []
+
+        def run_predict(args):
+            seen.append(args)
+            return 0
+
+        monkeypatch.setattr(cli, "run_predict", run_predict)
+        assert run_cli(["predict", "--checkpoint", missing,
+                        "--mc-samples", "4"], capsys) == (0, "", "")
+        assert [args.mc_samples for args in seen] == [4]
 
 
 class TestOtherTasks:

@@ -621,6 +621,24 @@ class TestWhitenedOps:
         worst = [max_rel_err(a, n) for a, n in zip(analytic, numeric)]
         assert max(worst) < 1e-7, worst
 
+    @pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "stack"])
+    def test_variance_output_is_held_without_a_copy(self, monkeypatch, lead):
+        """The clamp's output is C-contiguous, so the returned Tensor holds
+        that very array instead of a contiguous copy of it."""
+        made = []
+        real_where = np.where
+
+        def where(*args):
+            made.append(real_where(*args))
+            return made[-1]
+
+        kdiag, proj, raw, _ = (Tensor(a) for a in whitened_case(lead))
+        monkeypatch.setattr(np, "where", where)
+        out = whitened_variance(kdiag, proj, raw, gp_module._VAR_FLOOR)
+        assert len(made) == 1 and made[0].flags.c_contiguous
+        assert out.data is made[0]
+        assert out.shape == lead + (5, 3)
+
     def test_each_op_records_one_node(self):
         kdiag, proj, raw, mean = (Tensor(a) for a in whitened_case((2,)))
         with Tape() as tape:

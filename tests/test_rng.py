@@ -65,6 +65,13 @@ def test_mix_each_is_the_mix_loop(seed):
     # the sequence may stand in any place
     assert mix_each(range(5), seed, "kernel") == [
         mix(s, seed, "kernel") for s in range(5)]
+    # entries that a 64-bit mask changes, numpy integers and other types
+    entries = [-1, -(2**63), -(2**70) + 3, 2**63, 2**64 - 1, 2**64, 2**70 + 5,
+               np.int64(-7), np.uint64(2**64 - 2), np.int32(9), True, "s"]
+    for seq in (entries, tuple(entries)):
+        got = mix_each(seed, "predict", seq)
+        assert got == [mix(seed, "predict", e) for e in entries]
+        assert all(type(key) is int for key in got)
 
 
 @pytest.mark.parametrize("parts", [part for part, _ in PINNED])
