@@ -344,11 +344,12 @@ def run_sample(args):
         model = build_flow(*_sizes(args, cfg_file, "flow"), dims=dims)
         _restore(model, args.checkpoint, state)
         base = Normal(np.zeros(dims), np.ones(dims))
-        print(",".join(f"x{i}" for i in range(dims)))
+        rows = [",".join(f"x{i}" for i in range(dims)) + "\n"]
         for s in range(args.num):
             rv = base.sample(mix(seed, "sample", s))
             out = as_tensor(model(rv)).data
-            print(",".join(_FMT % value for value in out))
+            rows.append(",".join(_FMT % value for value in out) + "\n")
+        sys.stdout.write("".join(rows))
         return 0
     if args.task == "lstm":
         units, vocab, seq_len = _sizes(args, cfg_file, "lstm")
@@ -356,6 +357,7 @@ def run_sample(args):
         dummy = np.zeros((1, seq_len - 1, vocab))
         model(Tensor(dummy), seed=mix(seed, "build"))
         _restore(model, args.checkpoint)
+        rows = []
         for s in range(args.num):
             rng = rng_from(seed, "sample", s)
             weights = model.cell.draw(mix(seed, "sample-weights", s))
@@ -368,7 +370,8 @@ def run_sample(args):
                 rv = model.head(state[0], seed=int(rng.integers(0, 2**62)))
                 token = int(rv.value.data[0])
                 sequence.append(token)
-            print(",".join(str(t) for t in sequence))
+            rows.append(",".join(str(t) for t in sequence) + "\n")
+        sys.stdout.write("".join(rows))
         return 0
     raise UncertainError(f"sample does not support task {args.task!r}")
 

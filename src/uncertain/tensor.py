@@ -34,18 +34,24 @@ Design notes:
   ``np.where(tri(..., k, dtype=bool), a, 0)``, so a cached boolean mask
   gives it bitwise; where a mask multiplies, the cached float mask is the
   array ``np.eye``/``np.tri`` made, so that product is bitwise too.
+* scipy is imported on first use, not with this module: the module globals
+  ``dtrtrs``, ``_erf`` and ``_expit`` start as stand-ins that import their
+  scipy function on their first call and rebind the global to it (see
+  :func:`_from_scipy`).  About half of a fresh CLI process's start-up is
+  scipy, and train-flow, ``sample --task flow`` and ``predict --task bnn``
+  call none of the three, so they never load it.  Every caller reads the
+  global when it runs, so after the first call it reaches scipy directly.
 """
 from __future__ import annotations
 
 import collections
 import functools
+import importlib
 import math
 import operator
 import warnings
 
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
-from scipy.special import erf as _erf, expit as _expit
 
 from .backend import conv2d_forward, conv2d_grad_input, conv2d_grad_kernel
 from .errors import (
@@ -58,6 +64,24 @@ from .errors import (
 
 LOG_2PI = math.log(2.0 * math.pi)
 _FLOAT64 = np.dtype(np.float64)
+
+
+def _from_scipy(name, module, attr):
+    """A stand-in for scipy's ``module.attr``, bound to the module global
+    ``name``.  Its first call imports ``module``, rebinds ``name`` to the
+    scipy function and returns that call's result; later calls read the
+    global and reach scipy directly."""
+    def load(*args):
+        function = getattr(importlib.import_module(module), attr)
+        globals()[name] = function
+        return function(*args)
+
+    return load
+
+
+dtrtrs = _from_scipy("dtrtrs", "scipy.linalg.lapack", "dtrtrs")
+_erf = _from_scipy("_erf", "scipy.special", "erf")
+_expit = _from_scipy("_expit", "scipy.special", "expit")
 
 
 class Tensor:
@@ -380,13 +404,37 @@ log = _unary("log", _log, lambda adj, x, o: (adj / x,))
 sqrt = _unary("sqrt", _sqrt, lambda adj, x, o: (adj / (2.0 * o),))
 square = _unary("pow2", lambda x: x * x, lambda adj, x, o: (adj * 2.0 * x,))
 tanh = _unary("tanh", np.tanh, lambda adj, x, o: (adj * (1.0 - o * o),))
-sigmoid = _unary("sigmoid", _expit, lambda adj, x, o: (adj * o * (1.0 - o),))
 softplus = _unary("softplus", _softplus, lambda adj, x, o: (adj * _expit(x),))
 relu = _unary("relu", lambda x: np.maximum(x, 0.0),
               lambda adj, x, o: (adj * (x > 0.0),))
-erf = _unary("erf", _erf, lambda adj, x, o: (adj * _ERF_SCALE * np.exp(-x * x),))
 sin = _unary("sin", np.sin, lambda adj, x, o: (adj * np.cos(x),))
 cos = _unary("cos", np.cos, lambda adj, x, o: (-adj * np.sin(x),))
+
+
+# sigmoid and erf read scipy's function from the module global when called,
+# not from a closure made at import as _unary's ops do, so that the first
+# call's rebinding in _from_scipy reaches them.
+
+def _sigmoid_adjoint(adj, x, o):
+    return (adj * o * (1.0 - o),)
+
+
+def sigmoid(a):
+    a = as_tensor(a)
+    x = a.data
+    out = _expit(x)
+    return _apply("sigmoid", out, (a,), (_sigmoid_adjoint, (x, out)))
+
+
+def _erf_adjoint(adj, x, o):
+    return (adj * _ERF_SCALE * np.exp(-x * x),)
+
+
+def erf(a):
+    a = as_tensor(a)
+    x = a.data
+    out = _erf(x)
+    return _apply("erf", out, (a,), (_erf_adjoint, (x, out)))
 
 
 #: name -> callable, for generic sweeps over the elementwise op set

@@ -376,6 +376,27 @@ class TestOtherTasks:
             assert len(tokens) == 6
             assert all(0 <= t < 8 for t in tokens)
 
+    @pytest.mark.parametrize("task, lines", [("flow", 65), ("lstm", 64)])
+    def test_sample_writes_its_csv_at_once(self, capsys, monkeypatch,
+                                           tmp_path, task, lines):
+        ckpt = str(tmp_path / f"{task}.ckpt")
+        assert run_cli([f"train-{task}", "--steps", "2", "--checkpoint", ckpt],
+                       capsys)[0] == 0
+
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, text):
+                Counting.writes += 1
+                return super().write(text)
+
+        out = Counting()
+        monkeypatch.setattr(sys, "stdout", out)
+        assert main(["sample", "--task", task, "--checkpoint", ckpt,
+                     "--num", "64"]) == 0
+        assert Counting.writes == 1
+        assert len(out.getvalue().splitlines()) == lines
+
 
 class TestCheckpointMismatch:
     """A checkpoint that does not fit the model is one ``error:`` line
@@ -491,9 +512,11 @@ def deep_gp_losses(capsys, tmp_path, seed, steps=None):
 class TestDeepGpDemo:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_demo_fits(self, capsys, tmp_path, seed):
-        # last-20 mean loss at CLI defaults: 1.19 (seed 0) and 1.53 (seed 1)
+        # last-20 mean loss at CLI defaults: 2.01 (seed 0) and 1.16 (seed 1)
         # with whitened inducing variables and linear inner means; 35.5 and
-        # 38.0 with unwhitened q(u) and zero inner means
+        # 38.0 with unwhitened q(u) and zero inner means.  Which seeds stay
+        # under the bound depends on the host's SIMD and BLAS kernels: see
+        # ROADMAP item 5.
         losses = deep_gp_losses(capsys, tmp_path, seed)
         assert len(losses) == 300
         assert np.mean(losses[-20:]) < 3.0

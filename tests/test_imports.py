@@ -1,6 +1,13 @@
-"""No stale imports: every name a source module imports is read or exported."""
+"""No stale imports: every name a source module imports is read or exported.
+And no needless ones: a command that calls no scipy function loads no scipy.
+"""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+from uncertain import cli
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -51,3 +58,72 @@ def test_the_scan_finds_stale_imports():
               "__all__ = ['tau']\n\n"
               "def f():\n    import sys\n    return pi\n")
     assert unused_imports(source) == [(2, "os"), (3, "osp"), (8, "sys")]
+
+
+def run_child(code, *args):
+    """Run ``code`` in a fresh interpreter that sees the package only
+    through the absolute ``src`` on its ``PYTHONPATH``."""
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_commands_that_call_no_scipy_function_load_no_scipy(tmp_path):
+    bnn = tmp_path / "bnn.ckpt"
+    assert cli.main(["train-bnn", "--steps", "2", "--checkpoint",
+                     str(bnn)]) == 0
+    run_child("""
+import contextlib, io, sys
+import uncertain.cli as cli
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+assert scipy_modules() == [], scipy_modules()
+bnn, flow = sys.argv[1:]
+for argv in (["train-flow", "--steps", "3", "--checkpoint", flow],
+             ["sample", "--task", "flow", "--checkpoint", flow],
+             ["predict", "--task", "bnn", "--checkpoint", bnn]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    assert scipy_modules() == [], (argv, scipy_modules())
+""", bnn, tmp_path / "flow.ckpt")
+
+
+def test_first_call_of_each_scipy_function_is_scipy_s_result():
+    run_child("""
+import sys
+import numpy as np
+from uncertain import tensor as T
+
+assert "scipy" not in sys.modules
+x = np.linspace(-4.0, 4.0, 37)
+l = np.asfortranarray(np.tril(np.arange(1.0, 17.0).reshape(4, 4)))
+b = np.arange(8.0).reshape(4, 2) - 3.0
+
+def softplus_grad():
+    with T.Tape() as tape:
+        a = tape.watch(T.Tensor(x))
+        grads = tape.backward(T.tensor_sum(T.softplus(a)))
+    return grads[a.node_id].data
+
+calls = {
+    "sigmoid": lambda: T.sigmoid(x).data,
+    "erf": lambda: T.erf(x).data,
+    "solve_triangular": lambda: T.solve_triangular(l, b, 0),
+    "softplus_grad": softplus_grad,
+}
+first = {name: call().tobytes() for name, call in calls.items()}
+
+from scipy.linalg.lapack import dtrtrs
+from scipy.special import erf, expit
+want = {
+    "sigmoid": expit(x), "erf": erf(x),
+    "solve_triangular": dtrtrs(l, b, 1, 0)[0], "softplus_grad": expit(x),
+}
+for name, call in calls.items():
+    assert first[name] == want[name].tobytes() == call().tobytes(), name
+# after the first call the module globals are scipy's own functions
+assert (T.dtrtrs, T._erf, T._expit) == (dtrtrs, erf, expit)
+""")

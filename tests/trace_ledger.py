@@ -7,7 +7,9 @@ each training run's ``step=0`` line, the op histogram of each training
 run's step 5 (the count of each tape op in that step, leaves included, taken
 in the same run) and the environment the digests were made on (python,
 numpy, scipy, the BLAS build and the BLAS thread variables, read as
-``perfbench/run.py`` reads them).  ``tests/test_trace_ledger.py`` recomputes
+``perfbench/run.py`` reads them, numpy's enabled SIMD dispatch targets and
+the OpenBLAS core that numpy's and scipy's bundled libraries each chose at
+run time).  ``tests/test_trace_ledger.py`` recomputes
 the outputs in-process and compares them with the ledger.
 
 Regenerate it, only when a change moves a trace on purpose, with
@@ -18,7 +20,9 @@ and name each changed entry, and why it changed, in CHANGES.md.
 """
 import collections
 import contextlib
+import ctypes
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -47,6 +51,37 @@ DEMOS = (
 )
 
 
+def _simd_targets():
+    """numpy's SIMD dispatch targets that this process enabled: the entries
+    of ``__cpu_dispatch__`` that are on in ``__cpu_features__``, which
+    ``NPY_DISABLE_CPU_FEATURES`` turns off."""
+    # numpy < 2 keeps the module in numpy.core
+    for module in ("numpy._core._multiarray_umath",
+                   "numpy.core._multiarray_umath"):
+        try:
+            umath = importlib.import_module(module)
+            return [name for name in umath.__cpu_dispatch__
+                    if umath.__cpu_features__.get(name)]
+        except (ImportError, AttributeError):
+            continue
+    return "unknown"
+
+
+def _openblas_core(package, symbol):
+    """The core that the OpenBLAS bundled in the wheel's ``<package>.libs``
+    chose when it loaded (``OPENBLAS_CORETYPE`` overrides it), read through
+    its ``symbol``, or "unknown" where the wheel bundles no such library."""
+    libs = Path(package.__file__).parents[1] / f"{package.__name__}.libs"
+    for path in sorted(libs.glob("*openblas*")):
+        try:
+            corename = getattr(ctypes.CDLL(str(path)), symbol)
+        except (OSError, AttributeError):
+            continue
+        corename.argtypes, corename.restype = [], ctypes.c_char_p
+        return corename().decode()
+    return "unknown"
+
+
 def environment():
     """What the bytes of a float64 trace can depend on besides the code."""
     try:
@@ -61,6 +96,12 @@ def environment():
         "scipy": scipy.__version__,
         "blas": blas,
         "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        "numpy_simd": _simd_targets(),
+        # numpy's library serves matmul, scipy's serves dtrtrs
+        "numpy_openblas_core": _openblas_core(
+            numpy, "scipy_openblas_get_corename64_"),
+        "scipy_openblas_core": _openblas_core(
+            scipy, "scipy_openblas_get_corename"),
     }
 
 
