@@ -6,9 +6,10 @@ lines go to stdout as ``step=<k> loss=<v> kl=<v>``.  Exit codes: 0 success,
 1 runtime failure, 2 usage error.
 
 Each demo's model sizes, with their defaults, live in one table, ``_SIZES``.
-A size is a config key and a flag of ``train-<demo>`` and of ``predict`` or
-``sample`` (which must be given the sizes that trained the checkpoint);
-:func:`_sizes` resolves it: flag, then config file, then default.
+A size is a config key and a flag of ``train-<demo>``, which :func:`_sizes`
+resolves: flag, then config file, then default.  ``predict`` and ``sample``
+take no size: :func:`_load_model` reads each from the shape of a checkpoint
+entry.
 """
 from __future__ import annotations
 
@@ -42,7 +43,8 @@ def _resolve(args, cfg, key, cast, default):
     return config_get(cfg, key, cast, default)
 
 
-# each demo's model-size keys and their defaults, in builder argument order
+# each demo's model-size keys and their defaults, in builder argument order;
+# train-<demo> takes each as a flag, and sample takes seq_len
 _SIZES = {
     "bnn": {"hidden": 16},
     "deep-gp": {"hidden_units": 4, "num_inducing": 8},
@@ -288,37 +290,43 @@ def run_train_lstm(args):
                          likelihood=likelihood)
 
 
-def _restore(model, path, state=None):
-    """Load checkpoint ``path`` (``state``, when already read) into
-    ``model``; entries or shapes that do not fit the model are an error
-    naming the file."""
-    if state is None:
-        state = load_checkpoint(path)
-    try:
+def _load_model(path, task):
+    """The ``task`` model of checkpoint ``path``, its sizes read from entry
+    shapes and built on a zero input whose values the loaded state
+    overwrites; a missing, unexpected or misshapen entry is an error naming
+    the file."""
+    state = load_checkpoint(path)
+
+    def shape(name, rank=2):
+        if name not in state or state[name].ndim != rank:
+            raise UncertainError(f"{path}: holds no {task} model: it has no "
+                                 f"{name!r} of rank {rank}")
+        return state[name].shape
+
+    try:  # a size the builder rejects is the file's fault, not a usage error
+        if task == "bnn":
+            model = build_bnn(shape("layer0/kernel_mu")[1])
+            model(Tensor(np.zeros((1, 1))), seed=0)
+        elif task == "deep-gp":
+            model = build_deep_gp(*reversed(shape("layer0/whitened_mean")))
+            model(Tensor(np.zeros((1, 1))), seed=0)
+        elif task == "flow":  # builds without a call; every flow has a mask
+            dims = shape("layer0/mask", 1)[0]  # the trained data's columns
+            model = build_flow(sum(name.endswith("/mask") for name in state),
+                               shape("layer0/conditioner/w0")[1], dims=dims)
+        else:
+            vocab = shape("cell/kernel_mu")[0]
+            model = build_lstm(shape("cell/recurrent_mu")[0], vocab)
+            model(Tensor(np.zeros((1, 1, vocab))), seed=0)
         model.load_state_dict(state)
-    except (KeyError, ShapeError) as exc:
+    except (UsageError, KeyError, ShapeError) as exc:
         raise UncertainError(f"{path}: {exc.args[0]}") from exc
-
-
-def _rebuild_for_predict(args, cfg_file):
-    task = args.task
-    seed = _resolve(args, cfg_file, "seed", int, 0)
-    x, _ = _regression_data(args, cfg_file)
-    if task == "bnn":
-        build = build_bnn
-    elif task == "deep-gp":
-        build = build_deep_gp
-    else:
-        raise UncertainError(f"predict does not support task {task!r}")
-    model = build(*_sizes(args, cfg_file, task))
-    model(Tensor(x[:1]), seed=mix(seed, "build"))
-    _restore(model, args.checkpoint)
-    return model, seed
+    return model
 
 
 def run_predict(args):
-    cfg_file = _load_config(args)
-    model, seed = _rebuild_for_predict(args, cfg_file)
+    seed = _resolve(args, _load_config(args), "seed", int, 0)
+    model = _load_model(args.checkpoint, args.task)
     lo, hi, count = args.grid
     grid = np.linspace(lo, hi, int(count))[:, None]
     # one call draws every sample: sample s is the call with seed seeds[s]
@@ -336,13 +344,8 @@ def run_sample(args):
     cfg_file = _load_config(args)
     seed = _resolve(args, cfg_file, "seed", int, 0)
     if args.task == "flow":
-        state = load_checkpoint(args.checkpoint)
-        if "layer0/mask" not in state:
-            raise UncertainError(
-                f"{args.checkpoint} holds no flow: it has no 'layer0/mask'")
-        dims = state["layer0/mask"].shape[0]  # the trained data's columns
-        model = build_flow(*_sizes(args, cfg_file, "flow"), dims=dims)
-        _restore(model, args.checkpoint, state)
+        model = _load_model(args.checkpoint, "flow")
+        dims = model.layers[0].mask.shape[0]
         base = Normal(np.zeros(dims), np.ones(dims))
         rows = [",".join(f"x{i}" for i in range(dims)) + "\n"]
         for s in range(args.num):
@@ -351,29 +354,27 @@ def run_sample(args):
             rows.append(",".join(_FMT % value for value in out) + "\n")
         sys.stdout.write("".join(rows))
         return 0
-    if args.task == "lstm":
-        units, vocab, seq_len = _sizes(args, cfg_file, "lstm")
-        model = build_lstm(units, vocab)
-        dummy = np.zeros((1, seq_len - 1, vocab))
-        model(Tensor(dummy), seed=mix(seed, "build"))
-        _restore(model, args.checkpoint)
-        rows = []
-        for s in range(args.num):
-            rng = rng_from(seed, "sample", s)
-            weights = model.cell.draw(mix(seed, "sample-weights", s))
-            state = None
-            token = int(rng.integers(0, vocab))
-            sequence = [token]
-            for _ in range(seq_len - 1):
-                x_t = Tensor(one_hot(np.array([token]), vocab))
-                state = model.cell.step(x_t, state, weights)
-                rv = model.head(state[0], seed=int(rng.integers(0, 2**62)))
-                token = int(rv.value.data[0])
-                sequence.append(token)
-            rows.append(",".join(str(t) for t in sequence) + "\n")
-        sys.stdout.write("".join(rows))
-        return 0
-    raise UncertainError(f"sample does not support task {args.task!r}")
+    seq_len = _resolve(args, cfg_file, "seq_len", int,
+                       _SIZES["lstm"]["seq_len"])
+    if seq_len < 2:  # a generation length no checkpoint entry records
+        raise UsageError(f"seq_len must be >= 2, got {seq_len}")
+    model = _load_model(args.checkpoint, "lstm")
+    rows = []
+    for s in range(args.num):
+        rng = rng_from(seed, "sample", s)
+        weights = model.cell.draw(mix(seed, "sample-weights", s))
+        state = None
+        token = int(rng.integers(0, model.vocab))
+        sequence = [token]
+        for _ in range(seq_len - 1):
+            x_t = Tensor(one_hot(np.array([token]), model.vocab))
+            state = model.cell.step(x_t, state, weights)
+            rv = model.head(state[0], seed=int(rng.integers(0, 2**62)))
+            token = int(rv.value.data[0])
+            sequence.append(token)
+        rows.append(",".join(str(t) for t in sequence) + "\n")
+    sys.stdout.write("".join(rows))
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -407,17 +408,9 @@ def _positive_int(text):
 
 def _add_common(sub):
     sub.add_argument("--config", help="config file of 'key = value' lines")
-    sub.add_argument("--data", help="CSV dataset (defaults to synthetic toy data)")
     sub.add_argument("--checkpoint", default="model.ckpt",
                      help="checkpoint path (default %(default)s)")
     sub.add_argument("--seed", type=int, help="global seed (default 0)")
-    sub.add_argument("--steps", type=int, help="training steps")
-
-
-def _add_sizes(sub, demo):
-    for key, default in _SIZES[demo].items():
-        sub.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
-                         help=f"default {default}")
 
 
 def build_parser():
@@ -435,7 +428,12 @@ def build_parser():
             ("lstm", "Bayesian LSTM on token sequences")):
         p = sub.add_parser(f"train-{demo}", help=help_text)
         _add_common(p)
-        _add_sizes(p, demo)
+        p.add_argument("--data",
+                       help="CSV dataset (defaults to synthetic toy data)")
+        p.add_argument("--steps", type=int, help="training steps")
+        for key, default in _SIZES[demo].items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=int,
+                           help=f"default {default}")
         p.add_argument("--learning-rate", dest="learning_rate", type=float)
         p.add_argument("--batch-size", dest="batch_size", type=int)
 
@@ -446,15 +444,13 @@ def build_parser():
                    help="lo:hi:count (default -3:3:61)")
     p.add_argument("--mc-samples", dest="mc_samples", type=_positive_int,
                    default=100)
-    _add_sizes(p, "bnn")
-    _add_sizes(p, "deep-gp")
 
     p = sub.add_parser("sample", help="draw from a trained flow or LSTM")
     _add_common(p)
     p.add_argument("--task", choices=("flow", "lstm"), default="flow")
     p.add_argument("--num", type=_positive_int, default=16)
-    _add_sizes(p, "flow")
-    _add_sizes(p, "lstm")
+    p.add_argument("--seq-len", dest="seq_len", type=int,
+                   help=f"default {_SIZES['lstm']['seq_len']}")
 
     return parser
 

@@ -22,8 +22,8 @@ class NotPositiveDefiniteError(UncertainError, RuntimeError):
 
 
 class JitterWarning(UserWarning):
-    """Cholesky succeeded only after adding a large jitter to the diagonal,
-    which perturbs the covariance it factors."""
+    """Cholesky succeeded only after adding jitter to the diagonal, which
+    perturbs the covariance it factors; any jitter above 0 warns."""
 
 
 class NotReversibleError(UncertainError, TypeError):

@@ -447,11 +447,16 @@ ELEMENTWISE_BINARY = {"add": add, "sub": sub, "mul": mul, "div": div}
 
 
 def softplus_inverse(y: np.ndarray) -> np.ndarray:
-    """Numpy helper: x with softplus(x) == y, stable for large y."""
+    """Numpy helper: x with softplus(x) == y, stable for large y, and exact
+    where ``log(expm1(y))`` misses but a neighbour one ulp away hits y."""
     y = np.asarray(y, dtype=np.float64)
     with np.errstate(over="ignore"):
         small = np.log(np.expm1(np.minimum(y, 30.0)))
-    return np.where(y > 30.0, y, small)
+    x = np.where(y > 30.0, y, small)
+    for toward in (-np.inf, np.inf):  # one ulp down, then up, for a miss
+        near = np.nextafter(x, toward)
+        x = np.where((_softplus(x) != y) & (_softplus(near) == y), near, x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -918,8 +923,6 @@ def diag_part(a):
 
 
 _JITTERS = (0.0, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
-#: a jitter at or above this level makes ``cholesky`` warn (JitterWarning)
-JITTER_WARN_LEVEL = 1e-4
 
 
 def chol_with_jitter(a: np.ndarray):
@@ -959,7 +962,7 @@ def cholesky(a):
     a = as_tensor(a)
     _check_square(a, "cholesky")
     L, jitter = chol_with_jitter(a.data)
-    if jitter >= JITTER_WARN_LEVEL:
+    if jitter > 0.0:
         warnings.warn(JitterWarning(
             f"cholesky factored a {L.shape[0]}x{L.shape[0]} matrix only after "
             f"adding jitter {jitter:g} to its diagonal"), stacklevel=2)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from uncertain import cli
-from uncertain.checkpoint import load_checkpoint
+from uncertain.checkpoint import load_checkpoint, save_checkpoint
 from uncertain.cli import build_bnn, build_deep_gp, build_flow, main
 from uncertain.data import toy_flow_data, toy_regression
 from uncertain.layers import gp as gp_module
@@ -84,7 +84,7 @@ class TestExitCodes:
          "build_bnn(0): units must be >= 1, got 0"),
         (["train-deep-gp", "--num-inducing", "0"],
          "build_deep_gp(4, 0): num_inducing must be >= 1, got 0"),
-        (["predict", "--task", "deep-gp", "--hidden-units", "0"],
+        (["train-deep-gp", "--hidden-units", "0"],
          "build_deep_gp(0, 8): units must be >= 1, got 0"),
         (["train-lstm", "--vocab", "0"],
          "build_lstm(16, 0): units must be >= 1, got 0"),
@@ -93,7 +93,7 @@ class TestExitCodes:
          "seq_len must be >= 2, got 1"),
         (["train-flow", "--conditioner-hidden", "0"],
          "build_flow(4, 0, dims=2): hidden widths must be >= 1, got [0]"),
-    ], ids=["hidden", "num_inducing", "predict_hidden_units", "lstm_vocab",
+    ], ids=["hidden", "num_inducing", "hidden_units", "lstm_vocab",
             "lstm_seq_len", "sample_lstm_seq_len", "flow_conditioner_hidden"])
     def test_bad_model_size_is_usage_error(self, capsys, tmp_path, argv,
                                            message):
@@ -398,32 +398,87 @@ class TestOtherTasks:
         assert len(out.getvalue().splitlines()) == lines
 
 
+def edit_entry(name, change):
+    """A checkpoint edit that replaces entry ``name`` by ``change`` of it."""
+
+    def edit(state):
+        state[name] = change(state[name])
+
+    return edit
+
+
+def widen(a):
+    """One more column: the entry no longer agrees with the entries the
+    model's sizes are read from."""
+    return np.concatenate([a, a[:, :1]], axis=1)
+
+
 class TestCheckpointMismatch:
     """A checkpoint that does not fit the model is one ``error:`` line
     naming the file, with exit 1, not a traceback."""
 
-    @pytest.mark.parametrize("train, query, names", [
-        (["train-bnn"], ["predict", "--task", "deep-gp"],
-         ["is missing entries", "layer0/whitened_mean",
-          "has unexpected entries", "layer0/kernel_mu"]),
-        (["train-flow"], ["sample", "--task", "flow", "--num-couplings", "2"],
-         ["has unexpected entries", "layer2/mask", "layer3/conditioner/w_out"]),
-        (["train-lstm"], ["sample", "--task", "lstm", "--units", "4"],
-         ["'cell/kernel_mu' has shape"]),
-    ], ids=["bnn_into_deep_gp", "fewer_couplings", "smaller_lstm"])
-    def test_mismatch_is_runtime_error(self, capsys, tmp_path, train, query,
-                                       names):
+    @pytest.mark.parametrize("train, edit, query, message", [
+        ("train-bnn", None, ["predict", "--task", "deep-gp"],
+         "holds no deep-gp model: it has no 'layer0/whitened_mean' of rank 2"),
+        ("train-flow", edit_entry("layer1/conditioner/w0", widen),
+         ["sample", "--task", "flow"],
+         "state entry 'layer1/conditioner/w0' has shape [2, 33], "
+         "expected [2, 32]"),
+        ("train-lstm", edit_entry("head/projection/kernel", widen),
+         ["sample", "--task", "lstm"],
+         "state entry 'head/projection/kernel' has shape [16, 9], "
+         "expected [16, 8]"),
+        ("train-bnn", edit_entry("layer0/kernel_mu", lambda a: a[0]),
+         ["predict", "--task", "bnn"],
+         "holds no bnn model: it has no 'layer0/kernel_mu' of rank 2"),
+        ("train-bnn", edit_entry("layer0/kernel_mu", lambda a: a[:, :0]),
+         ["predict", "--task", "bnn"],
+         "build_bnn(0): units must be >= 1, got 0"),
+    ], ids=["bnn_into_deep_gp", "flow_layer1_edited", "lstm_head_edited",
+            "bnn_size_entry_misranked", "bnn_size_entry_empty"])
+    def test_mismatch_is_runtime_error(self, capsys, tmp_path, train, edit,
+                                       query, message):
         ckpt = str(tmp_path / "m.ckpt")
-        code, _, _ = run_cli(train + ["--steps", "2", "--checkpoint", ckpt],
+        code, _, _ = run_cli([train, "--steps", "2", "--checkpoint", ckpt],
                              capsys)
         assert code == 0
+        if edit is not None:
+            state = load_checkpoint(ckpt)
+            edit(state)
+            save_checkpoint(ckpt, state)
         code, out, err = run_cli(query + ["--checkpoint", ckpt], capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith(f"error: {ckpt}: state ")
-        assert err.count("\n") == 1
-        for name in names:
-            assert name in err
+        assert err == f"error: {ckpt}: {message}\n"
+
+
+class TestSizesFromCheckpoint:
+    """predict and sample rebuild a model at the sizes it was trained with,
+    read from the checkpoint's entry shapes, with no size flag."""
+
+    @pytest.mark.parametrize("demo, sizes, query, lines", [
+        ("bnn", ["--hidden", "5"],
+         ["predict", "--task", "bnn", "--grid=-1:1:5"], 6),
+        ("deep-gp", ["--hidden-units", "3", "--num-inducing", "5"],
+         ["predict", "--task", "deep-gp", "--grid=-1:1:5"], 6),
+        ("flow", ["--num-couplings", "2", "--conditioner-hidden", "7"],
+         ["sample", "--task", "flow", "--num", "4"], 5),
+        ("lstm", ["--units", "6", "--vocab", "5"],
+         ["sample", "--task", "lstm", "--num", "4"], 4),
+    ], ids=["bnn", "deep-gp", "flow", "lstm"])
+    def test_query_at_non_default_sizes(self, capsys, tmp_path, demo, sizes,
+                                        query, lines):
+        ckpt = str(tmp_path / "m.ckpt")
+        code, _, err = run_cli([f"train-{demo}", "--steps", "3",
+                                "--checkpoint", ckpt] + sizes, capsys)
+        assert code == 0, err
+        code, out, err = run_cli(query + ["--checkpoint", ckpt], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == lines
+        if demo == "lstm":
+            tokens = {int(t) for line in out.splitlines()
+                      for t in line.split(",")}
+            assert tokens <= set(range(5))
 
 
 class TestEveryParameterTrains:
@@ -579,17 +634,27 @@ class TestConfigIntegration:
         read |= set().union(*cli._SIZES.values())  # read by _sizes
         assert read == cli._CONFIG_KEYS
 
-    def test_every_size_is_a_flag_of_train_and_of_predict_or_sample(self):
-        from uncertain import cli
-
+    def test_every_size_is_a_flag_of_its_train_command(self):
         parser = cli.build_parser()
         for demo, sizes in cli._SIZES.items():
-            query = "predict" if demo in ("bnn", "deep-gp") else "sample"
             for key in sizes:
                 flag = "--" + key.replace("_", "-")
-                for command in (f"train-{demo}", query):
-                    args = parser.parse_args([command, flag, "3"])
-                    assert getattr(args, key) == 3, (command, flag)
+                args = parser.parse_args([f"train-{demo}", flag, "3"])
+                assert getattr(args, key) == 3, (demo, flag)
+
+    def test_queries_reject_size_data_and_steps_flags(self, capsys):
+        # predict and sample read every model size from the checkpoint; the
+        # lstm's generation length, --seq-len, is the one size sample takes
+        sizes = [key for demo_sizes in cli._SIZES.values()
+                 for key in demo_sizes if key != "seq_len"]
+        assert len(sizes) == 7
+        for command in ("predict", "sample"):
+            for key in sizes + ["data", "steps"]:
+                flag = "--" + key.replace("_", "-")
+                code, out, err = parse_fresh([command, flag, "3"], capsys)
+                assert code == 2, (command, flag)
+                assert f"unrecognized arguments: {flag} 3" in err
+                assert out == ""
 
     def test_malformed_config_is_runtime_error(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"

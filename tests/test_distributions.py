@@ -15,7 +15,11 @@ from uncertain.distributions import (
     TransformedDistribution,
     kl_divergence,
 )
-from uncertain.errors import DomainError, NotPositiveDefiniteError
+from uncertain.errors import (
+    DomainError,
+    JitterWarning,
+    NotPositiveDefiniteError,
+)
 from uncertain.rng import rng_from, rng_streams
 from uncertain.tensor import Tape, Tensor, matmul, tensor_sum, transpose
 
@@ -229,7 +233,8 @@ class TestMultivariateNormal:
 
     def test_jitter_rescues_semidefinite(self):
         cov = np.ones((3, 3))  # rank one
-        rv = MultivariateNormal(np.zeros(3), cov).sample(seed=1)
+        with pytest.warns(JitterWarning):
+            rv = MultivariateNormal(np.zeros(3), cov).sample(seed=1)
         assert rv.value.shape == (3,)
 
     def test_hopeless_matrix_raises(self):

@@ -8,6 +8,7 @@ from scipy.linalg import solve_triangular
 import uncertain.layers.gp as gp_module
 import uncertain.tensor as tensor_mod
 from uncertain.distributions import Normal
+from uncertain.errors import JitterWarning
 from uncertain.layers import (
     GaussianProcess,
     RandomFourierFeatures,
@@ -397,7 +398,8 @@ class TestExactGP:
 
         clean = predict_stddev()
         monkeypatch.setattr(tensor_mod, "_JITTERS", (1e-6, 1e-5, 1e-2))
-        jittered = predict_stddev()
+        with pytest.warns(JitterWarning, match="jitter 1e-06"):
+            jittered = predict_stddev()
         assert np.abs(clean - jittered).max() < 1e-4
 
 

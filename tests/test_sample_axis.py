@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from uncertain.cli import copy_columns_mean
-from uncertain.errors import LayerError, ShapeError
+from uncertain.errors import JitterWarning, LayerError, ShapeError
 from uncertain.layers import (
     MADE,
     CategoricalOutput,
@@ -199,7 +199,11 @@ class TestLoudFailures:
     def test_layer_without_axis_names_itself(self, name, factory, shape):
         layer = factory()
         x = Tensor(np.zeros(shape))
-        layer(x, seed=0)
+        if name == "exact_gp":  # its prior covariance at 3 equal inputs
+            with pytest.warns(JitterWarning):  # is singular
+                layer(x, seed=0)
+        else:
+            layer(x, seed=0)
         with pytest.raises(LayerError, match="no Monte-Carlo sample axis") as err:
             layer(x, seed=SEEDS)
         assert layer.name in str(err.value)

@@ -74,6 +74,18 @@ class TestForward:
         x = softplus_inverse(y)
         assert np.allclose(softplus(Tensor(x)).data, y, rtol=1e-12)
 
+    def test_softplus_inverse_is_exact_where_a_neighbour_is(self):
+        # 1.0 is the prior scale every posterior starts at: its KL against
+        # the prior is 0 only if the round trip is exact on this host
+        assert softplus(Tensor(softplus_inverse(1.0))).item() == 1.0
+        y = np.linspace(1e-3, 20.0, 4001)
+        x = softplus_inverse(y)
+        formula = np.log(np.expm1(y))
+        assert np.all(np.abs(x - formula) <= np.spacing(np.abs(formula)))
+        hits = softplus(Tensor(formula)).data == y
+        assert np.array_equal(x[hits], formula[hits])
+        assert np.all(softplus(Tensor(x)).data[hits] == y[hits])
+
     def test_broadcasting(self):
         out = add(Tensor(np.ones((2, 3))), Tensor([1.0, 2.0, 3.0]))
         assert np.array_equal(out.data, [[2, 3, 4], [2, 3, 4]])
@@ -901,8 +913,8 @@ class TestStructuralOps:
 
 
 class TestCholeskyJitter:
-    """A Cholesky factor that needed jitter of 1e-4 or more warns, naming the
-    jitter and the matrix size; a smaller jitter stays silent."""
+    """A Cholesky factor that needed any jitter warns, naming the jitter and
+    the matrix size; one that needed none is silent."""
 
     def test_large_jitter_warns(self):
         a = np.diag([1.0, -5e-5])  # factors only once 1e-4 is added
@@ -910,12 +922,18 @@ class TestCholeskyJitter:
             L = cholesky(a)
         assert np.array_equal(L.data, np.linalg.cholesky(a + 1e-4 * np.eye(2)))
 
-    def test_small_jitter_is_silent(self):
+    def test_small_jitter_warns(self):
         a = np.diag([1.0, -5e-6])  # factors once 1e-5 is added
+        with pytest.warns(JitterWarning, match=r"2x2 matrix .* jitter 1e-05"):
+            L = cholesky(a)
+        assert np.array_equal(L.data, np.linalg.cholesky(a + 1e-5 * np.eye(2)))
+
+    def test_no_jitter_is_silent(self):
+        a = np.diag([1.0, 5e-300])  # positive definite as it is
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             L = cholesky(a)
-        assert np.array_equal(L.data, np.linalg.cholesky(a + 1e-5 * np.eye(2)))
+        assert np.array_equal(L.data, np.linalg.cholesky(a))
 
 
 class TestTapeStructure:
