@@ -7,7 +7,8 @@ L L^T = K_zz, so each call factors K_zz once and its KL against the N(0, I)
 prior is closed form, and ``RandomFourierFeatures`` projects onto fixed
 cosine features with a variational readout (a ``VariationalParameter``,
 the same path as the variational layers' weights).  All default to a zero mean
-function and a squared exponential kernel, output one independent GP per unit
+function and a squared exponential kernel (``kernel=SquaredExponential(a, l)``
+sets its amplitude and lengthscale), output one independent GP per unit
 sharing the kernel, and return RandomVariables so deep stacks compose by
 feeding samples forward.  ``SquaredExponential`` records one tape node per
 Gram matrix and one per diagonal (``tensor.se_kernel`` and
@@ -95,17 +96,17 @@ def _matrix_transpose(t):
 
 class _GPLayer(Layer):
     """Shared units check, kernel parameters and mean function of the three
-    estimators.  ``RandomFourierFeatures`` uses the kernel's amplitude and
-    lengthscale and no mean function."""
+    estimators.  The kernel is ``kernel``, by default
+    ``SquaredExponential()``; ``RandomFourierFeatures`` uses its amplitude
+    and lengthscale and no mean function."""
 
-    def __init__(self, units, mean_fn=None, kernel=None, amplitude=1.0,
-                 lengthscale=1.0, name=None):
+    def __init__(self, units, mean_fn=None, kernel=None, name=None):
         super().__init__(name)
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.units = int(units)
         self.mean_fn = mean_fn
-        self.kernel = kernel or SquaredExponential(amplitude, lengthscale)
+        self.kernel = kernel or SquaredExponential()
         for k, v in self.kernel.variables().items():
             self.add_param(f"kernel_{k}", v)
 
@@ -132,9 +133,8 @@ class GaussianProcess(_GPLayer):
 
     def __init__(self, units, mean_fn=None, kernel=None,
                  conditional_inputs=None, conditional_outputs=None,
-                 observation_noise=1e-3, amplitude=1.0, lengthscale=1.0,
-                 train_noise=False, name=None):
-        super().__init__(units, mean_fn, kernel, amplitude, lengthscale, name)
+                 observation_noise=1e-3, train_noise=False, name=None):
+        super().__init__(units, mean_fn, kernel, name)
         if (conditional_inputs is None) != (conditional_outputs is None):
             raise ValueError(
                 "conditional_inputs and conditional_outputs come together"
@@ -226,8 +226,8 @@ class SparseGaussianProcess(_GPLayer):
     input_rank = 2
 
     def __init__(self, units, num_inducing, mean_fn=None, kernel=None,
-                 amplitude=1.0, lengthscale=1.0, name=None):
-        super().__init__(units, mean_fn, kernel, amplitude, lengthscale, name)
+                 name=None):
+        super().__init__(units, mean_fn, kernel, name)
         if num_inducing < 1:
             raise ValueError(f"num_inducing must be >= 1, got {num_inducing}")
         self.num_inducing = int(num_inducing)
@@ -276,9 +276,8 @@ class RandomFourierFeatures(_GPLayer):
     input_rank = 2
 
     def __init__(self, units, num_features, kernel_initializer=None,
-                 kernel_regularizer="default", amplitude=1.0, lengthscale=1.0,
-                 kernel=None, name=None):
-        super().__init__(units, None, kernel, amplitude, lengthscale, name)
+                 kernel_regularizer="default", kernel=None, name=None):
+        super().__init__(units, None, kernel, name)
         if num_features < 1:
             raise ValueError(f"num_features must be >= 1, got {num_features}")
         self.num_features = int(num_features)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..distributions import RandomVariable
+from ..distributions import Normal, RandomVariable
 from ..errors import LayerError, ShapeError
 from ..tensor import (
     Tensor,
@@ -83,10 +83,11 @@ class FlipoutDense(VariationalDense):
         signs_in = Tensor(rademacher(self.rng(seed, "signs-in"), (batch, x.shape[1])))
         signs_out = Tensor(rademacher(self.rng(seed, "signs-out"), (batch, self.units)))
         b = self.bias.sample(seed)
-        perturbation = matmul(x * signs_in, sigma * eps) * signs_out
+        delta = sigma * eps
+        perturbation = matmul(x * signs_in, delta) * signs_out
         out = self.activation(matmul(x, self.kernel.mu) + perturbation + b)
-        kernel_rv = RandomVariable(self.kernel.posterior(),
-                                   self.kernel.mu + sigma * eps)
+        kernel_rv = RandomVariable(Normal(self.kernel.mu, sigma),
+                                   self.kernel.mu + delta)
         self.kernel.regularize(kernel_rv)
         self.bias.regularize(b)
         return out

@@ -40,7 +40,9 @@ Design notes:
   :func:`_from_scipy`).  About half of a fresh CLI process's start-up is
   scipy, and train-flow, ``sample --task flow`` and ``predict --task bnn``
   call none of the three, so they never load it.  Every caller reads the
-  global when it runs, so after the first call it reaches scipy directly.
+  global when it runs, so after the first call it reaches scipy directly;
+  ``sigmoid`` and ``erf`` are ``_unary`` ops whose forward is a lambda that
+  reads the global, not the function bound at import.
 """
 from __future__ import annotations
 
@@ -409,32 +411,10 @@ relu = _unary("relu", lambda x: np.maximum(x, 0.0),
               lambda adj, x, o: (adj * (x > 0.0),))
 sin = _unary("sin", np.sin, lambda adj, x, o: (adj * np.cos(x),))
 cos = _unary("cos", np.cos, lambda adj, x, o: (-adj * np.sin(x),))
-
-
-# sigmoid and erf read scipy's function from the module global when called,
-# not from a closure made at import as _unary's ops do, so that the first
-# call's rebinding in _from_scipy reaches them.
-
-def _sigmoid_adjoint(adj, x, o):
-    return (adj * o * (1.0 - o),)
-
-
-def sigmoid(a):
-    a = as_tensor(a)
-    x = a.data
-    out = _expit(x)
-    return _apply("sigmoid", out, (a,), (_sigmoid_adjoint, (x, out)))
-
-
-def _erf_adjoint(adj, x, o):
-    return (adj * _ERF_SCALE * np.exp(-x * x),)
-
-
-def erf(a):
-    a = as_tensor(a)
-    x = a.data
-    out = _erf(x)
-    return _apply("erf", out, (a,), (_erf_adjoint, (x, out)))
+sigmoid = _unary("sigmoid", lambda x: _expit(x),
+                 lambda adj, x, o: (adj * o * (1.0 - o),))
+erf = _unary("erf", lambda x: _erf(x),
+             lambda adj, x, o: (adj * _ERF_SCALE * np.exp(-x * x),))
 
 
 #: name -> callable, for generic sweeps over the elementwise op set
@@ -893,9 +873,8 @@ def whitened_kl(scale_raw, whitened_mean):
     ``add``, ``pow2``, ``sum``, ``log``, ``add``, ``sub`` and ``mul``: 15
     nodes), in its order, so they are bitwise the composite's.  A tape that
     also records ``whitened_variance`` on the same ``scale_raw`` adds the
-    two ops' adjoints in the raw space, where the composite added them in
-    ``L_v``'s, so there the sum may differ from the composite's in the last
-    bits of the diagonal entries.
+    two ops' adjoints in the raw space, as the two composites, each with
+    its own ``L_v``, do.
     """
     scale_raw, whitened_mean = as_tensor(scale_raw), as_tensor(whitened_mean)
     raw, mu = scale_raw.data, whitened_mean.data

@@ -1,6 +1,10 @@
-"""Shared finite-difference oracles for gradient checks, and the inputs of
-the whitened sparse-GP ops."""
+"""Shared finite-difference oracles for gradient checks, the inputs of the
+kernel and whitened sparse-GP ops, and a sparse GP layer's moved state."""
+import math
+
 import numpy as np
+
+from uncertain.tensor import Tensor
 
 
 def finite_diff_grad(f, x0, h=1e-5):
@@ -43,3 +47,36 @@ def whitened_case(lead, seed=30, units=3, m=4, batch=5):
     kdiag = sq + 1.0
     kdiag[..., 0] = sq[..., 0] - kept[..., 0] - 0.5
     return kdiag, proj, raw, mean
+
+
+def kernel_inputs(case):
+    """(x, x2, log_amplitude, log_lengthscale) tensors; ``x2`` is ``x``
+    itself in the "same" case, as in K_zz.  The rows of each input are
+    distinct points of a 3 x 3 grid of spacing 0.5, jittered by 0.05, so
+    like well-placed inducing inputs no two of them nearly coincide."""
+    rng = np.random.default_rng({"rank2": 20, "rank3": 21, "same": 22}[case])
+    grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), -1).reshape(-1, 2)
+
+    def points(n):
+        rows = rng.permutation(len(grid))[:n]
+        return 0.5 * grid[rows] + 0.05 * rng.standard_normal((n, 2)) - 0.5
+
+    x = Tensor(points(5))
+    if case == "same":
+        x2 = x
+    elif case == "rank2":
+        x2 = Tensor(points(6))
+    else:
+        x2 = Tensor(np.stack([points(6) for _ in range(3)]))
+    return x, x2, Tensor(math.log(1.3)), Tensor(math.log(0.7))
+
+
+KERNEL_CASES = ["rank2", "rank3", "same"]
+
+
+def random_whitened_state(layer, rng):
+    """Move every variational parameter of a built layer off its initial value."""
+    layer.inducing_mean.data[...] = rng.standard_normal(layer.inducing_mean.shape)
+    # one [U, M, M] draw fills in C order: unit after unit
+    raw = layer.scale_raw
+    raw.data[...] = np.tril(0.5 * rng.standard_normal(raw.shape))

@@ -121,7 +121,8 @@ def _case_exact_gp(rng, seed):
     layer = layers.GaussianProcess(
         1, conditional_inputs=rng.uniform(-1, 1, (4, 1)),
         conditional_outputs=rng.normal(size=(4, 1)),
-        observation_noise=0.2, lengthscale=0.7, train_noise=True)
+        observation_noise=0.2, train_noise=True,
+        kernel=layers.SquaredExponential(lengthscale=0.7))
     x = rng.uniform(-1, 1, (3, 1))
 
     def loss_fn():
@@ -132,7 +133,8 @@ def _case_exact_gp(rng, seed):
 
 
 def _case_sparse_gp(rng, seed):
-    layer = layers.SparseGaussianProcess(1, num_inducing=3, lengthscale=0.8)
+    layer = layers.SparseGaussianProcess(
+        1, num_inducing=3, kernel=layers.SquaredExponential(lengthscale=0.8))
     x = np.linspace(-1, 1, 4)[:, None] + 0.05 * rng.standard_normal((4, 1))
     layer(Tensor(x), seed=seed)
     layer.inducing_mean.data[...] += 0.4 * rng.standard_normal((3, 1))
@@ -364,8 +366,8 @@ def test_criterion_04_sparse_gp_collapse():
     x_train = np.linspace(-1.0, 1.0, 5)[:, None]
     y_train = np.sin(3.0 * x_train)
     x_test = rng.uniform(-1, 1, (6, 1))
-    layer = layers.SparseGaussianProcess(1, num_inducing=5, amplitude=amp,
-                                         lengthscale=ell)
+    layer = layers.SparseGaussianProcess(
+        1, num_inducing=5, kernel=layers.SquaredExponential(amp, ell))
     layer(Tensor(x_train), seed=0)
     kern = lambda a, b: se_oracle(a, b, amp, ell)
     m_star, s_star = sparse_optimum(kern, x_train, y_train, noise)
@@ -665,10 +667,10 @@ def test_criterion_12_deep_gp():
     all_finite = True
     for seed in range(10):
         model = layers.Sequential([
-            layers.SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8),
-            layers.SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8),
-            layers.SparseGaussianProcess(1, num_inducing=4, lengthscale=0.8),
-        ])
+            layers.SparseGaussianProcess(
+                units, num_inducing=4,
+                kernel=layers.SquaredExponential(lengthscale=0.8))
+            for units in (2, 2, 1)])
         x, y = toy_regression(32, seed=seed)
         model(Tensor(x), seed=0)
         cfg = ElboConfig(num_train_examples=32, batch_size=32,

@@ -7,7 +7,6 @@ from scipy.linalg import solve_triangular
 
 import uncertain.layers.gp as gp_module
 import uncertain.tensor as tensor_mod
-from uncertain.distributions import Normal
 from uncertain.errors import JitterWarning
 from uncertain.layers import (
     GaussianProcess,
@@ -19,26 +18,25 @@ from uncertain.layers import (
 from uncertain.tensor import (
     Tape,
     Tensor,
-    cholesky,
-    exp,
-    log,
-    matmul,
-    reshape,
     se_kernel,
     se_kernel_diag,
     softplus,
     softplus_inverse,
-    sqrt,
     square,
     tensor_sum,
-    transpose,
-    triangular_solve,
-    where,
     whitened_kl,
     whitened_variance,
 )
 
-from conftest import finite_diff_grad, max_rel_err, whitened_case
+from conftest import (
+    KERNEL_CASES,
+    finite_diff_grad,
+    kernel_inputs,
+    max_rel_err,
+    random_whitened_state,
+    whitened_case,
+)
+from test_op_oracle import composite_se_kernel, composite_se_kernel_diag
 
 
 def se_oracle(a, b, amplitude=1.0, lengthscale=1.0):
@@ -83,52 +81,6 @@ class TestSquaredExponential:
         k = SquaredExponential()
         with pytest.raises(ShapeError):
             k(Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 3))))
-
-
-def matrix_transpose(t):
-    return transpose(t, tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2))
-
-
-def composite_se_kernel(x, x2, log_amplitude, log_lengthscale):
-    """``se_kernel`` spelled out in elementwise, reduction and matmul tape
-    ops, in the order of its forward pass: the oracle of the fused op."""
-    sq_x = tensor_sum(x * x, axis=1, keepdims=True)
-    sq_x2 = tensor_sum(x2 * x2, axis=-1, keepdims=True)
-    sq_dist = (sq_x + matrix_transpose(sq_x2)
-               - 2.0 * matmul(x, matrix_transpose(x2)))
-    sq_dist = where(sq_dist.data > 0.0, sq_dist, 0.0)
-    amp2 = exp(2.0 * log_amplitude)
-    inv_2ell2 = 0.5 * exp(-2.0 * log_lengthscale)
-    return amp2 * exp(-sq_dist * inv_2ell2)
-
-
-def composite_se_kernel_diag(x, log_amplitude):
-    return exp(2.0 * log_amplitude) * Tensor(np.ones(x.shape[:-1]))
-
-
-def kernel_inputs(case):
-    """(x, x2, log_amplitude, log_lengthscale) tensors; ``x2`` is ``x``
-    itself in the "same" case, as in K_zz.  The rows of each input are
-    distinct points of a 3 x 3 grid of spacing 0.5, jittered by 0.05, so
-    like well-placed inducing inputs no two of them nearly coincide."""
-    rng = np.random.default_rng({"rank2": 20, "rank3": 21, "same": 22}[case])
-    grid = np.stack(np.meshgrid(np.arange(3.0), np.arange(3.0)), -1).reshape(-1, 2)
-
-    def points(n):
-        rows = rng.permutation(len(grid))[:n]
-        return 0.5 * grid[rows] + 0.05 * rng.standard_normal((n, 2)) - 0.5
-
-    x = Tensor(points(5))
-    if case == "same":
-        x2 = x
-    elif case == "rank2":
-        x2 = Tensor(points(6))
-    else:
-        x2 = Tensor(np.stack([points(6) for _ in range(3)]))
-    return x, x2, Tensor(math.log(1.3)), Tensor(math.log(0.7))
-
-
-KERNEL_CASES = ["rank2", "rank3", "same"]
 
 
 def kernel_grads(op, inputs, weights):
@@ -219,90 +171,10 @@ class TestTapeNodeCounts:
             kernel.diag(x2)
             assert len(tape.nodes) == before + 2
 
-    def test_deep_gp_elbo_step_records_72_nodes(self):
-        # 150 unfused: in each of the three layers the two whitened ops
-        # replace 28 nodes
-        assert deep_gp_step()[2] == 72
-
-
-def composite_sparse_gp_call(self, x, seed):
-    """``SparseGaussianProcess.call`` as it was before the whitened ops: the
-    variance and the KL in elementwise, reduction, structural and matmul
-    tape ops, with one L_v stack shared by both."""
-    z = self.inducing_inputs
-    m, units = self.num_inducing, self.units
-    rows = x.shape[:-1]
-    eye = Tensor(np.eye(m))
-    chol = cholesky(self.kernel(z, z) + gp_module._KZZ_FLOOR * eye)
-    proj = triangular_solve(chol, self.kernel(z, x))
-    mean = self._mean(x) + matmul(matrix_transpose(proj), self.inducing_mean)
-    base_var = self.kernel.diag(x) - tensor_sum(square(proj), axis=-2)
-    diag = softplus(self.scale_raw) * eye
-    scale = self.scale_raw * Tensor(np.tril(np.ones((m, m)), -1)) + diag
-    half = matmul(reshape(transpose(scale, (0, 2, 1)), (units * m, m)), proj)
-    extra = tensor_sum(
-        reshape(square(half), rows[:-1] + (units, m, rows[-1])), axis=-2)
-    variance = matrix_transpose(extra) + reshape(base_var, rows + (1,))
-    variance = where(variance.data > gp_module._VAR_FLOOR, variance,
-                     gp_module._VAR_FLOOR)
-    log_diag = log(tensor_sum(diag, axis=2))
-    kl = 0.5 * (tensor_sum(square(scale))
-                + tensor_sum(square(self.inducing_mean))
-                - units * m) - tensor_sum(log_diag)
-    self.add_loss(kl)
-    dist = Normal(mean, sqrt(variance))
-    return dist.sample(self.rng(seed, "function"),
-                       noise_shape=(rows[-1], units))
-
-
-def deep_gp_step(moved=False):
-    """Loss, flat gradient, tape-node count and the parameter name of each
-    gradient entry of one ELBO step of train-deep-gp at its CLI defaults
-    (64 examples, batches of 32); ``moved`` first draws every layer's
-    variational state off its prior-matched start."""
-    from uncertain.cli import build_deep_gp, gaussian_likelihood
-    from uncertain.data import toy_regression
-    from uncertain.rng import mix
-    from uncertain.training import ElboConfig, elbo_step
-
-    x, y = toy_regression(64, 0, 0.05)
-    model = build_deep_gp(4, 8)
-    model(Tensor(x), seed=mix(0, "build"))
-    if moved:
-        rng = np.random.default_rng(31)
-        for layer in model.layers:
-            random_whitened_state(layer, rng)
-    cfg = ElboConfig(num_train_examples=64, batch_size=32,
-                     learning_rate=0.02, max_steps=300)
-    loss, _, grad = elbo_step(model, Tensor(x[:32]), Tensor(y[:32]), cfg,
-                              0, likelihood=gaussian_likelihood(0.1))
-    names = np.concatenate([[name] * p.size for name, p
-                            in model.trainable_variables().items()])
-    return loss.data, grad, len(loss.tape.nodes), names
-
-
-@pytest.mark.parametrize("moved", [False, True],
-                         ids=["cli-defaults", "moved-state"])
-def test_deep_gp_step_matches_the_unfused_composite(monkeypatch, moved):
-    # whitened_scale_raw feeds both ops, and the tape adds their adjoints in
-    # the raw space where the composite added them in L_v's, so the diagonal
-    # entries of its gradient may differ in the last bits; all else is bitwise
-    loss, grad, _, names = deep_gp_step(moved)
-    monkeypatch.setattr(SparseGaussianProcess, "call", composite_sparse_gp_call)
-    want_loss, want_grad, nodes, _ = deep_gp_step(moved)
-    assert nodes == 150
-    assert loss.tobytes() == want_loss.tobytes()
-    shared = np.char.endswith(names.astype(str), "/whitened_scale_raw")
-    assert np.count_nonzero(shared) == 4 * 8 * 8 + 4 * 8 * 8 + 8 * 8
-    assert grad[~shared].tobytes() == want_grad[~shared].tobytes()
-    for name in np.unique(names[shared]):
-        g, w = grad[names == name], want_grad[names == name]
-        assert np.abs(g - w).max() <= 1e-12 * np.abs(w).max(), name
-
 
 class TestExactGP:
     def test_prior_marginals(self):
-        gp = GaussianProcess(2, amplitude=1.4)
+        gp = GaussianProcess(2, kernel=SquaredExponential(amplitude=1.4))
         x = np.random.default_rng(0).normal(size=(4, 1))
         dist = gp.predictive(Tensor(x))
         assert np.all(dist.mean.data == 0.0)
@@ -336,8 +208,8 @@ class TestExactGP:
         x_test = rng.uniform(-1, 1, (3, 1))
         gp = GaussianProcess(1, conditional_inputs=x_train,
                              conditional_outputs=y_train,
-                             observation_noise=noise, amplitude=amp,
-                             lengthscale=ell)
+                             observation_noise=noise,
+                             kernel=SquaredExponential(amp, ell))
         dist = gp.predictive(Tensor(x_test))
         gram = se_oracle(x_train, x_train, amp, ell) + noise**2 * np.eye(5)
         k_sn = se_oracle(x_test, x_train, amp, ell)
@@ -372,8 +244,8 @@ class TestExactGP:
         x_test = rng.uniform(-1, 1, (3, 1))
         gp = GaussianProcess(2, conditional_inputs=x_train,
                              conditional_outputs=y_train,
-                             observation_noise=noise, amplitude=amp,
-                             lengthscale=ell)
+                             observation_noise=noise,
+                             kernel=SquaredExponential(amp, ell))
         dist = gp.predictive(Tensor(x_test))
         gram = se_oracle(x_train, x_train, amp, ell) + noise**2 * np.eye(5)
         k_sn = se_oracle(x_test, x_train, amp, ell)
@@ -392,7 +264,8 @@ class TestExactGP:
         def predict_stddev():
             gp = GaussianProcess(1, conditional_inputs=x_train,
                                  conditional_outputs=y_train,
-                                 observation_noise=0.1, lengthscale=0.5)
+                                 observation_noise=0.1,
+                                 kernel=SquaredExponential(lengthscale=0.5))
             cov = gp.predictive(Tensor(x_test)).covariance.data
             return np.sqrt(np.diag(cov))
 
@@ -426,22 +299,22 @@ def set_sparse_state(layer, z, m_u, s):
 
 
 class TestSparseGP:
-    @pytest.mark.parametrize("x, num_inducing, kernel_args", [
-        (np.linspace(-2, 2, 9), 5, dict(lengthscale=0.5, amplitude=1.3)),
+    @pytest.mark.parametrize("x, num_inducing, amplitude, lengthscale", [
+        (np.linspace(-2, 2, 9), 5, 1.3, 0.5),
         # 8 inducing points on [-1, 1] at the default lengthscale: K_zz has
         # condition number ~6e10, so a trace formed by solving against K_zz
         # itself rather than its factor leaves a KL of ~3e-7
-        (np.linspace(-1, 1, 32), 8, {}),
+        (np.linspace(-1, 1, 32), 8, 1.0, 1.0),
     ], ids=["well_conditioned", "ill_conditioned"])
     def test_prior_matched_state_is_prior_with_zero_kl(self, x, num_inducing,
-                                                       kernel_args):
-        layer = SparseGaussianProcess(2, num_inducing=num_inducing,
-                                      **kernel_args)
+                                                       amplitude, lengthscale):
+        layer = SparseGaussianProcess(
+            2, num_inducing=num_inducing,
+            kernel=SquaredExponential(amplitude, lengthscale))
         rv = layer(Tensor(x[:, None]), seed=0)
         assert len(layer.losses) == 1
         assert abs(layer.losses[0].item()) <= 1e-10
         assert np.abs(rv.distribution.mean.data).max() == 0.0
-        amplitude = kernel_args.get("amplitude", 1.0)
         np.testing.assert_allclose(rv.distribution.stddev.data**2,
                                    amplitude**2, rtol=1e-10)
 
@@ -451,8 +324,8 @@ class TestSparseGP:
         x_train = rng.uniform(-1, 1, (5, 1))
         y_train = np.sin(3.0 * x_train)
         x_test = rng.uniform(-1, 1, (4, 1))
-        layer = SparseGaussianProcess(1, num_inducing=5, amplitude=amp,
-                                      lengthscale=ell)
+        layer = SparseGaussianProcess(1, num_inducing=5,
+                                      kernel=SquaredExponential(amp, ell))
         layer(Tensor(x_train), seed=0)  # build
         kern = lambda a, b: se_oracle(a, b, amp, ell)
         m_star, s_star = sparse_optimum(kern, x_train, y_train, noise)
@@ -485,14 +358,6 @@ class TestSparseGP:
         assert np.any(mean_grad.data != 0.0)
 
 
-def random_whitened_state(layer, rng):
-    """Move every variational parameter of a built layer off its initial value."""
-    layer.inducing_mean.data[...] = rng.standard_normal(layer.inducing_mean.shape)
-    # one [U, M, M] draw fills in C order: unit after unit
-    raw = layer.scale_raw
-    raw.data[...] = np.tril(0.5 * rng.standard_normal(raw.shape))
-
-
 class TestWhitenedSparseGP:
     def test_closed_form_kl_matches_multivariate_normal_kl(self):
         from uncertain.distributions import MultivariateNormal, kl_divergence
@@ -516,7 +381,8 @@ class TestWhitenedSparseGP:
 
     def test_mean_variance_and_kl_gradients_match_finite_differences(self):
         rng = np.random.default_rng(13)
-        layer = SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8)
+        layer = SparseGaussianProcess(
+            2, num_inducing=4, kernel=SquaredExponential(lengthscale=0.8))
         x = np.linspace(-1, 1, 5)[:, None] + 0.05 * rng.standard_normal((5, 1))
         layer(Tensor(x), seed=0)  # build
         # spread out on purpose: near-coincident inducing inputs make K_zz so
@@ -641,17 +507,6 @@ class TestWhitenedOps:
         assert out.data is made[0]
         assert out.shape == lead + (5, 3)
 
-    def test_each_op_records_one_node(self):
-        kdiag, proj, raw, mean = (Tensor(a) for a in whitened_case((2,)))
-        with Tape() as tape:
-            for t in (kdiag, proj, raw, mean):
-                tape.watch(t)
-            before = len(tape.nodes)
-            whitened_variance(kdiag, proj, raw, gp_module._VAR_FLOOR)
-            whitened_kl(raw, mean)
-            assert [node[0] for node in tape.nodes[before:]] == [
-                "whitened_variance", "whitened_kl"]
-
 
 def count_factorizations(monkeypatch):
     """Route ``tensor.chol_with_jitter`` through a counter; returns the count."""
@@ -707,7 +562,8 @@ class TestRandomFourierFeatures:
         assert fine < 0.05
 
     def test_features_are_bounded(self):
-        layer = RandomFourierFeatures(1, num_features=64, amplitude=1.5)
+        layer = RandomFourierFeatures(
+            1, num_features=64, kernel=SquaredExponential(amplitude=1.5))
         x = np.random.default_rng(1).normal(size=(20, 3))
         layer(Tensor(x), seed=0)
         phi = layer.features(Tensor(x)).data
@@ -732,10 +588,9 @@ class TestRandomFourierFeatures:
 class TestDeepGP:
     def _stack(self):
         return Sequential([
-            SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8),
-            SparseGaussianProcess(2, num_inducing=4, lengthscale=0.8),
-            SparseGaussianProcess(1, num_inducing=4, lengthscale=0.8),
-        ])
+            SparseGaussianProcess(units, num_inducing=4,
+                                  kernel=SquaredExponential(lengthscale=0.8))
+            for units in (2, 2, 1)])
 
     def test_end_to_end_gradients_match_finite_differences(self):
         model = self._stack()

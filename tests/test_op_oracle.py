@@ -1,15 +1,20 @@
-"""Every tape op, bit for bit against the numpy expressions that define it.
+"""Every tape op, bit for bit against the numpy expressions that define it,
+or, for a fused op, against the composite of tape ops it replaced.
 
 Each op records a module-level adjoint function on the tape, so rewriting an
 op or its adjoint must keep every floating-point operation and its order.
 Here each op's forward value, and the adjoint a Tape gives each tracked
 operand, is compared byte for byte with that expression written out in
-numpy.  The adjoint reaching the op's output is exact: the root is
-``sum(op(...) * W)`` for a constant ``W`` of the output's shape, so the op
-receives ``1.0 * W``, which is ``W``.
+numpy, or with the composite's.  The adjoint reaching the op's output is
+exact: the root is ``sum(op(...) * W)`` for a constant ``W`` of the
+output's shape, so the op receives ``1.0 * W``, which is ``W``.
 """
+import collections
+import functools
+import importlib
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -17,11 +22,14 @@ import pytest
 from scipy.linalg import solve_triangular as scipy_solve_triangular
 from scipy.special import erf as scipy_erf, expit
 
+import uncertain.layers.gp as gp_module
+import uncertain.layers.reversible as reversible_module
 from uncertain import layers, tensor
 from uncertain.cli import build_deep_gp, build_flow, gaussian_likelihood
 from uncertain.data import toy_flow_data, toy_regression
 from uncertain.distributions import Normal
 from uncertain.errors import ShapeError
+from uncertain.rng import mix
 from uncertain.tensor import (
     ELEMENTWISE_BINARY,
     ELEMENTWISE_UNARY,
@@ -37,6 +45,7 @@ from uncertain.tensor import (
     mul,
     reshape,
     se_kernel,
+    se_kernel_diag,
     softplus,
     square,
     tanh,
@@ -49,7 +58,12 @@ from uncertain.tensor import (
 )
 from uncertain.training import ElboConfig, elbo_step
 
-from conftest import whitened_case
+from conftest import (
+    KERNEL_CASES,
+    kernel_inputs,
+    random_whitened_state,
+    whitened_case,
+)
 
 
 def bitwise(got, want):
@@ -72,26 +86,50 @@ def reduce_to(g, shape):
     return g
 
 
-def run(op, *operands):
-    """``op`` on the operands, arrays watched on a fresh tape as Tensors, and
-    Tensors (constants) and plain Python numbers left as they are; the
-    output's data, the adjoint ``W`` its consumer sent, and each watched
-    operand's adjoint (None for the others)."""
+def watch_arrays(tape, operands):
+    """The operands with each distinct array watched on ``tape`` as one
+    Tensor, so an array passed twice is one tracked tensor, and Tensors
+    (constants) and plain Python numbers left as they are."""
+    watched = {}
+    for v in operands:
+        if isinstance(v, np.ndarray) and id(v) not in watched:
+            watched[id(v)] = tape.watch(Tensor(v))
+    return [watched.get(id(v), v) for v in operands]
+
+
+def run(op, *operands, signed_zeros=False):
+    """``op`` on the operands as :func:`watch_arrays` passes them; the
+    output's data, the adjoint ``W`` its consumer sent (normal draws, or
+    with ``signed_zeros`` draws holding -0.0 and 0.0), and each watched
+    operand's adjoint (None for the others and for one the root does not
+    reach)."""
     with Tape() as tape:
-        args = [tape.watch(Tensor(v)) if isinstance(v, np.ndarray) else v
-                for v in operands]
+        args = watch_arrays(tape, operands)
         out = op(*args)
-        w = np.random.default_rng(99).normal(size=out.shape)
+        w = (with_signed_zeros(out.shape, 99) if signed_zeros
+             else np.random.default_rng(99).normal(size=out.shape))
         root = tensor_sum(mul(out, Tensor(w)))
     grads = tape.backward(root)
     adjoints = [grads[a.node_id].data
-                if isinstance(a, Tensor) and a.node_id is not None else None
+                if isinstance(a, Tensor) and a.node_id in grads else None
                 for a in args]
     return out.data, w, adjoints
 
 
 def values(shape, seed, lo=-2.0, hi=2.0):
     return np.random.default_rng(seed).uniform(lo, hi, size=shape)
+
+
+def with_signed_zeros(shape, seed):
+    """Normal draws with about one entry in eight set to -0.0 and one in
+    eight to 0.0, and the first two entries -0.0 and 0.0 (a lone entry
+    -0.0), so a mask that changed the sign of a zero would show."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(shape)
+    v[rng.random(shape) < 0.125] = -0.0
+    v[rng.random(shape) < 0.125] = 0.0
+    v.reshape(-1)[:2] = (-0.0, 0.0)[:v.size]
+    return v
 
 
 # name -> (forward(x), adjoint(G, x, out)) as each op defines them
@@ -125,9 +163,53 @@ BINARY_SHAPES = [((3, 4), (3, 4)), ((3, 4), (4,)), ((3, 1), (1, 4)),
                  ((2, 3, 4), (3, 1)), ((), (3,)), ((3,), ()), ((), ())]
 
 
+# op name -> the test here that checks it against numpy expressions
+STRUCTURAL = {
+    "sum": "test_tensor_sum",
+    "reshape": "test_reshape",
+    "transpose": "test_transpose",
+    "matmul": "test_matmul",
+    "cholesky": "test_cholesky_matches_the_replaced_expressions",
+    "triangular_solve": "test_triangular_solve_matches_the_replaced_expressions",
+}
+# op name -> "module::Class::test" of the test in another file that covers it
+CHECKED_ELSEWHERE = {
+    "where": "test_tensor::TestStructuralOps::test_where_routes_gradients",
+    "slice_last": "test_tensor::TestStructuralOps::test_slice_and_concat_inverse",
+    "concat": "test_tensor::TestStructuralOps::test_slice_and_concat_inverse",
+    "take": "test_tensor::TestStructuralOps::test_take_matches_indexing_and_gradient",
+    "take_last": "test_tensor::TestStructuralOps::test_take_last_gradient_scatters",
+    "broadcast_to":
+        "test_tensor::TestStructuralOps::test_broadcast_to_gradient_sums_copies",
+    "diag_part": "test_tensor::TestStructuralOps::test_diag_part",
+    "conv2d": "test_tensor::TestConv2d::test_gradients_vs_central_differences",
+}
+# the op name an _apply, _unary or _binary call in tensor.py records
+RECORDED_OP = re.compile(r'\b_(?:apply|unary|binary)\("(\w+)"')
+
+
 def test_every_elementwise_op_has_an_oracle():
+    # and every other op tensor.py records: a new op fails here until it is
+    # in exactly one table, and a fused op until FUSED checks it
     assert set(UNARY) == set(ELEMENTWISE_UNARY)
     assert set(BINARY) == set(ELEMENTWISE_BINARY)
+    with open(tensor.__file__) as f:
+        recorded_ops = set(RECORDED_OP.findall(f.read()))
+    tables = [{*UNARY, *BINARY}, set(STRUCTURAL), set(FUSED),
+              set(CHECKED_ELSEWHERE)]
+    assert sum(map(len, tables)) == len(recorded_ops)
+    assert set().union(*tables) == recorded_ops
+    for test in STRUCTURAL.values():
+        assert callable(globals()[test]), test
+    for name, fused in FUSED.items():
+        assert "signed-zeros" in fused.cases and callable(
+            globals()[f"test_{name}"]), name
+    for location in CHECKED_ELSEWHERE.values():
+        module, *path = location.split("::")
+        target = importlib.import_module(module)
+        for attr in path:
+            target = getattr(target, attr)
+        assert callable(target), location
 
 
 @pytest.mark.parametrize("shape", [(3, 4), ()], ids=["3x4", "0d"])
@@ -234,114 +316,45 @@ def test_structural_ops_of_python_scalars():
     assert bitwise(transpose(2.5).data, np.float64(2.5))
 
 
-COUPLING_SHAPES = [(4,), (3, 4), (2, 3, 4)]
+# ---------------------------------------------------------------------------
+# fused ops
+# ---------------------------------------------------------------------------
+# A fused op records one node where a composite of tape ops recorded
+# several.  FUSED holds, for each, that composite (its only copy under
+# tests/), its operand cases, the number of nodes the composite records
+# where the op's docstring names it, and the bound on the adjoints: bitwise
+# (rtol 0), or relative to the largest entry.  Every entry has a
+# "signed-zeros" case, whose operands and output adjoint hold -0.0 and 0.0.
+
+def matrix_transpose(t):
+    return transpose(t, tuple(range(t.ndim - 2)) + (t.ndim - 1, t.ndim - 2))
 
 
-def coupling_case(test):
-    """Rank-1, -2 and -3 inputs over 4 coordinates, with either coordinate
-    parity anchored; ``active`` is 1 on the coordinates a coupling updates."""
-    shapes = pytest.mark.parametrize("shape", COUPLING_SHAPES,
-                                     ids=["rank1", "rank2", "rank3"])
-    parities = pytest.mark.parametrize("parity", [0, 1],
-                                       ids=["even-anchored", "odd-anchored"])
-    return shapes(parities(test))
+def composite_se_kernel(x, x2, log_amplitude, log_lengthscale):
+    """``se_kernel`` spelled out in elementwise, reduction and matmul tape
+    ops, in the order of its forward pass."""
+    sq_x = tensor_sum(x * x, axis=1, keepdims=True)
+    sq_x2 = tensor_sum(x2 * x2, axis=-1, keepdims=True)
+    sq_dist = (sq_x + matrix_transpose(sq_x2)
+               - 2.0 * matmul(x, matrix_transpose(x2)))
+    sq_dist = where(sq_dist.data > 0.0, sq_dist, 0.0)
+    amp2 = exp(2.0 * log_amplitude)
+    inv_2ell2 = 0.5 * exp(-2.0 * log_lengthscale)
+    return amp2 * exp(-sq_dist * inv_2ell2)
 
 
-def active_of(parity):
-    return 1.0 - layers.alternating_mask(4, parity)
+def composite_se_kernel_diag(x, log_amplitude):
+    return exp(2.0 * log_amplitude) * Tensor(np.ones(x.shape[:-1]))
 
 
-@coupling_case
-def test_coupling_scale(shape, parity):
-    raw, active = values(shape, 10), active_of(parity)
-    out, g, (gr, _, _) = run(coupling_scale, raw, 3.0, Tensor(active))
-    o = np.tanh(raw)
-    assert bitwise(out, (o * 3.0) * active)
-    assert bitwise(gr, ((g * active) * 3.0) * (1.0 - o * o))
+def composite_coupling_scale(raw_scale, bound, active):
+    """``coupling_scale`` as the 3 nodes it replaces."""
+    return (tanh(raw_scale) * bound) * active
 
 
-@pytest.mark.parametrize("y_tracked", [True, False],
-                         ids=["y-tracked", "y-untracked"])
-@coupling_case
-def test_coupling_inverse(shape, parity, y_tracked):
-    # an untracked y is the data batch a density's first coupling sees
-    y, shift, scale = values(shape, 11), values(shape, 12), values(shape, 13)
-    active = active_of(parity)
-    anchored = y * (1.0 - active)
-    out, g, (ga, gy, gs, gsc, _) = run(
-        coupling_inverse, anchored, y if y_tracked else Tensor(y), shift,
-        scale, Tensor(active))
-    d, e = y - shift * active, np.exp(-scale)
-    assert bitwise(out, anchored + active * (d * e))
-    gp = g * active
-    assert bitwise(ga, g)
-    if y_tracked:
-        assert bitwise(gy, gp * e)
-    else:
-        assert gy is None
-    assert bitwise(gs, (-(gp * e)) * active)
-    assert bitwise(gsc, -((gp * d) * e))
-
-
-@pytest.mark.parametrize("op, shapes, mask", [
-    (coupling_scale, [(3, 1)], (4,)),
-    (coupling_scale, [(3, 4)], (2, 1, 4)),
-    (coupling_inverse, [(3, 4), (3, 4), (4,), (3, 4)], (4,)),
-    (coupling_inverse, [(3, 4), (3, 4), (3, 4), (2, 3, 4)], (4,)),
-    (coupling_inverse, [(4,)] * 4, (3, 4)),
-], ids=["scale-narrow", "scale-by-mask", "inverse-shift", "inverse-scale",
-        "inverse-by-mask"])
-def test_coupling_ops_reject_operands_that_broadcast(op, shapes, mask):
-    # their adjoints hand back unreduced terms, so the forward pass checks
-    operands = [Tensor(np.ones(shape)) for shape in shapes]
-    if op is coupling_scale:
-        operands.append(3.0)
-    with pytest.raises(ShapeError, match=f"^{op.__name__} needs operands of "
-                       "the output's shape"):
-        op(*operands, Tensor(np.ones(mask)))
-
-
-def composite_inverse_and_log_det(self, y):
-    """``CouplingLayer.inverse_and_log_det`` written with the elementwise tape
-    ops the two coupling ops fuse."""
-    anchored = y * self.mask
-    shift, raw_scale = self.conditioner(anchored, seed=0)
-    active = 1.0 - self.mask
-    scale = tanh(raw_scale) * 3.0 * active
-    x = anchored + (1.0 - self.mask) * ((y - shift * active) * exp(-scale))
-    return x, tensor_sum(scale, axis=-1)
-
-
-def flow_step():
-    """Loss, gradient and tape-node count of one ELBO step of the flow
-    demo's model (4 couplings, width 32) on a batch of 128, its parameters
-    drawn so that every coupling shifts and scales."""
-    flow = build_flow(4, 32)
-    base = Normal(np.zeros(2), np.ones(2))
-    flow(base, seed=0)
-    rng = np.random.default_rng(14)
-    for p in flow.trainable_variables().values():
-        p.data[...] = 0.3 * rng.standard_normal(p.shape)
-    cfg = ElboConfig(num_train_examples=128, batch_size=128)
-    loss, _, grad = elbo_step(flow, base, toy_flow_data(128, 0), cfg, step=0)
-    return loss.data, grad, len(loss.tape.nodes)
-
-
-def test_flow_step_matches_the_unfused_composite(monkeypatch):
-    # the fused ops hand each parent its adjoint terms in the composite's
-    # order, so a whole ELBO step is bitwise, not just each op
-    loss, grad, _ = flow_step()
-    monkeypatch.setattr(layers.CouplingLayer, "inverse_and_log_det",
-                        composite_inverse_and_log_det)
-    want_loss, want_grad, nodes = flow_step()
-    assert nodes == 106
-    assert bitwise(loss, want_loss)
-    assert bitwise(grad, want_grad)
-
-
-def test_flow_step_records_74_nodes():
-    # 106 unfused: in each coupling two ops replace ten elementwise nodes
-    assert flow_step()[2] == 74
+def composite_coupling_inverse(anchored, y, shift, scale, active):
+    """``coupling_inverse`` as the 7 nodes it replaces."""
+    return anchored + active * ((y - shift * active) * exp(-scale))
 
 
 def composite_whitened_scale(scale_raw):
@@ -377,35 +390,226 @@ def composite_whitened_kl(scale_raw, whitened_mean):
 
 
 VAR_FLOOR = 1e-10
-
-
 # a regrouping of a rounded sum survives one draw often enough that each
-# op sees several
-WHITENED_SEEDS = pytest.mark.parametrize("seed", range(30, 38))
+# whitened op sees several
+WHITENED_SEEDS = range(30, 38)
+LEADS = {"rank2": (), "stack": (2,)}
+COUPLING_SHAPES = {"rank1": (4,), "rank2": (3, 4), "rank3": (2, 3, 4)}
+PARITIES = {"even-anchored": 0, "odd-anchored": 1}
 
 
-@WHITENED_SEEDS
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "stack"])
-def test_whitened_variance(lead, seed):
-    kdiag, proj, raw, _ = whitened_case(lead, seed)
-    out, _, grads = run(whitened_variance, kdiag, proj, raw, VAR_FLOOR)
-    want, _, want_grads = run(composite_whitened_variance, kdiag, proj, raw,
-                              VAR_FLOOR)
-    assert out.shape == lead + (5, 3)
-    assert np.all(out[..., 0, :] == VAR_FLOOR) and np.all(out[..., 1:, :] > 1.0)
+def active_of(parity):
+    """1 on the coordinates a coupling with that parity anchored updates."""
+    return 1.0 - layers.alternating_mask(4, parity)
+
+
+def kernel_arrays(case):
+    """``kernel_inputs(case)`` as arrays; in the "same" case ``x2`` is the
+    array ``x``, so the tape watches one tensor for both."""
+    return tuple(t.data for t in kernel_inputs(case))
+
+
+def kernel_diag_arrays(case):
+    return kernel_arrays(case)[::2]  # x and log_amplitude
+
+
+def coupling_scale_operands(shape, parity):
+    return values(shape, 10), 3.0, Tensor(active_of(parity))
+
+
+def coupling_inverse_operands(shape, parity, y_tracked):
+    # an untracked y is the data batch a density's first coupling sees
+    y, shift, scale = values(shape, 11), values(shape, 12), values(shape, 13)
+    active = active_of(parity)
+    return (y * (1.0 - active), y if y_tracked else Tensor(y), shift, scale,
+            Tensor(active))
+
+
+def whitened_variance_operands(lead, seed):
+    return (*whitened_case(lead, seed)[:3], VAR_FLOOR)
+
+
+def whitened_kl_operands(lead, seed):
+    return whitened_case(lead, seed)[2:]
+
+
+def signed_zeros(*shapes, seed):
+    """One ``with_signed_zeros`` array per shape, from seeds seed, seed + 1, ..."""
+    return tuple(with_signed_zeros(shape, seed + i)
+                 for i, shape in enumerate(shapes))
+
+
+Fused = collections.namedtuple("Fused", "op composite cases nodes rtol")
+partial = functools.partial
+FUSED = {
+    "se_kernel": Fused(se_kernel, composite_se_kernel, {
+        **{case: partial(kernel_arrays, case) for case in KERNEL_CASES},
+        "signed-zeros": lambda: (*signed_zeros((5, 2), (6, 2), seed=50),
+                                 np.array(-0.0), np.array(0.0)),
+    }, None, 1e-12),
+    "se_kernel_diag": Fused(se_kernel_diag, composite_se_kernel_diag, {
+        **{case: partial(kernel_diag_arrays, case) for case in KERNEL_CASES},
+        "signed-zeros": lambda: (*signed_zeros((5, 2), seed=52), np.array(-0.0)),
+    }, None, 1e-12),
+    "coupling_scale": Fused(coupling_scale, composite_coupling_scale, {
+        **{f"{p}-{s}": partial(coupling_scale_operands, shape, parity)
+           for p, parity in PARITIES.items()
+           for s, shape in COUPLING_SHAPES.items()},
+        "signed-zeros": lambda: (*signed_zeros((3, 4), seed=53), 3.0,
+                                 Tensor(active_of(0))),
+    }, 3, 0.0),
+    "coupling_inverse": Fused(coupling_inverse, composite_coupling_inverse, {
+        **{f"{p}-{s}-y-{t}": partial(coupling_inverse_operands, shape, parity,
+                                     t == "tracked")
+           for p, parity in PARITIES.items()
+           for s, shape in COUPLING_SHAPES.items()
+           for t in ("tracked", "untracked")},
+        "signed-zeros": lambda: (*signed_zeros(*[(3, 4)] * 4, seed=54),
+                                 Tensor(active_of(1))),
+    }, 7, 0.0),
+    "whitened_variance": Fused(whitened_variance, composite_whitened_variance, {
+        **{f"{l}-{seed}": partial(whitened_variance_operands, lead, seed)
+           for l, lead in LEADS.items() for seed in WHITENED_SEEDS},
+        "signed-zeros": lambda: (
+            *signed_zeros((2, 5), (2, 4, 5), (3, 4, 4), seed=58), VAR_FLOOR),
+    }, 17, 0.0),
+    "whitened_kl": Fused(whitened_kl, composite_whitened_kl, {
+        **{str(seed): partial(whitened_kl_operands, (), seed)
+           for seed in WHITENED_SEEDS},
+        **{f"stack-{seed}": partial(whitened_kl_operands, (2,), seed)
+           for seed in WHITENED_SEEDS},
+        "signed-zeros": lambda: signed_zeros((3, 4, 4), (4, 3), seed=61),
+    }, 15, 0.0),
+}
+
+
+def recorded(op, *operands):
+    """The op names ``op`` records on a tape that watches the operands'
+    arrays, as :func:`run` does."""
+    with Tape() as tape:
+        args = watch_arrays(tape, operands)
+        before = len(tape.nodes)
+        op(*args)
+    return [node[0] for node in tape.nodes[before:]]
+
+
+def check_fused(name, case):
+    """``FUSED[name]`` on one case: the op records one node and the
+    composite the number its entry gives, and the op's value and every
+    adjoint are the composite's within the entry's bound."""
+    fused = FUSED[name]
+    operands = fused.cases[case]()
+    assert recorded(fused.op, *operands) == [name]
+    if fused.nodes is not None:
+        assert len(recorded(fused.composite, *operands)) == fused.nodes
+    signed = case == "signed-zeros"
+    out, _, grads = run(fused.op, *operands, signed_zeros=signed)
+    want, _, want_grads = run(fused.composite, *operands, signed_zeros=signed)
     assert bitwise(out, want)
-    for g, w in zip(grads[:3], want_grads[:3]):
-        assert bitwise(g, w)
+    for g, w in zip(grads, want_grads, strict=True):
+        if g is None or w is None:
+            assert g is None and w is None
+        elif fused.rtol:
+            assert g.shape == w.shape
+            assert np.abs(g - w).max() <= fused.rtol * np.abs(w).max()
+        else:
+            assert bitwise(g, w)
 
 
-@WHITENED_SEEDS
-def test_whitened_kl(seed):
-    _, _, raw, mean = whitened_case((), seed)
-    out, _, grads = run(whitened_kl, raw, mean)
-    want, _, want_grads = run(composite_whitened_kl, raw, mean)
-    assert bitwise(out, want)
-    for g, w in zip(grads, want_grads):
-        assert bitwise(g, w)
+def fused_test(name):
+    """The test of ``FUSED[name]``: :func:`check_fused` on each case."""
+    @pytest.mark.parametrize("case", list(FUSED[name].cases))
+    def test(case):
+        check_fused(name, case)
+    return test
+
+
+test_se_kernel = fused_test("se_kernel")
+test_se_kernel_diag = fused_test("se_kernel_diag")
+test_coupling_scale = fused_test("coupling_scale")
+test_coupling_inverse = fused_test("coupling_inverse")
+test_whitened_variance = fused_test("whitened_variance")
+test_whitened_kl = fused_test("whitened_kl")
+
+
+@pytest.mark.parametrize("op, shapes, mask", [
+    (coupling_scale, [(3, 1)], (4,)),
+    (coupling_scale, [(3, 4)], (2, 1, 4)),
+    (coupling_inverse, [(3, 4), (3, 4), (4,), (3, 4)], (4,)),
+    (coupling_inverse, [(3, 4), (3, 4), (3, 4), (2, 3, 4)], (4,)),
+    (coupling_inverse, [(4,)] * 4, (3, 4)),
+], ids=["scale-narrow", "scale-by-mask", "inverse-shift", "inverse-scale",
+        "inverse-by-mask"])
+def test_coupling_ops_reject_operands_that_broadcast(op, shapes, mask):
+    # their adjoints hand back unreduced terms, so the forward pass checks
+    operands = [Tensor(np.ones(shape)) for shape in shapes]
+    if op is coupling_scale:
+        operands.append(3.0)
+    with pytest.raises(ShapeError, match=f"^{op.__name__} needs operands of "
+                       "the output's shape"):
+        op(*operands, Tensor(np.ones(mask)))
+
+
+def flow_step():
+    """Loss, gradient and tape-node count of one ELBO step of the flow
+    demo's model (4 couplings, width 32) on a batch of 128, its parameters
+    drawn so that every coupling shifts and scales."""
+    flow = build_flow(4, 32)
+    base = Normal(np.zeros(2), np.ones(2))
+    flow(base, seed=0)
+    rng = np.random.default_rng(14)
+    for p in flow.trainable_variables().values():
+        p.data[...] = 0.3 * rng.standard_normal(p.shape)
+    cfg = ElboConfig(num_train_examples=128, batch_size=128)
+    loss, _, grad = elbo_step(flow, base, toy_flow_data(128, 0), cfg, step=0)
+    return loss.data, grad, len(loss.tape.nodes)
+
+
+def deep_gp_step(moved):
+    """Loss, flat gradient and tape-node count of one ELBO step of
+    train-deep-gp at its CLI defaults (64 examples, batches of 32);
+    ``moved`` first draws every layer's variational state off its
+    prior-matched start."""
+    x, y = toy_regression(64, 0, 0.05)
+    model = build_deep_gp(4, 8)
+    model(Tensor(x), seed=mix(0, "build"))
+    if moved:
+        rng = np.random.default_rng(31)
+        for layer in model.layers:
+            random_whitened_state(layer, rng)
+    cfg = ElboConfig(num_train_examples=64, batch_size=32,
+                     learning_rate=0.02, max_steps=300)
+    loss, _, grad = elbo_step(model, Tensor(x[:32]), Tensor(y[:32]), cfg,
+                              0, likelihood=gaussian_likelihood(0.1))
+    return loss.data, grad, len(loss.tape.nodes)
+
+
+# model -> (step, the module whose fused ops the composites replace, those
+# ops, the node count of the step with the composites)
+STEPS = {
+    "flow": (flow_step, reversible_module,
+             ("coupling_scale", "coupling_inverse"), 106),
+    "deep-gp-cli-defaults": (partial(deep_gp_step, False), gp_module,
+                             ("whitened_variance", "whitened_kl"), 162),
+    "deep-gp-moved-state": (partial(deep_gp_step, True), gp_module,
+                            ("whitened_variance", "whitened_kl"), 162),
+}
+
+
+@pytest.mark.parametrize("model", list(STEPS))
+def test_step_matches_the_unfused_composite(monkeypatch, model):
+    # the fused ops hand each parent its adjoint terms in the composite's
+    # order, so a whole ELBO step is bitwise, not just each op; the flow
+    # step records 74 nodes fused (4 couplings, 8 fewer each) and the deep
+    # GP 72 (3 layers, 30 fewer each)
+    step, module, names, nodes = STEPS[model]
+    loss, grad, _ = step()
+    for name in names:
+        monkeypatch.setattr(module, name, FUSED[name].composite)
+    want_loss, want_grad, want_nodes = step()
+    assert want_nodes == nodes
+    assert bitwise(loss, want_loss)
+    assert bitwise(grad, want_grad)
 
 
 class TestTensorStorage:
@@ -447,16 +651,6 @@ class TestTensorStorage:
 # replaced (``np.sum``, ``np.swapaxes``, ``np.expand_dims``, ``np.transpose``,
 # ``np.eye``, ``np.tri``, ``np.tril``, ``np.diag``), and each op must still
 # give their bytes.
-
-def with_signed_zeros(shape, seed):
-    """Normal draws with about one entry in eight set to -0.0 and one in
-    eight to 0.0, so a mask that changed the sign of a zero would show."""
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(shape)
-    v[rng.random(shape) < 0.125] = -0.0
-    v[rng.random(shape) < 0.125] = 0.0
-    return v
-
 
 def solve_lower_oracle(l, b, trans):
     if b.ndim == 2:
@@ -554,71 +748,6 @@ def test_se_kernel_matches_the_replaced_expressions(lead, seed):
     out, g, grads = run(se_kernel, x, x2, log_amplitude, log_lengthscale)
     want, want_grads = se_kernel_oracle(x, x2, log_amplitude,
                                         log_lengthscale, g)
-    assert bitwise(out, want)
-    for got, w in zip(grads, want_grads):
-        assert bitwise(got, w)
-
-
-def whitened_scale_oracle(raw):
-    m = raw.shape[-1]
-    eye, tril = np.eye(m), np.tri(m, k=-1)
-    diag = (np.log1p(np.exp(-np.abs(raw))) + np.maximum(raw, 0.0)) * eye
-    return raw * tril + diag, diag, tril, eye
-
-
-def whitened_variance_oracle(kdiag, p, raw, floor, adj):
-    """``whitened_variance``'s value and its three adjoints in the replaced
-    expressions."""
-    units, m = raw.shape[0], raw.shape[-1]
-    lead, batch = p.shape[:-2], p.shape[-1]
-    base = kdiag - np.sum(p * p, axis=-2)
-    scale, _, tril, eye = whitened_scale_oracle(raw)
-    st = np.ascontiguousarray(np.transpose(scale, (0, 2, 1))).reshape(units * m, m)
-    half = st @ p
-    extra_shape = lead + (units, m, batch)
-    extra = np.sum((half * half).reshape(extra_shape), axis=-2)
-    variance = np.swapaxes(extra, -1, -2) + base.reshape(base.shape + (1,))
-    mask = variance > floor
-    out = np.where(mask, variance, floor)
-    g = np.where(mask, adj, 0.0)
-    gbase = reduce_to(g, base.shape + (1,)).reshape(base.shape)
-    gextra = np.expand_dims(np.swapaxes(g, -1, -2), -2)
-    ghalf = np.ascontiguousarray(
-        ((gextra * 2.0) * half.reshape(extra_shape)).reshape(half.shape))
-    gst = reduce_to(ghalf @ np.swapaxes(p, -1, -2), st.shape)
-    gscale = np.transpose(gst.reshape(units, m, m), (0, 2, 1))
-    graw = gscale * tril + gscale * eye * expit(raw)
-    gsq = (np.expand_dims(-gbase, -2) * 2.0) * p
-    gproj = np.swapaxes(st, -1, -2) @ ghalf + gsq
-    return out, (reduce_to(gbase, kdiag.shape), gproj, graw)
-
-
-def whitened_kl_oracle(raw, mu, adj):
-    """``whitened_kl``'s value and its two adjoints in the replaced
-    expressions."""
-    scale, diag, tril, eye = whitened_scale_oracle(raw)
-    dsum = np.sum(diag, axis=2)
-    count = raw.shape[0] * raw.shape[-1]
-    out = ((np.sum(scale * scale) + np.sum(mu * mu)) - count) * 0.5 - np.sum(
-        np.log(dsum))
-    half_adj = adj * 0.5
-    gsq = (half_adj * 2.0) * scale
-    gdiag = np.expand_dims(-adj / dsum, 2) + gsq
-    graw = gsq * tril + gdiag * eye * expit(raw)
-    return out, (graw, (half_adj * 2.0) * mu)
-
-
-@WHITENED_SEEDS
-@pytest.mark.parametrize("lead", [(), (2,)], ids=["rank2", "stack"])
-def test_whitened_ops_match_the_replaced_expressions(lead, seed):
-    kdiag, proj, raw, mean = whitened_case(lead, seed)
-    out, g, grads = run(whitened_variance, kdiag, proj, raw, VAR_FLOOR)
-    want, want_grads = whitened_variance_oracle(kdiag, proj, raw, VAR_FLOOR, g)
-    assert bitwise(out, want)
-    for got, w in zip(grads[:3], want_grads):
-        assert bitwise(got, w)
-    out, g, grads = run(whitened_kl, raw, mean)
-    want, want_grads = whitened_kl_oracle(raw, mean, g)
     assert bitwise(out, want)
     for got, w in zip(grads, want_grads):
         assert bitwise(got, w)

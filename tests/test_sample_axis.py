@@ -18,6 +18,7 @@ from uncertain.layers import (
     RandomFourierFeatures,
     Sequential,
     SparseGaussianProcess,
+    SquaredExponential,
     VariationalConv2D,
     VariationalDense,
     VariationalLSTMCell,
@@ -47,7 +48,8 @@ def perturb_gp(layer, seed):
 
 
 def sparse_gp(units, mean_fn=None):
-    return SparseGaussianProcess(units, 5, mean_fn=mean_fn, lengthscale=0.7)
+    return SparseGaussianProcess(units, 5, mean_fn=mean_fn,
+                                 kernel=SquaredExponential(lengthscale=0.7))
 
 
 # (name, factory, input features); each layer is built at the first call

@@ -148,7 +148,12 @@ class TestFlipout:
 
     def test_same_kl_losses_as_variational(self):
         x, flip, rep = self._pair()
-        flip(Tensor(x), seed=1)
+        with Tape() as tape:
+            for p in flip.trainable_variables().values():
+                tape.watch(p)
+            flip(Tensor(x), seed=1)
+        # 4 leaves and 33 ops: the KL reads the draw's sigma and sigma * eps
+        assert len(tape.nodes) == 37
         rep(Tensor(x), seed=1)
         assert len(flip.losses) == len(rep.losses) == 2
         for a, b in zip(flip.losses, rep.losses):
